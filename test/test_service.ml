@@ -917,6 +917,39 @@ let test_fleet_brownout_recovers_par_serial () =
   check_int "bw-wjsq conserves" aware.fr_arrivals
     (aware.fr_completed + aware.fr_failed)
 
+(* The fleet's report counts against pinned constants, with every
+   recovery path engaged at once: hedging, admission control, and
+   corruption re-execution under brownouts and link drops.  Any change
+   to how the front tier or the machines count shows up here. *)
+let pinned_fleet_fingerprint (r : Iw_service.Fleet.report) =
+  Printf.sprintf "%d/%d/%d/%d/%d/%d/%d/%d/%d/%d/%d/%d/%d/%d/%d/%d/%d/%d/%d/%s"
+    r.fr_arrivals r.fr_completed r.fr_failed r.fr_retries r.fr_nacks
+    r.fr_net_msgs r.fr_net_drops r.fr_gossip_msgs r.fr_ejects r.fr_hedges
+    r.fr_hedge_wins r.fr_hedge_cancels r.fr_admission_shed
+    r.fr_corrupt_retries r.fr_steals r.fr_brownouts r.fr_slo_good
+    r.fr_slo_total r.fr_windows
+    (String.concat ","
+       (Array.to_list (Array.map string_of_int r.fr_m_completed)))
+
+let test_fleet_pinned_fingerprint () =
+  let r =
+    with_kinds ~rate:0.02 ~seed:7
+      Iw_faults.Plan.[ Req_corrupt; Machine_brownout; Link_drop ]
+      (fun () ->
+        Iw_service.Fleet.run
+          {
+            (small_fleet ~rps:400_000.0 ()) with
+            Iw_service.Fleet.fc_deadline_us = 120.0;
+            fc_hedge_frac = 0.3;
+            fc_hedge_budget = 0.2;
+            fc_admit = true;
+            fc_slo_us = 150.0;
+          })
+  in
+  check_str "pinned fleet fingerprint"
+    "1982/658/0/19/0/2698/61/675/0/371/76/337/1324/5/0/22/466/1982/690/447,574"
+    (pinned_fleet_fingerprint r)
+
 let test_fleet_counter_table () =
   let r = Iw_service.Fleet.run (small_fleet ()) in
   let members =
@@ -1019,6 +1052,8 @@ let () =
             test_fleet_corrupt_reexec;
           Alcotest.test_case "brownout par = serial" `Quick
             test_fleet_brownout_recovers_par_serial;
+          Alcotest.test_case "pinned fingerprint" `Quick
+            test_fleet_pinned_fingerprint;
           Alcotest.test_case "fleet counter table" `Quick
             test_fleet_counter_table;
         ] );

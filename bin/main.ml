@@ -1147,6 +1147,15 @@ let serve_cmd =
     if faults_rate < 0.0 || faults_rate > 1.0 then
       die "serve: --faults must be in [0,1]";
     if itr_us < 0.0 then die "serve: --itr must be >= 0";
+    if workers < 1 then die "serve: --workers must be >= 1";
+    if cap < 1 then die "serve: --cap must be >= 1";
+    if not (net_bw > 0.0) then die "serve: --net-bw must be > 0";
+    if not (slo_target > 0.0 && slo_target < 1.0) then
+      die "serve: --slo-target must be in (0,1)";
+    if not (hedge_frac >= 0.0 && hedge_frac <= 1.0) then
+      die "serve: --hedge-frac must be in [0,1]";
+    if not (hedge_budget >= 0.0 && hedge_budget <= 1.0) then
+      die "serve: --hedge-budget must be in [0,1]";
     let rx_mode =
       match Iw_kernel.Nic_driver.mode_of_string rx_mode with
       | Some m -> m
@@ -1194,6 +1203,47 @@ let serve_cmd =
     in
     (* A closed loop has no offered rate to sweep: one row. *)
     let rpss = if closed > 0 then [ List.hd rpss ] else rpss in
+    (* One row per report: an aligned table on stdout, and the same
+       rows as CSV with --csv.  Shared by the fleet and the plane. *)
+    let print_rows header cols reports =
+      let rows = header :: List.map cols reports in
+      let widths =
+        List.fold_left
+          (fun acc row -> List.map2 (fun w c -> max w (String.length c)) acc row)
+          (List.map (fun _ -> 0) header)
+          rows
+      in
+      List.iter
+        (fun row ->
+          List.iteri
+            (fun i c ->
+              Printf.printf "%s%*s" (if i = 0 then "" else "  ")
+                (List.nth widths i) c)
+            row;
+          print_newline ())
+        rows;
+      match csv with
+      | None -> ()
+      | Some path ->
+          let oc = open_out path in
+          List.iter
+            (fun row -> output_string oc (String.concat "," row ^ "\n"))
+            rows;
+          close_out oc;
+          Printf.printf "wrote %s: %d rows\n" path (List.length reports)
+    in
+    (* --series-csv: the one run's sampled timeline. *)
+    let write_series series =
+      match (series_csv, series) with
+      | None, _ -> ()
+      | Some path, [ Some s ] ->
+          Iw_obs.Series.write_csv s path;
+          Printf.printf "wrote %s: %d samples (%d dropped)\n" path
+            (Iw_obs.Series.length s)
+            (Iw_obs.Series.dropped s)
+      | Some _, [ None ] -> die "serve: --series-csv needs --sample-us > 0"
+      | Some _, _ -> die "serve: --series-csv needs a single --rps"
+    in
     let fleet_specs =
       match hetero with
       | Some s ->
@@ -1375,22 +1425,7 @@ let serve_cmd =
             ]
           else []
         in
-        let rows = header :: List.map cols reports in
-        let widths =
-          List.fold_left
-            (fun acc row -> List.map2 (fun w c -> max w (String.length c)) acc row)
-            (List.map (fun _ -> 0) header)
-            rows
-        in
-        List.iter
-          (fun row ->
-            List.iteri
-              (fun i c ->
-                Printf.printf "%s%*s" (if i = 0 then "" else "  ")
-                  (List.nth widths i) c)
-              row;
-            print_newline ())
-          rows;
+        print_rows header cols reports;
         let members (r : Iw_service.Fleet.report) =
           Array.to_list
             (Array.map2 (fun n c -> (n, c)) r.fr_m_names r.fr_m_counters)
@@ -1403,27 +1438,8 @@ let serve_cmd =
               (Interweave.Table.render
                  (Interweave.Machine.Fleet.counter_table (members r)))
         | _ -> ());
-        (match csv with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            List.iter
-              (fun row -> output_string oc (String.concat "," row ^ "\n"))
-              rows;
-            close_out oc;
-            Printf.printf "wrote %s: %d rows\n" path (List.length reports));
-        (match series_csv with
-        | None -> ()
-        | Some path -> (
-            match reports with
-            | [ { Iw_service.Fleet.fr_series = Some s; _ } ] ->
-                Iw_obs.Series.write_csv s path;
-                Printf.printf "wrote %s: %d samples (%d dropped)\n" path
-                  (Iw_obs.Series.length s)
-                  (Iw_obs.Series.dropped s)
-            | [ { Iw_service.Fleet.fr_series = None; _ } ] ->
-                die "serve: --series-csv needs --sample-us > 0"
-            | _ -> die "serve: --series-csv needs a single --rps"))
+        write_series
+          (List.map (fun r -> r.Iw_service.Fleet.fr_series) reports)
     | None ->
     if nic then die "serve: --nic needs a fleet (--machines or --hetero)";
     let plat = Iw_hw.Platform.knl in
@@ -1484,43 +1500,8 @@ let serve_cmd =
       ]
       @ if faults_rate > 0.0 then [ "steals" ] else []
     in
-    let rows = header :: List.map cols reports in
-    let widths =
-      List.fold_left
-        (fun acc row -> List.map2 (fun w c -> max w (String.length c)) acc row)
-        (List.map (fun _ -> 0) header)
-        rows
-    in
-    List.iter
-      (fun row ->
-        List.iteri
-          (fun i c ->
-            Printf.printf "%s%*s" (if i = 0 then "" else "  ")
-              (List.nth widths i) c)
-          row;
-        print_newline ())
-      rows;
-    (match csv with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        List.iter
-          (fun row -> output_string oc (String.concat "," row ^ "\n"))
-          rows;
-        close_out oc;
-        Printf.printf "wrote %s: %d rows\n" path (List.length reports));
-    (match series_csv with
-    | None -> ()
-    | Some path -> (
-        match reports with
-        | [ { Iw_service.Plane.rep_series = Some s; _ } ] ->
-            Iw_obs.Series.write_csv s path;
-            Printf.printf "wrote %s: %d samples (%d dropped)\n" path
-              (Iw_obs.Series.length s)
-              (Iw_obs.Series.dropped s)
-        | [ { Iw_service.Plane.rep_series = None; _ } ] ->
-            die "serve: --series-csv needs --sample-us > 0"
-        | _ -> die "serve: --series-csv needs a single --rps"));
+    print_rows header cols reports;
+    write_series (List.map (fun r -> r.Iw_service.Plane.rep_series) reports);
     match alloc_budget with
     | None -> ()
     | Some budget ->

@@ -62,11 +62,10 @@ type t = {
   ex_h_total : Hist.t array;
   ex_arena : Request_arena.t;
   ex_wasp : Iw_virtine.Wasp.t option;
-  ex_admitted : int ref;
-  ex_completed : int ref;
-  ex_busy : int ref;
-  ex_gen_done : bool ref;
-  ex_stopping : bool ref;
+  ex_ctr : Iw_obs.Counter.set;  (* the kernel's: admitted, completed, steals *)
+  mutable ex_busy : int;
+  mutable ex_gen_done : bool;
+  mutable ex_stopping : bool;
   mutable ex_on_stop : unit -> unit;
   (* Service-level chaos (ISSUE 9).  The plan is the one ambient at
      creation; [ex_hang_armed] caches the arming check so the
@@ -81,7 +80,6 @@ type t = {
   ex_demand_seed : int;
   ex_demand_scale : float;  (* fleet: 1/speed, matching work_us *)
   ex_h_corr : Hist.t;  (* coordinated-omission-corrected sojourn *)
-  ex_steals : int ref;
   mutable ex_wd_stop : unit -> unit;
   ex_ws : worker array;
 }
@@ -123,6 +121,25 @@ let[@inline] work_grant t v =
   let base = if d >= 0 then d else t.ex_work_c in
   if t.ex_slow_x1000 = 1000 then base else base * t.ex_slow_x1000 / 1000
 
+(* The stop protocol, shared by every initiator: mark generation done
+   and, once every admitted request has completed, flip [stopping]
+   exactly once, fire the on-stop hook and disarm the watchdog.  True
+   hands the caller the doorbell broadcast that lets idle workers
+   exit. *)
+let end_generation t =
+  t.ex_gen_done <- true;
+  if
+    Iw_obs.Counter.get t.ex_ctr Iw_obs.Counter.Service_completions
+    = Iw_obs.Counter.get t.ex_ctr Iw_obs.Counter.Service_admitted
+    && not t.ex_stopping
+  then begin
+    t.ex_stopping <- true;
+    t.ex_on_stop ();
+    t.ex_wd_stop ();
+    true
+  end
+  else false
+
 let rec w_activation t w =
   let k = t.ex_k in
   if w.w_state = st_start then begin
@@ -157,7 +174,7 @@ let rec w_activation t w =
         stage_extras t w;
         start_exec t w v
       end
-      else if !(t.ex_stopping) then Sched.flat_exit k w.w_fl
+      else if t.ex_stopping then Sched.flat_exit k w.w_fl
       else Sched.flat_sem_wait k w.w_fl t.ex_doorbells.(w.w_id)
     end
   end
@@ -219,14 +236,12 @@ and start_exec t w v =
 
 and finish_exec t w =
   let k = t.ex_k in
-  let obs = Sched.obs k in
   let fin = Sched.now k in
-  t.ex_busy := !(t.ex_busy) + (fin - w.w_start);
+  t.ex_busy <- t.ex_busy + (fin - w.w_start);
   Hist.record t.ex_h_service.(w.w_id) (fin - w.w_start);
   Hist.record t.ex_h_total.(w.w_id) (fin - Request_arena.arrival t.ex_arena w.w_req);
-  incr t.ex_completed;
-  Iw_obs.Counter.incr obs.Iw_obs.Obs.counters Iw_obs.Counter.Service_completions;
-  let tr = obs.Iw_obs.Obs.trace in
+  Iw_obs.Counter.incr t.ex_ctr Iw_obs.Counter.Service_completions;
+  let tr = (Sched.obs k).Iw_obs.Obs.trace in
   if Iw_obs.Trace.enabled tr then
     Iw_obs.Trace.span tr ~name:"service:exec" ~cat:"service" ~cpu:w.w_id
       ~ts:w.w_start ~dur:(fin - w.w_start) ();
@@ -254,14 +269,7 @@ and finish_exec t w =
       Sched.flat_overhead k w.w_fl f.fm_tx_c
 
 and after_reply t w =
-  if
-    !(t.ex_gen_done)
-    && !(t.ex_completed) = !(t.ex_admitted)
-    && not !(t.ex_stopping)
-  then begin
-    t.ex_stopping := true;
-    t.ex_on_stop ();
-    t.ex_wd_stop ();
+  if t.ex_gen_done && end_generation t then begin
     w.w_bc <- 0;
     w.w_state <- st_bcast;
     w_activation t w
@@ -291,14 +299,13 @@ and next_item t w =
    recovery pays. *)
 let watchdog_scan t =
   let k = t.ex_k in
-  let obs = Sched.obs k in
-  let ctr = obs.Iw_obs.Obs.counters in
+  let ctr = t.ex_ctr in
   let now = Sched.now k in
   for i = 0 to t.ex_workers - 1 do
     let w = t.ex_ws.(i) in
     if w.w_hung && not (Squeue.is_empty t.ex_queues.(i)) then begin
       Iw_obs.Counter.incr ctr Iw_obs.Counter.Watchdog_fire;
-      let tr = obs.Iw_obs.Obs.trace in
+      let tr = (Sched.obs k).Iw_obs.Obs.trace in
       if Iw_obs.Trace.enabled tr then
         Iw_obs.Trace.instant tr ~name:"recover:steal" ~cat:"service" ~cpu:i
           ~ts:now ();
@@ -319,7 +326,6 @@ let watchdog_scan t =
           done;
           let hi = Request_arena.is_hi t.ex_arena v in
           if !best >= 0 && Squeue.try_push t.ex_queues.(!best) ~hi v then begin
-            incr t.ex_steals;
             Iw_obs.Counter.incr ctr Iw_obs.Counter.Peer_steal;
             Sched.sem_signal k t.ex_doorbells.(!best)
           end
@@ -379,11 +385,10 @@ let create ~k ?(prefix = "serve") ?(watchdog = true)
       ex_h_total = h_total;
       ex_arena = arena;
       ex_wasp = wasp;
-      ex_admitted = ref 0;
-      ex_completed = ref 0;
-      ex_busy = ref 0;
-      ex_gen_done = ref false;
-      ex_stopping = ref false;
+      ex_ctr = Sched.counters k;
+      ex_busy = 0;
+      ex_gen_done = false;
+      ex_stopping = false;
       ex_on_stop = (fun () -> ());
       ex_plan = plan;
       ex_hang_armed = hang_armed;
@@ -393,7 +398,6 @@ let create ~k ?(prefix = "serve") ?(watchdog = true)
       ex_demand_seed = demand_seed;
       ex_demand_scale = demand_scale;
       ex_h_corr = Hist.create ();
-      ex_steals = ref 0;
       ex_wd_stop = (fun () -> ());
       ex_ws =
         Array.init workers (fun w ->
@@ -463,10 +467,8 @@ let try_enqueue t ~intended ~hi ~arrival ~reply =
   in
   let idx = Request_arena.alloc ~demand ~intended t.ex_arena ~arrival ~hi ~reply in
   if Squeue.try_push t.ex_queues.(qi) ~hi idx then begin
-    incr t.ex_admitted;
-    let ctr = (Sched.obs t.ex_k).Iw_obs.Obs.counters in
-    Iw_obs.Counter.incr ctr Iw_obs.Counter.Service_admitted;
-    if hi then Iw_obs.Counter.incr ctr Iw_obs.Counter.Service_hi_prio;
+    Iw_obs.Counter.incr t.ex_ctr Iw_obs.Counter.Service_admitted;
+    if hi then Iw_obs.Counter.incr t.ex_ctr Iw_obs.Counter.Service_hi_prio;
     qi
   end
   else begin
@@ -484,12 +486,7 @@ let depth t =
   done;
   !d
 
-let workers t = t.ex_workers
-let admitted_ref t = t.ex_admitted
-let completed_ref t = t.ex_completed
-let busy_cycles t = !(t.ex_busy)
-let gen_done_ref t = t.ex_gen_done
-let stopping_ref t = t.ex_stopping
+let busy_cycles t = t.ex_busy
 let set_on_stop t f = t.ex_on_stop <- f
 let h_queue t = t.ex_h_queue
 let h_service t = t.ex_h_service
@@ -498,12 +495,4 @@ let h_corrected t = t.ex_h_corr
 let arena_capacity t = Request_arena.capacity t.ex_arena
 let arena_grows t = Request_arena.grows t.ex_arena
 let wasp t = t.ex_wasp
-let steals t = !(t.ex_steals)
-let hung t =
-  let n = ref 0 in
-  Array.iter (fun w -> if w.w_hung then incr n) t.ex_ws;
-  !n
-
 let set_slowdown t x1000 = t.ex_slow_x1000 <- max 1 x1000
-let slowdown t = t.ex_slow_x1000
-let stop_watchdog t = t.ex_wd_stop ()

@@ -77,13 +77,13 @@ val create :
 
 val try_enqueue : t -> intended:int -> hi:bool -> arrival:int -> reply:int -> int
 (** Pick a queue by the local policy, allocate an arena slot, push.
-    On success bumps admitted (and hi-priority) counters and returns
-    the queue index — the caller must post that doorbell ([flat]/
-    coroutine submit paths pay their own cost; network RX uses
-    {!Sched.sem_signal}).  On a full queue frees the slot and
-    returns [-1].  [intended] (default -1 = none) is the open-loop
-    intended send cycle, recorded for coordinated-omission-corrected
-    latency ({!h_corrected}). *)
+    On success bumps the kernel's [service_admitted] (and
+    [service_hi_prio]) counters and returns the queue index — the
+    caller must post that doorbell ([flat]/coroutine submit paths
+    pay their own cost; network RX uses {!Sched.sem_signal}).  On a
+    full queue frees the slot and returns [-1].  [intended] (default
+    -1 = none) is the open-loop intended send cycle, recorded for
+    coordinated-omission-corrected latency ({!h_corrected}). *)
 
 val doorbell : t -> int -> Sched.semaphore
 val doorbells : t -> Sched.semaphore array
@@ -91,19 +91,22 @@ val depth : t -> int
 (** Sum of current queue lengths (leases included) — the signal a
     machine gossips to the fleet balancer. *)
 
-val workers : t -> int
-val admitted_ref : t -> int ref
-val completed_ref : t -> int ref
 val busy_cycles : t -> int
-val gen_done_ref : t -> bool ref
-(** Standalone stop protocol: the generator sets this when arrivals
-    are exhausted; the last completion broadcasts doorbells. *)
 
-val stopping_ref : t -> bool ref
+val end_generation : t -> bool
+(** Standalone stop protocol: the load generator calls this when its
+    arrivals are exhausted.  Marks generation done; if every admitted
+    request has completed and no stop is under way, flips the
+    executor to stopping, runs the {!set_on_stop} hook, disarms the
+    hang watchdog, and returns [true] — the caller must then post
+    every doorbell so idle workers exit.  Otherwise returns [false]
+    and the last completion stops the executor itself.  Admissions
+    and completions are read from the kernel's typed counters
+    ([service_admitted], [service_completions]), the only record of
+    either. *)
 
 val set_on_stop : t -> (unit -> unit) -> unit
-(** Hook fired the moment the executor flips [stopping] (last
-    completion after the generator finished).  [Plane] uses it to
+(** Hook fired the moment the executor stops.  [Plane] uses it to
     disarm its telemetry sampler timer, which would otherwise keep
     the drained simulator alive past the run's natural end. *)
 
@@ -120,20 +123,6 @@ val arena_capacity : t -> int
 val arena_grows : t -> int
 val wasp : t -> Iw_virtine.Wasp.t option
 
-val steals : t -> int
-(** Requests the watchdog moved off hung workers' queues. *)
-
-val hung : t -> int
-(** Workers currently hung (clocked hangs clear themselves). *)
-
 val set_slowdown : t -> int -> unit
 (** Brownout hook: multiply subsequent work grants by [x/1000]
     (1000 = full speed).  Clamped to >= 1. *)
-
-val slowdown : t -> int
-
-val stop_watchdog : t -> unit
-(** Disarm the hang watchdog timer (idempotent).  The executor calls
-    this itself on its own stop path; external stop initiators (the
-    plane's closed-loop and generator-tail paths) must call it too,
-    like the sampler's disarm hook. *)

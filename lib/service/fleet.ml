@@ -186,6 +186,10 @@ type machine = {
   mutable m_slow_until : int;  (* brownout expiry cycle; 0 = full speed *)
 }
 
+(* A machine-side count (admissions, completions, steals), read from
+   the one place it is kept: the machine kernel's typed counters. *)
+let mcount mc id = Counter.get (Sched.counters mc.m_k) id
+
 (* The front tier's request table.  Monotone — slots are never
    recycled, so a late duplicate response can never be misread as a
    different request's.  Memory is linear in arrivals, which a
@@ -271,6 +275,7 @@ let run ?parallel cfg =
 
   let front_obs = Iw_obs.Obs.inherit_trace () in
   let fctr = front_obs.Iw_obs.Obs.counters in
+  let fcount id = Counter.get fctr id in
   let tr = front_obs.Iw_obs.Obs.trace in
   let tracing = Iw_obs.Trace.enabled tr in
   if Iw_obs.Trace.flows_enabled tr then Iw_obs.Trace.new_flow_scope tr;
@@ -393,15 +398,9 @@ let run ?parallel cfg =
   in
   let ft = ftab_create () in
 
-  let arrivals = ref 0 in
+  (* Front-tier counts live only in [fctr], machine counts only in each
+     machine's kernel counters; [completed] has no typed counter. *)
   let completed = ref 0 in
-  let failed = ref 0 in
-  let retries = ref 0 in
-  let nacks = ref 0 in
-  let net_msgs = ref 0 in
-  let net_drops = ref 0 in
-  let gossip_msgs = ref 0 in
-  let ejects = ref 0 in
   let outstanding = ref 0 in
   let gen_done = ref false in
   let h_e2e = Hist.create () in
@@ -427,11 +426,6 @@ let run ?parallel cfg =
   (* hedge copies carry a sentinel attempt so machine nacks for them
      never feed the retry state machine *)
   let hedge_att = 0x3FFFFF in
-  let hedges = ref 0 in
-  let hedge_wins = ref 0 in
-  let hedge_cancels = ref 0 in
-  let admission_shed = ref 0 in
-  let corrupt_retries = ref 0 in
   let brownouts = ref 0 in
   (* EWMA of end-to-end sojourn, the admission controller's service
      time estimate; seeded with the nominal body cost *)
@@ -496,7 +490,9 @@ let run ?parallel cfg =
     if
       ft.ft_state.(id) = 0
       && ft.ft_hmachine.(id) < 0
-      && !hedges < int_of_float (cfg.fc_hedge_budget *. float_of_int !arrivals)
+      && fcount Counter.Hedge_sent
+         < int_of_float
+             (cfg.fc_hedge_budget *. float_of_int (fcount Counter.Service_arrivals))
     then begin
       let now = Iw_engine.Sim.now fsim in
       let primary = ft.ft_machine.(id) in
@@ -515,7 +511,6 @@ let run ?parallel cfg =
         in
         let m = cand.(j) in
         ft.ft_hmachine.(id) <- m;
-        incr hedges;
         Counter.incr fctr Counter.Hedge_sent;
         if tracing then
           Iw_obs.Trace.instant tr ~name:"recover:hedge" ~cat:"service"
@@ -528,14 +523,12 @@ let run ?parallel cfg =
   and retry id =
     if ft.ft_retries.(id) >= cfg.fc_max_retries then begin
       ft.ft_state.(id) <- 2;
-      incr failed;
       if slo_c > 0 then incr slo_total;
       Counter.incr fctr Counter.Service_failed;
       decr outstanding
     end
     else begin
       ft.ft_retries.(id) <- ft.ft_retries.(id) + 1;
-      incr retries;
       Counter.incr fctr Counter.Net_retries;
       send_attempt id ft.ft_retries.(id)
     end
@@ -548,7 +541,6 @@ let run ?parallel cfg =
       if cfg.fc_eject_streak > 0 && mc.m_streak >= cfg.fc_eject_streak then begin
         mc.m_ejected_until <- Iw_engine.Sim.now fsim + eject_c;
         mc.m_streak <- 0;
-        incr ejects;
         Counter.incr fctr Counter.Machine_ejects
       end;
       retry id
@@ -568,10 +560,8 @@ let run ?parallel cfg =
       (* an accepted-but-corrupt response is never SLO-good *)
       if (not corrupt) && lat <= slo_c then incr slo_good
     end;
-    if ft.ft_hmachine.(id) >= 0 && m = ft.ft_hmachine.(id) then begin
-      incr hedge_wins;
-      Counter.incr fctr Counter.Hedge_won
-    end;
+    if ft.ft_hmachine.(id) >= 0 && m = ft.ft_hmachine.(id) then
+      Counter.incr fctr Counter.Hedge_won;
     if Iw_obs.Trace.flows_enabled tr then
       Iw_obs.Trace.flow tr ~name:"req" ~phase:Iw_obs.Trace.flow_finish ~id
         ~cpu:(-1) ~ts:now ();
@@ -587,7 +577,6 @@ let run ?parallel cfg =
         if cfg.fc_corrupt_retry then begin
           (* garbage answer: burn the work and re-execute, bounded by
              the ordinary retry budget *)
-          incr corrupt_retries;
           Counter.incr fctr Counter.Corrupt_retry;
           if tracing then
             Iw_obs.Trace.instant tr ~name:"recover:reexec" ~cat:"service"
@@ -598,14 +587,11 @@ let run ?parallel cfg =
       end
       else complete ~corrupt:false id m
     end
-    else if ft.ft_state.(id) = 1 && ft.ft_hmachine.(id) >= 0 then begin
+    else if ft.ft_state.(id) = 1 && ft.ft_hmachine.(id) >= 0 then
       (* the losing copy of a hedged request coming home late *)
-      incr hedge_cancels;
       Counter.incr fctr Counter.Hedge_cancel
-    end
   in
   let on_nack id attempt m =
-    incr nacks;
     Counter.incr fctr Counter.Net_nacks;
     machines.(m).m_streak <- 0;
     (* a nack proves the machine is alive, just full — retry now
@@ -639,7 +625,6 @@ let run ?parallel cfg =
   in
   let rec arrive () =
     let now = Iw_engine.Sim.now fsim in
-    incr arrivals;
     Counter.incr fctr Counter.Service_arrivals;
     if admitted now then begin
       let id = ftab_alloc ft ~arrival:now ~hi:(draw_hi ()) in
@@ -647,7 +632,6 @@ let run ?parallel cfg =
       send_attempt id 0
     end
     else begin
-      incr admission_shed;
       Counter.incr fctr Counter.Admission_shed;
       if tracing then
         Iw_obs.Trace.instant tr ~name:"recover:shed" ~cat:"service" ~cpu:(-1)
@@ -738,10 +722,7 @@ let run ?parallel cfg =
     let b = buf.Net.mb_b.(i) in
     let t = buf.Net.mb_t.(i) in
     if Plan.enabled plan && Plan.fire plan front_obs ~kind:Plan.Link_drop ~cpu:src ~ts:t
-    then begin
-      incr net_drops;
-      Counter.incr fctr Counter.Net_drops
-    end
+    then Counter.incr fctr Counter.Net_drops
     else begin
       let extra =
         if
@@ -756,7 +737,6 @@ let run ?parallel cfg =
       let d = Net.route link ~send:t ~bytes:(bytes_of kind) ~extra in
       (* conservative clamp: never deliver into the closing window *)
       let at = if d < h then h else d in
-      incr net_msgs;
       Counter.incr fctr Counter.Net_msgs;
       if kind = Net.k_req then begin
         if cfg.fc_nic then begin
@@ -776,7 +756,6 @@ let run ?parallel cfg =
       else if kind = Net.k_gossip then
         Iw_engine.Sim.schedule_unit fsim ~at (fun () ->
             view.(b) <- a;
-            incr gossip_msgs;
             Counter.incr fctr Counter.Gossip_msgs)
       else
         Iw_engine.Sim.schedule_unit fsim ~at (fun () -> on_nack a b (src - 1))
@@ -817,7 +796,7 @@ let run ?parallel cfg =
        balancer weighs instead of trusting nominal speed *)
     if cfg.fc_bw_wjsq then
       for m = 0 to n - 1 do
-        let c = !(Exec.completed_ref machines.(m).m_ex) in
+        let c = mcount machines.(m) Counter.Service_completions in
         let d = c - prev_comp.(m) in
         prev_comp.(m) <- c;
         obs_w.(m) <- obs_w.(m) - (obs_w.(m) asr 3) + d
@@ -876,18 +855,18 @@ let run ?parallel cfg =
             (float_of_int (dt - dg) /. float_of_int dt
             /. (1.0 -. cfg.fc_slo_target) *. 1000.0)
       in
+      let count name id = Iw_obs.Series.dcol ~name (fun () -> fcount id) in
       let fixed =
         [
-          Iw_obs.Series.dref ~name:"arrivals" arrivals;
+          count "arrivals" Counter.Service_arrivals;
           Iw_obs.Series.dref ~name:"completed" completed;
-          Iw_obs.Series.dref ~name:"failed" failed;
-          Iw_obs.Series.dref ~name:"retries" retries;
-          Iw_obs.Series.dref ~name:"nacks" nacks;
-          Iw_obs.Series.dref ~name:"net_msgs" net_msgs;
-          Iw_obs.Series.dref ~name:"drops" net_drops;
-          Iw_obs.Series.dref ~name:"ejects" ejects;
-          Iw_obs.Series.dcol ~name:"faults" (fun () ->
-              Counter.get fctr Counter.Fault_injected);
+          count "failed" Counter.Service_failed;
+          count "retries" Counter.Net_retries;
+          count "nacks" Counter.Net_nacks;
+          count "net_msgs" Counter.Net_msgs;
+          count "drops" Counter.Net_drops;
+          count "ejects" Counter.Machine_ejects;
+          count "faults" Counter.Fault_injected;
           Iw_obs.Series.dref ~name:"slo_good" slo_good;
           Iw_obs.Series.dref ~name:"slo_total" slo_total;
           Iw_obs.Series.col ~name:"burn_x1000" burn;
@@ -906,7 +885,7 @@ let run ?parallel cfg =
                     Iw_obs.Series.col ~name:(Printf.sprintf "m%d_depth" m)
                       (fun () -> Exec.depth mc.m_ex);
                     Iw_obs.Series.dcol ~name:(Printf.sprintf "m%d_completed" m)
-                      (fun () -> !(Exec.completed_ref mc.m_ex));
+                      (fun () -> mcount mc Counter.Service_completions);
                   ])
                 machines))
       in
@@ -1066,15 +1045,15 @@ let run ?parallel cfg =
     fr_ghz = ghz;
     fr_window_cycles = w_c;
     fr_windows = !windows;
-    fr_arrivals = !arrivals;
+    fr_arrivals = fcount Counter.Service_arrivals;
     fr_completed = !completed;
-    fr_failed = !failed;
-    fr_retries = !retries;
-    fr_nacks = !nacks;
-    fr_net_msgs = !net_msgs;
-    fr_net_drops = !net_drops;
-    fr_gossip_msgs = !gossip_msgs;
-    fr_ejects = !ejects;
+    fr_failed = fcount Counter.Service_failed;
+    fr_retries = fcount Counter.Net_retries;
+    fr_nacks = fcount Counter.Net_nacks;
+    fr_net_msgs = fcount Counter.Net_msgs;
+    fr_net_drops = fcount Counter.Net_drops;
+    fr_gossip_msgs = fcount Counter.Gossip_msgs;
+    fr_ejects = fcount Counter.Machine_ejects;
     fr_elapsed_cycles = !elapsed;
     fr_throughput_rps =
       (if elapsed_s > 0.0 then float_of_int !completed /. elapsed_s else 0.0);
@@ -1087,18 +1066,20 @@ let run ?parallel cfg =
     fr_service = s;
     fr_m_names =
       Array.mapi (fun m mc -> Printf.sprintf "m%d:%s" m mc.m_spec.ms_name) machines;
-    fr_m_completed = Array.map (fun mc -> !(Exec.completed_ref mc.m_ex)) machines;
+    fr_m_completed =
+      Array.map (fun mc -> mcount mc Counter.Service_completions) machines;
     fr_m_busy = Array.map (fun mc -> Exec.busy_cycles mc.m_ex) machines;
     fr_m_counters =
       Array.map (fun mc -> Counter.to_list (Sched.counters mc.m_k)) machines;
     fr_slo_good = !slo_good;
     fr_slo_total = !slo_total;
-    fr_hedges = !hedges;
-    fr_hedge_wins = !hedge_wins;
-    fr_hedge_cancels = !hedge_cancels;
-    fr_admission_shed = !admission_shed;
-    fr_corrupt_retries = !corrupt_retries;
-    fr_steals = Array.fold_left (fun acc mc -> acc + Exec.steals mc.m_ex) 0 machines;
+    fr_hedges = fcount Counter.Hedge_sent;
+    fr_hedge_wins = fcount Counter.Hedge_won;
+    fr_hedge_cancels = fcount Counter.Hedge_cancel;
+    fr_admission_shed = fcount Counter.Admission_shed;
+    fr_corrupt_retries = fcount Counter.Corrupt_retry;
+    fr_steals =
+      Array.fold_left (fun acc mc -> acc + mcount mc Counter.Peer_steal) 0 machines;
     fr_brownouts = !brownouts;
     fr_nic_rx = nsum (fun (nic, _) -> Iw_hw.Nic.rx_pkts nic);
     fr_nic_drops = nsum (fun (nic, _) -> Iw_hw.Nic.rx_drops nic);

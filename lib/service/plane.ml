@@ -1,5 +1,6 @@
 open Iw_engine
 open Iw_kernel
+module Counter = Iw_obs.Counter
 
 type os = Nk | Linux
 
@@ -148,13 +149,6 @@ let run cfg =
       ~mode:(Exec.Standalone replies) ()
   in
   let doorbells = Exec.doorbells ex in
-  let admitted = Exec.admitted_ref ex in
-  let completed = Exec.completed_ref ex in
-  let gen_done = Exec.gen_done_ref ex in
-  let stopping = Exec.stopping_ref ex in
-
-  let arrivals = ref 0 in
-  let shed = ref 0 and backpressure = ref 0 in
 
   (* Online telemetry (ambient --sample-us): every period of virtual
      time, snapshot counter deltas, queue depth, and windowed latency
@@ -168,19 +162,21 @@ let run cfg =
     let us = Iw_obs.Series.period_us () in
     if us > 0.0 then max 1 (cyc us) else 0
   in
-  let stop_sampler = ref (fun () -> ()) in
   let series =
     if sample_c = 0 then None
     else begin
       let wins = Array.map Hist.window (Exec.h_total ex) in
+      let count name id =
+        Iw_obs.Series.dcol ~name (fun () -> Counter.get ctr id)
+      in
       let s =
         Iw_obs.Series.create ~name:"plane"
           ~cols:
             [
-              Iw_obs.Series.dref ~name:"arrivals" arrivals;
-              Iw_obs.Series.dref ~name:"admitted" admitted;
-              Iw_obs.Series.dref ~name:"completed" completed;
-              Iw_obs.Series.dref ~name:"shed" shed;
+              count "arrivals" Counter.Service_arrivals;
+              count "admitted" Counter.Service_admitted;
+              count "completed" Counter.Service_completions;
+              count "shed" Counter.Service_shed;
               Iw_obs.Series.col ~name:"depth" (fun () -> Exec.depth ex);
               Iw_obs.Series.col ~name:"p50_cyc" (fun () ->
                   Hist.win_percentile_many wins 50.0);
@@ -196,9 +192,7 @@ let run cfg =
         Iw_engine.Sim.arm_after sim tm sample_c fire
       in
       Iw_engine.Sim.arm_after sim tm sample_c fire;
-      let disarm () = Iw_engine.Sim.disarm sim tm in
-      stop_sampler := disarm;
-      Exec.set_on_stop ex disarm;
+      Exec.set_on_stop ex (fun () -> Iw_engine.Sim.disarm sim tm);
       Some s
     end
   in
@@ -219,8 +213,7 @@ let run cfg =
       (* Closed loops stay coroutines: client count is small and fixed,
          and each client spends its life blocked on think or reply. *)
       let submit_cl c =
-        incr arrivals;
-        Iw_obs.Counter.incr ctr Iw_obs.Counter.Service_arrivals;
+        Counter.incr ctr Counter.Service_arrivals;
         Api.overhead submit_cost;
         let hi = draw_hi () in
         let qi =
@@ -231,14 +224,6 @@ let run cfg =
           true
         end
         else false
-      in
-      let initiate_stop () =
-        if not !stopping then begin
-          stopping := true;
-          !stop_sampler ();
-          Exec.stop_watchdog ex;
-          Array.iter (fun d -> Api.sem_post d) doorbells
-        end
       in
       let live = ref clients in
       for c = 0 to clients - 1 do
@@ -259,8 +244,7 @@ let run cfg =
                  if Api.now () <= duration_c then begin
                    let rec try_submit () =
                      if not (submit_cl c) then begin
-                       incr backpressure;
-                       Iw_obs.Counter.incr ctr Iw_obs.Counter.Service_backpressure;
+                       Counter.incr ctr Counter.Service_backpressure;
                        (* Closed loops back off instead of shedding. *)
                        Api.sleep (max 1 (cyc (cfg.work_us *. 2.0)));
                        try_submit ()
@@ -273,10 +257,8 @@ let run cfg =
                in
                loop ();
                decr live;
-               if !live = 0 then begin
-                 gen_done := true;
-                 if !completed = !admitted then initiate_stop ()
-               end))
+               if !live = 0 && Exec.end_generation ex then
+                 Array.iter (fun d -> Api.sem_post d) doorbells))
       done
   | _ ->
       let g = Workload.gen cfg.workload ~rng:arrival_rng in
@@ -302,11 +284,7 @@ let run cfg =
         if lg.l_state = 0 then begin
           let target = Workload.next_cycles g in
           if target < 0 then begin
-            gen_done := true;
-            if !completed = !admitted && not !stopping then begin
-              stopping := true;
-              !stop_sampler ();
-              Exec.stop_watchdog ex;
+            if Exec.end_generation ex then begin
               lg.l_bc <- 0;
               lg.l_state <- 3;
               lg_activation lg
@@ -336,8 +314,7 @@ let run cfg =
         else assert false
 
       and lg_submit lg =
-        incr arrivals;
-        Iw_obs.Counter.incr ctr Iw_obs.Counter.Service_arrivals;
+        Counter.incr ctr Counter.Service_arrivals;
         lg.l_state <- 2;
         Sched.flat_overhead k lg.l_fl submit_cost
 
@@ -352,8 +329,7 @@ let run cfg =
           Sched.flat_sem_post k lg.l_fl doorbells.(qi)
         end
         else begin
-          incr shed;
-          Iw_obs.Counter.incr ctr Iw_obs.Counter.Service_shed;
+          Counter.incr ctr Counter.Service_shed;
           if Iw_obs.Trace.enabled tr then
             Iw_obs.Trace.instant tr ~name:"service:shed" ~cat:"service"
               ~cpu:frontend ~ts:now ();
@@ -379,6 +355,7 @@ let run cfg =
   let elapsed = Sched.now k in
   let elapsed_s = Iw_hw.Platform.us_of_cycles plat elapsed /. 1e6 in
   let busy = Exec.busy_cycles ex in
+  let completed = Counter.get ctr Counter.Service_completions in
   {
     rep_os = os_name cfg.os;
     rep_backend = backend_name cfg.backend;
@@ -388,15 +365,15 @@ let run cfg =
     rep_offered_rps = Workload.offered_rps cfg.workload;
     rep_duration_us = Workload.duration_us cfg.workload;
     rep_ghz = plat.Iw_hw.Platform.ghz;
-    rep_arrivals = !arrivals;
-    rep_admitted = !admitted;
-    rep_completed = !completed;
-    rep_shed = !shed;
-    rep_backpressure = !backpressure;
+    rep_arrivals = Counter.get ctr Counter.Service_arrivals;
+    rep_admitted = Counter.get ctr Counter.Service_admitted;
+    rep_completed = completed;
+    rep_shed = Counter.get ctr Counter.Service_shed;
+    rep_backpressure = Counter.get ctr Counter.Service_backpressure;
     rep_elapsed_cycles = elapsed;
     rep_busy_cycles = busy;
     rep_throughput_rps =
-      (if elapsed_s > 0.0 then float_of_int !completed /. elapsed_s else 0.0);
+      (if elapsed_s > 0.0 then float_of_int completed /. elapsed_s else 0.0);
     rep_utilization =
       (if elapsed > 0 then
          float_of_int busy /. float_of_int (cfg.workers * elapsed)
@@ -417,7 +394,7 @@ let run cfg =
     rep_service = merge (Exec.h_service ex);
     rep_total = merge (Exec.h_total ex);
     rep_total_corrected = Exec.h_corrected ex;
-    rep_steals = Exec.steals ex;
+    rep_steals = Counter.get ctr Counter.Peer_steal;
     rep_series =
       (match series with
       | Some s ->

@@ -38,13 +38,27 @@ let jobs_arg =
           "Run experiments on up to $(docv) domains (outputs still print in \
            registry order); 1 means serial.")
 
+(* The registry's ids as "E1..E16, A1..A5, ...": one range per run of
+   ids sharing a prefix letter, in registry order. *)
+let id_ranges =
+  List.fold_left
+    (fun acc (e : Interweave.Experiments.experiment) ->
+      match acc with
+      | (first, _) :: rest when first.[0] = e.id.[0] -> (first, e.id) :: rest
+      | _ -> (e.id, e.id) :: acc)
+    []
+    (Interweave.Experiments.all ())
+  |> List.rev_map (fun (first, last) ->
+         if first = last then first else first ^ ".." ^ last)
+  |> String.concat ", "
+
 let run_cmd =
   let ids =
     Arg.(
       non_empty
       & pos_all string []
       & info [] ~docv:"ID"
-          ~doc:"Experiment ids (E1..E16, A1..A5, R1..R4, S1..S4) or 'all'")
+          ~doc:(Printf.sprintf "Experiment ids (%s) or 'all'" id_ranges))
   in
   let markdown =
     Arg.(value & flag & info [ "markdown" ] ~doc:"Emit Markdown tables")
@@ -808,390 +822,397 @@ let faults_cmd =
     Term.(
       const run $ id $ rate $ seed $ kinds $ check $ rates $ csv $ list_kinds)
 
+(* What [serve] runs, as its flags set it.  Knobs both modes share
+   land in [plane], and a fleet copies them from there; fleet-only
+   knobs land in [fleet]; the rest belong to the command. *)
+type serve_settings = {
+  plane : Iw_service.Plane.config;
+  fleet : Iw_service.Fleet.config;
+  rpss : float list;
+  duration_ms : float;
+  bursty : bool;
+  closed : int;
+  think_us : float;
+  machines : int;
+  hetero : Iw_service.Fleet.mspec list option;
+  fleet_serial : bool;
+  sample_us : float;
+  faults : float;
+  fault_kinds : Iw_faults.Plan.kind list option;
+  csv : string option;
+  series_csv : string option;
+  alloc_budget : float option;
+  jobs : int;
+  global_seed : int;
+}
+
+(* One serve flag: its command-line term, and the setter that lands
+   its value in the settings. *)
+type knob = Knob : 'a Term.t * (serve_settings -> 'a -> serve_settings) -> knob
+
+(* [arg] carries the flag's default; a value outside [range] (what it
+   must be, and the test) exits 1 naming the flag. *)
+let knob ?range ?docv name doc arg set =
+  Knob
+    ( Arg.(value & arg (info [ name ] ?docv ~doc)),
+      fun s v ->
+        (match range with
+        | Some (what, ok) when not (ok v) ->
+            die "serve: --%s must be %s" name what
+        | _ -> ());
+        set s v )
+
+(* A flag naming one of a few values: [parse] and [print] map between
+   the names and the values. *)
+let choice ~docv name doc parse print default set =
+  knob ~docv name doc
+    Arg.(opt string (print default))
+    (fun s v ->
+      match parse v with
+      | Some x -> set s x
+      | None -> die "serve: unknown --%s %s (see serve --help)" name v)
+
+let positive = ("> 0", fun v -> v > 0.0)
+let non_negative = (">= 0", fun v -> v >= 0.0)
+let fraction = ("in [0,1]", fun v -> v >= 0.0 && v <= 1.0)
+let at_least n = (Printf.sprintf ">= %d" n, fun v -> v >= n)
+
+let parse_tail spec =
+  let fl tok what =
+    match float_of_string_opt tok with
+    | Some f -> f
+    | None -> die "serve: bad %s %s in --tail" what tok
+  in
+  let demand =
+    match String.split_on_char ':' (String.trim spec) with
+    | [ "pareto"; a; mn; mx ] ->
+        Iw_service.Workload.Dpareto
+          { alpha = fl a "alpha"; xmin_us = fl mn "min"; xmax_us = fl mx "max" }
+    | [ "lognorm"; med; sg ] ->
+        Iw_service.Workload.Dlognorm
+          { median_us = fl med "median"; sigma = fl sg "sigma" }
+    | _ ->
+        die "serve: --tail wants pareto:ALPHA:MIN:MAX or lognorm:MEDIAN:SIGMA"
+  in
+  (try Iw_service.Workload.validate_demand demand
+   with Invalid_argument m -> die "serve: --tail: %s" m);
+  demand
+
+(* COUNTxKIND[:WORKERS] joined by '+'. *)
+let parse_hetero spec =
+  let parse_tok tok =
+    let count, rest =
+      match String.index_opt tok 'x' with
+      | Some i ->
+          ( (match int_of_string_opt (String.sub tok 0 i) with
+            | Some c when c > 0 -> c
+            | _ -> die "serve: bad count in --hetero token %s" tok),
+            String.sub tok (i + 1) (String.length tok - i - 1) )
+      | None -> die "serve: --hetero token %s is not COUNTxKIND" tok
+    in
+    let kind, wk =
+      match String.index_opt rest ':' with
+      | Some i ->
+          ( String.sub rest 0 i,
+            match
+              int_of_string_opt
+                (String.sub rest (i + 1) (String.length rest - i - 1))
+            with
+            | Some w when w > 0 -> Some w
+            | _ -> die "serve: bad worker count in --hetero token %s" tok )
+      | None -> (rest, None)
+    in
+    let spec =
+      match kind with
+      | "knl" -> Iw_service.Fleet.knl_spec ?workers:wk ()
+      | "srv" -> Iw_service.Fleet.server_spec ?workers:wk ()
+      | k -> die "serve: unknown machine kind %s in --hetero (knl, srv)" k
+    in
+    List.init count (fun _ -> spec)
+  in
+  List.concat_map parse_tok (String.split_on_char '+' (String.trim spec))
+
+let parse_fault_kinds kinds =
+  List.map
+    (fun k ->
+      let k = String.trim k in
+      match Iw_faults.Plan.kind_of_string k with
+      | Some k -> k
+      | None -> die "serve: unknown fault kind %s in --fault-kinds" k)
+    (String.split_on_char ',' kinds)
+
 let serve_cmd =
-  let os_a =
-    Arg.(
-      value & opt string "nk"
-      & info [ "os" ] ~docv:"OS" ~doc:"OS personality: nk or linux")
+  let open Iw_service in
+  let d = Plane.default ~plat:Iw_hw.Platform.knl in
+  let f = Fleet.default () in
+  let knobs =
+    [
+      (* Shared by the plane and the fleet; defaults from [Plane.default]. *)
+      choice ~docv:"OS" "os" "OS personality: nk or linux" Plane.os_of_string
+        Plane.os_name d.os (fun s os -> { s with plane = { s.plane with os } });
+      choice ~docv:"B" "backend" "Request execution backend: fiber or virtine"
+        (function
+          | "fiber" -> Some Plane.Fiber_exec
+          | "virtine" ->
+              Some
+                (Plane.Virtine_exec
+                   {
+                     vconfig =
+                       {
+                         Iw_virtine.Wasp.default with
+                         profile = Iw_virtine.Wasp.Bespoke_16;
+                         snapshot = true;
+                         pooled = true;
+                       };
+                     pool = 0 (* sized by --pool, next *);
+                   })
+          | _ -> None)
+        Plane.backend_name d.backend
+        (fun s backend -> { s with plane = { s.plane with backend } });
+      (* After --backend: sizes the warm pool of the virtine it chose. *)
+      knob ~docv:"N" ~range:(at_least 0) "pool"
+        "Virtine warm-pool size (virtine backend)" Arg.(opt int 16)
+        (fun s pool ->
+          match s.plane.backend with
+          | Plane.Virtine_exec v ->
+              {
+                s with
+                plane = { s.plane with backend = Virtine_exec { v with pool } };
+              }
+          | Plane.Fiber_exec -> s);
+      choice ~docv:"P" "policy" "Dispatch policy: rr, random, jsq, po2 or wjsq"
+        Dispatch.of_string Dispatch.name d.policy (fun s policy ->
+          { s with plane = { s.plane with policy } });
+      choice ~docv:"O" "order" "Queue order: fifo or priority"
+        Squeue.order_of_string Squeue.order_name d.order (fun s order ->
+          { s with plane = { s.plane with order } });
+      knob ~docv:"N" ~range:(at_least 1) "workers"
+        "Worker CPUs (one queue each)" Arg.(opt int d.workers)
+        (fun s workers -> { s with plane = { s.plane with workers } });
+      knob ~docv:"US" ~range:non_negative "work-us"
+        "Request body service demand" Arg.(opt float d.work_us)
+        (fun s work_us -> { s with plane = { s.plane with work_us } });
+      knob ~docv:"N" ~range:(at_least 1) "cap"
+        "Per-worker queue bound (drop-tail)" Arg.(opt int d.queue_cap)
+        (fun s queue_cap -> { s with plane = { s.plane with queue_cap } });
+      knob ~docv:"F" ~range:fraction "hi-frac"
+        "Fraction of requests marked high priority" Arg.(opt float d.hi_frac)
+        (fun s hi_frac -> { s with plane = { s.plane with hi_frac } });
+      knob ~docv:"SPEC" "tail"
+        "Heavy-tailed per-request service demand: pareto:ALPHA:MIN:MAX or \
+         lognorm:MEDIAN:SIGMA (microseconds); default every request costs \
+         --work-us"
+        Arg.(opt (some string) None)
+        (fun s -> function
+          | None -> s
+          | Some spec ->
+              { s with plane = { s.plane with demand = parse_tail spec } });
+      knob ~docv:"N" "plane-seed"
+        "Service-plane seed (arrivals, dispatch, kernel boot)"
+        Arg.(opt int d.seed)
+        (fun s seed -> { s with plane = { s.plane with seed } });
+      (* The load. *)
+      knob ~docv:"R" ~range:("> 0", List.for_all (fun r -> r > 0.0)) "rps"
+        "Offered load in requests/s; repeat for a sweep (one row each)"
+        Arg.(opt_all float [ Workload.offered_rps d.workload ])
+        (fun s rpss -> { s with rpss });
+      knob ~docv:"MS" ~range:positive "duration" "Run length in milliseconds"
+        Arg.(opt float (Workload.duration_us d.workload /. 1000.0))
+        (fun s duration_ms -> { s with duration_ms });
+      knob "bursty"
+        "MMPP on/off arrivals (phases of 1.8x / 0.2x the given rate, 5 ms \
+         mean dwell) instead of Poisson"
+        Arg.flag
+        (fun s bursty -> { s with bursty });
+      knob ~docv:"N" ~range:(at_least 0) "closed"
+        "Closed loop with $(docv) clients instead of open-loop arrivals"
+        Arg.(opt int 0)
+        (fun s closed -> { s with closed });
+      knob ~docv:"US" ~range:positive "think-us" "Closed-loop client think time"
+        Arg.(opt float 500.0)
+        (fun s think_us -> { s with think_us });
+      (* Fleet only; defaults from [Fleet.default] and its [Net.default]. *)
+      knob ~docv:"N" ~range:(at_least 0) "machines"
+        "Serve from a fleet of $(docv) identical knl-like machines behind a \
+         balancing front tier over a modeled network (0 = the \
+         single-machine plane)"
+        Arg.(opt int 0)
+        (fun s machines -> { s with machines });
+      knob ~docv:"SPEC" "hetero"
+        "Heterogeneous fleet spec: COUNTxKIND[:WORKERS] joined by '+', e.g. \
+         2xknl:4+2xsrv:2 (kinds: knl, srv); implies fleet mode"
+        Arg.(opt (some string) None)
+        (fun s spec -> { s with hetero = Option.map parse_hetero spec });
+      knob ~docv:"US" ~range:positive "net-lat"
+        "Fleet link one-way latency (also the sync window)"
+        Arg.(opt float f.fc_net.nc_lat_us)
+        (fun s nc_lat_us ->
+          let fc_net = { s.fleet.fc_net with nc_lat_us } in
+          { s with fleet = { s.fleet with fc_net } });
+      knob ~docv:"GBPS" ~range:positive "net-bw"
+        "Fleet link bandwidth per direction" Arg.(opt float f.fc_net.nc_gbps)
+        (fun s nc_gbps ->
+          let fc_net = { s.fleet.fc_net with nc_gbps } in
+          { s with fleet = { s.fleet with fc_net } });
+      knob ~docv:"US" ~range:non_negative "gossip-us"
+        "Queue-depth gossip period for the fleet balancer (0 disables)"
+        Arg.(opt float f.fc_gossip_us)
+        (fun s fc_gossip_us -> { s with fleet = { s.fleet with fc_gossip_us } });
+      knob "fleet-serial"
+        "Advance fleet machines on one domain instead of one domain each \
+         (byte-identical results; the smoke test compares both)"
+        Arg.flag
+        (fun s fleet_serial -> { s with fleet_serial });
+      knob ~docv:"US" ~range:non_negative "slo-us"
+        "End-to-end latency SLO: responses within $(docv) count as good, \
+         slower ones and exhausted retries as bad; adds slo_good, slo_total \
+         and burn_x1000 columns. 0 disables"
+        Arg.(opt float f.fc_slo_us)
+        (fun s fc_slo_us -> { s with fleet = { s.fleet with fc_slo_us } });
+      knob ~docv:"F" ~range:("in (0,1)", fun v -> v > 0.0 && v < 1.0)
+        "slo-target"
+        "Good-fraction target the burn rate is measured against (burn_x1000 \
+         = 1000 means exactly exhausting the error budget)"
+        Arg.(opt float f.fc_slo_target)
+        (fun s fc_slo_target ->
+          { s with fleet = { s.fleet with fc_slo_target } });
+      knob ~docv:"F" ~range:fraction "hedge-frac"
+        "Fleet: hedge still-outstanding requests onto a second machine after \
+         $(docv) of --deadline-us; first response wins. 0 disables"
+        Arg.(opt float f.fc_hedge_frac)
+        (fun s fc_hedge_frac ->
+          { s with fleet = { s.fleet with fc_hedge_frac } });
+      knob ~docv:"F" ~range:fraction "hedge-budget"
+        "Fleet: global hedge budget as a fraction of arrivals"
+        Arg.(opt float f.fc_hedge_budget)
+        (fun s fc_hedge_budget ->
+          { s with fleet = { s.fleet with fc_hedge_budget } });
+      knob "admit"
+        "Fleet: SLO-aware admission control - shed arrivals whose predicted \
+         wait (gossiped depth x EWMA sojourn) already exceeds --deadline-us \
+         (sheds count against the SLO)"
+        Arg.flag
+        (fun s fc_admit -> { s with fleet = { s.fleet with fc_admit } });
+      knob ~docv:"US" ~range:non_negative "deadline-us"
+        "Fleet: per-request deadline driving --hedge-frac and --admit"
+        Arg.(opt float f.fc_deadline_us)
+        (fun s fc_deadline_us ->
+          { s with fleet = { s.fleet with fc_deadline_us } });
+      knob "wjsq-aware"
+        "Fleet: weight wjsq by each machine's observed completion rate (a \
+         leaky per-window integrator) instead of nominal capacity - the \
+         brownout-aware balancer"
+        Arg.flag
+        (fun s fc_bw_wjsq -> { s with fleet = { s.fleet with fc_bw_wjsq } });
+      knob "nic"
+        "Fleet: deliver front->machine traffic through each machine's \
+         simulated NIC (RX descriptor ring + driver) and responses through \
+         its TX ring; adds nic_* columns"
+        Arg.flag
+        (fun s fc_nic -> { s with fleet = { s.fleet with fc_nic } });
+      knob ~docv:"US" ~range:non_negative "itr"
+        "NIC interrupt-moderation gap in microseconds (minimum spacing \
+         between RX interrupts); 0 = unmoderated. Inert without --nic"
+        Arg.(opt float f.fc_itr_us)
+        (fun s fc_itr_us -> { s with fleet = { s.fleet with fc_itr_us } });
+      choice ~docv:"M" "rx-mode"
+        "NIC receive mode: irq, poll or hybrid (NAPI-style switching). Inert \
+         without --nic"
+        Iw_kernel.Nic_driver.mode_of_string Iw_kernel.Nic_driver.mode_name
+        f.fc_nic_mode (fun s fc_nic_mode ->
+          { s with fleet = { s.fleet with fc_nic_mode } });
+      (* Telemetry, faults and output. *)
+      knob ~docv:"US" ~range:non_negative "sample-us"
+        "Sample a windowed fleet timeline every $(docv) of virtual time at \
+         the conservative-window barrier (identical for serial and parallel \
+         fleets); 0 disables"
+        Arg.(opt float 0.0)
+        (fun s sample_us -> { s with sample_us });
+      knob ~docv:"PATH" "series-csv"
+        "Write the sampled fleet timeline as CSV (needs --sample-us and a \
+         single --rps)"
+        Arg.(opt (some string) None)
+        (fun s series_csv -> { s with series_csv });
+      knob ~docv:"RATE" ~range:fraction "faults"
+        "Arm a service-level fault plan at $(docv): worker hangs, response \
+         corruption, machine brownouts and link drops (override the kinds \
+         with --fault-kinds); 0 disables"
+        Arg.(opt float 0.0)
+        (fun s faults -> { s with faults });
+      knob ~docv:"K,K" "fault-kinds" "Comma-separated fault kinds for --faults"
+        Arg.(opt (some string) None)
+        (fun s kinds ->
+          { s with fault_kinds = Option.map parse_fault_kinds kinds });
+      knob ~docv:"PATH" "csv" "Also write the rows as CSV"
+        Arg.(opt (some string) None)
+        (fun s csv -> { s with csv });
+      knob ~docv:"W" "alloc-budget"
+        "Print the run-phase allocation profile and fail if any row exceeds \
+         $(docv) minor-heap words per completed request"
+        Arg.(opt (some float) None)
+        (fun s alloc_budget -> { s with alloc_budget });
+      Knob (jobs_arg, fun s jobs -> { s with jobs });
+      Knob (seed_arg, fun s global_seed -> { s with global_seed });
+    ]
   in
-  let backend_a =
-    Arg.(
-      value & opt string "fiber"
-      & info [ "backend" ] ~docv:"B"
-          ~doc:"Request execution backend: fiber or virtine")
+  (* Every knob's setter runs, with its default when the flag is
+     absent, so the fold overwrites each command-owned field below. *)
+  let unset =
+    {
+      plane = d;
+      fleet = f;
+      rpss = [];
+      duration_ms = 0.0;
+      bursty = false;
+      closed = 0;
+      think_us = 0.0;
+      machines = 0;
+      hetero = None;
+      fleet_serial = false;
+      sample_us = 0.0;
+      faults = 0.0;
+      fault_kinds = None;
+      csv = None;
+      series_csv = None;
+      alloc_budget = None;
+      jobs = 1;
+      global_seed = 0;
+    }
   in
-  let policy_a =
-    Arg.(
-      value & opt string "po2"
-      & info [ "policy" ] ~docv:"P"
-          ~doc:"Dispatch policy: rr, random, jsq, po2 or wjsq")
+  let settings =
+    List.fold_left
+      (fun acc (Knob (arg, set)) -> Term.(const set $ acc $ arg))
+      (Term.const unset) knobs
   in
-  let order_a =
-    Arg.(
-      value & opt string "fifo"
-      & info [ "order" ] ~docv:"O" ~doc:"Queue order: fifo or priority")
-  in
-  let workers_a =
-    Arg.(
-      value & opt int 8
-      & info [ "workers" ] ~docv:"N" ~doc:"Worker CPUs (one queue each)")
-  in
-  let rps_a =
-    Arg.(
-      value
-      & opt_all float [ 20_000.0 ]
-      & info [ "rps" ] ~docv:"R"
-          ~doc:"Offered load in requests/s; repeat for a sweep (one row each)")
-  in
-  let duration_a =
-    Arg.(
-      value & opt float 100.0
-      & info [ "duration" ] ~docv:"MS" ~doc:"Run length in milliseconds")
-  in
-  let work_a =
-    Arg.(
-      value & opt float 150.0
-      & info [ "work-us" ] ~docv:"US" ~doc:"Request body service demand")
-  in
-  let cap_a =
-    Arg.(
-      value & opt int 64
-      & info [ "cap" ] ~docv:"N" ~doc:"Per-worker queue bound (drop-tail)")
-  in
-  let pool_a =
-    Arg.(
-      value & opt int 16
-      & info [ "pool" ] ~docv:"N" ~doc:"Virtine warm-pool size (virtine backend)")
-  in
-  let hi_frac_a =
-    Arg.(
-      value & opt float 0.0
-      & info [ "hi-frac" ] ~docv:"F"
-          ~doc:"Fraction of requests marked high priority")
-  in
-  let bursty_a =
-    Arg.(
-      value & flag
-      & info [ "bursty" ]
-          ~doc:
-            "MMPP on/off arrivals (phases of 1.8x / 0.2x the given rate, 5 ms \
-             mean dwell) instead of Poisson")
-  in
-  let closed_a =
-    Arg.(
-      value & opt int 0
-      & info [ "closed" ] ~docv:"N"
-          ~doc:"Closed loop with $(docv) clients instead of open-loop arrivals")
-  in
-  let think_a =
-    Arg.(
-      value & opt float 500.0
-      & info [ "think-us" ] ~docv:"US" ~doc:"Closed-loop client think time")
-  in
-  let csv_a =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"PATH" ~doc:"Also write the rows as CSV")
-  in
-  let alloc_budget_a =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "alloc-budget" ] ~docv:"W"
-          ~doc:
-            "Print the run-phase allocation profile and fail if any row \
-             exceeds $(docv) minor-heap words per completed request")
-  in
-  let seed_a =
-    Arg.(
-      value & opt int 42
-      & info [ "plane-seed" ] ~docv:"N"
-          ~doc:"Service-plane seed (arrivals, dispatch, kernel boot)")
-  in
-  let machines_a =
-    Arg.(
-      value & opt int 0
-      & info [ "machines" ] ~docv:"N"
-          ~doc:
-            "Serve from a fleet of $(docv) identical knl-like machines \
-             behind a balancing front tier over a modeled network \
-             (0 = the single-machine plane)")
-  in
-  let hetero_a =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "hetero" ] ~docv:"SPEC"
-          ~doc:
-            "Heterogeneous fleet spec: COUNTxKIND[:WORKERS] joined by '+', \
-             e.g. 2xknl:4+2xsrv:2 (kinds: knl, srv); implies fleet mode")
-  in
-  let net_lat_a =
-    Arg.(
-      value & opt float 15.0
-      & info [ "net-lat" ] ~docv:"US"
-          ~doc:"Fleet link one-way latency (also the sync window)")
-  in
-  let net_bw_a =
-    Arg.(
-      value & opt float 10.0
-      & info [ "net-bw" ] ~docv:"GBPS" ~doc:"Fleet link bandwidth per direction")
-  in
-  let gossip_us_a =
-    Arg.(
-      value & opt float 50.0
-      & info [ "gossip-us" ] ~docv:"US"
-          ~doc:"Queue-depth gossip period for the fleet balancer (0 disables)")
-  in
-  let fleet_serial_a =
-    Arg.(
-      value & flag
-      & info [ "fleet-serial" ]
-          ~doc:
-            "Advance fleet machines on one domain instead of one domain each \
-             (byte-identical results; the smoke test compares both)")
-  in
-  let sample_us_a =
-    Arg.(
-      value & opt float 0.0
-      & info [ "sample-us" ] ~docv:"US"
-          ~doc:
-            "Sample a windowed fleet timeline every $(docv) of virtual time \
-             at the conservative-window barrier (identical for serial and \
-             parallel fleets); 0 disables")
-  in
-  let series_csv_a =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "series-csv" ] ~docv:"PATH"
-          ~doc:
-            "Write the sampled fleet timeline as CSV (needs --sample-us and \
-             a single --rps)")
-  in
-  let slo_us_a =
-    Arg.(
-      value & opt float 0.0
-      & info [ "slo-us" ] ~docv:"US"
-          ~doc:
-            "End-to-end latency SLO: responses within $(docv) count as good, \
-             slower ones and exhausted retries as bad; adds slo_good, \
-             slo_total and burn_x1000 columns. 0 disables")
-  in
-  let slo_target_a =
-    Arg.(
-      value & opt float 0.999
-      & info [ "slo-target" ] ~docv:"F"
-          ~doc:
-            "Good-fraction target the burn rate is measured against \
-             (burn_x1000 = 1000 means exactly exhausting the error budget)")
-  in
-  let faults_a =
-    Arg.(
-      value & opt float 0.0
-      & info [ "faults" ] ~docv:"RATE"
-          ~doc:
-            "Arm a service-level fault plan at $(docv): worker hangs, \
-             response corruption, machine brownouts and link drops \
-             (override the kinds with --fault-kinds); 0 disables")
-  in
-  let fault_kinds_a =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "fault-kinds" ] ~docv:"K,K"
-          ~doc:"Comma-separated fault kinds for --faults")
-  in
-  let hedge_frac_a =
-    Arg.(
-      value & opt float 0.0
-      & info [ "hedge-frac" ] ~docv:"F"
-          ~doc:
-            "Fleet: hedge still-outstanding requests onto a second machine \
-             after $(docv) of --deadline-us; first response wins. 0 disables")
-  in
-  let hedge_budget_a =
-    Arg.(
-      value & opt float 0.1
-      & info [ "hedge-budget" ] ~docv:"F"
-          ~doc:"Fleet: global hedge budget as a fraction of arrivals")
-  in
-  let admit_a =
-    Arg.(
-      value & flag
-      & info [ "admit" ]
-          ~doc:
-            "Fleet: SLO-aware admission control - shed arrivals whose \
-             predicted wait (gossiped depth x EWMA sojourn) already exceeds \
-             --deadline-us (sheds count against the SLO)")
-  in
-  let deadline_us_a =
-    Arg.(
-      value & opt float 0.0
-      & info [ "deadline-us" ] ~docv:"US"
-          ~doc:"Fleet: per-request deadline driving --hedge-frac and --admit")
-  in
-  let wjsq_aware_a =
-    Arg.(
-      value & flag
-      & info [ "wjsq-aware" ]
-          ~doc:
-            "Fleet: weight wjsq by each machine's observed completion rate \
-             (a leaky per-window integrator) instead of nominal capacity - \
-             the brownout-aware balancer")
-  in
-  let tail_a =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tail" ] ~docv:"SPEC"
-          ~doc:
-            "Heavy-tailed per-request service demand: pareto:ALPHA:MIN:MAX \
-             or lognorm:MEDIAN:SIGMA (microseconds); default every request \
-             costs --work-us")
-  in
-  let nic_a =
-    Arg.(
-      value & flag
-      & info [ "nic" ]
-          ~doc:
-            "Fleet: deliver front->machine traffic through each machine's \
-             simulated NIC (RX descriptor ring + driver) and responses \
-             through its TX ring; adds nic_* columns")
-  in
-  let itr_a =
-    Arg.(
-      value & opt float 0.0
-      & info [ "itr" ] ~docv:"US"
-          ~doc:
-            "NIC interrupt-moderation gap in microseconds (minimum spacing \
-             between RX interrupts); 0 = unmoderated. Inert without --nic")
-  in
-  let rx_mode_a =
-    Arg.(
-      value & opt string "hybrid"
-      & info [ "rx-mode" ] ~docv:"M"
-          ~doc:
-            "NIC receive mode: irq, poll or hybrid (NAPI-style switching). \
-             Inert without --nic")
-  in
-  let run os backend policy order workers rpss duration_ms work_us cap pool
-      hi_frac bursty closed think_us csv alloc_budget seed machines hetero
-      net_lat net_bw gossip_us fleet_serial sample_us series_csv slo_us
-      slo_target faults_rate fault_kinds hedge_frac hedge_budget admit
-      deadline_us wjsq_aware tail nic itr_us rx_mode jobs global_seed =
-    Iw_engine.Rng.set_global_seed global_seed;
-    (* The single-machine plane samples off the ambient period; the
-       fleet takes it explicitly through its config. *)
-    Iw_obs.Series.set_period_us sample_us;
-    let os =
-      match Iw_service.Plane.os_of_string os with
-      | Some os -> os
-      | None -> die "serve: unknown --os %s (nk or linux)" os
-    in
-    let policy =
-      match Iw_service.Dispatch.of_string policy with
-      | Some p -> p
-      | None -> die "serve: unknown --policy %s (rr, random, jsq, po2, wjsq)" policy
-    in
-    let order =
-      match Iw_service.Squeue.order_of_string order with
-      | Some o -> o
-      | None -> die "serve: unknown --order %s (fifo or priority)" order
-    in
-    let backend =
-      match backend with
-      | "fiber" -> Iw_service.Plane.Fiber_exec
-      | "virtine" ->
-          Iw_service.Plane.Virtine_exec
-            {
-              vconfig =
-                {
-                  Iw_virtine.Wasp.default with
-                  profile = Iw_virtine.Wasp.Bespoke_16;
-                  snapshot = true;
-                  pooled = true;
-                };
-              pool;
-            }
-      | b -> die "serve: unknown --backend %s (fiber or virtine)" b
-    in
-    let demand =
-      match tail with
-      | None -> Iw_service.Workload.Dfixed
-      | Some s -> (
-          let fl tok what =
-            match float_of_string_opt tok with
-            | Some f -> f
-            | None -> die "serve: bad %s %s in --tail" what tok
-          in
-          match String.split_on_char ':' (String.trim s) with
-          | [ "pareto"; a; mn; mx ] ->
-              Iw_service.Workload.Dpareto
-                {
-                  alpha = fl a "alpha";
-                  xmin_us = fl mn "min";
-                  xmax_us = fl mx "max";
-                }
-          | [ "lognorm"; med; sg ] ->
-              Iw_service.Workload.Dlognorm
-                { median_us = fl med "median"; sigma = fl sg "sigma" }
-          | _ ->
-              die
-                "serve: --tail wants pareto:ALPHA:MIN:MAX or \
-                 lognorm:MEDIAN:SIGMA")
-    in
-    (try Iw_service.Workload.validate_demand demand
-     with Invalid_argument m -> die "serve: %s" m);
-    if faults_rate < 0.0 || faults_rate > 1.0 then
-      die "serve: --faults must be in [0,1]";
-    if itr_us < 0.0 then die "serve: --itr must be >= 0";
-    if workers < 1 then die "serve: --workers must be >= 1";
-    if cap < 1 then die "serve: --cap must be >= 1";
-    if not (net_bw > 0.0) then die "serve: --net-bw must be > 0";
-    if not (slo_target > 0.0 && slo_target < 1.0) then
-      die "serve: --slo-target must be in (0,1)";
-    if not (hedge_frac >= 0.0 && hedge_frac <= 1.0) then
-      die "serve: --hedge-frac must be in [0,1]";
-    if not (hedge_budget >= 0.0 && hedge_budget <= 1.0) then
-      die "serve: --hedge-budget must be in [0,1]";
-    let rx_mode =
-      match Iw_kernel.Nic_driver.mode_of_string rx_mode with
-      | Some m -> m
-      | None -> die "serve: unknown --rx-mode %s (irq, poll or hybrid)" rx_mode
-    in
+  let run s =
+    Iw_engine.Rng.set_global_seed s.global_seed;
+    (* The plane and the fleet both sample off the ambient period. *)
+    Iw_obs.Series.set_period_us s.sample_us;
+    let p = s.plane in
     (* An explicit --fault-kinds arms the plan even at rate 0: kinds
        with recovery machinery that exists only when armed (the NIC's
        lost-IRQ slack scan) can then be exercised — and shown inert —
        without any injection. *)
-    let fault_kinds_given = fault_kinds <> None in
-    let fault_kinds =
-      match fault_kinds with
-      | None ->
-          Iw_faults.Plan.
-            [ Worker_hang; Req_corrupt; Machine_brownout; Link_drop ]
-      | Some s ->
-          String.split_on_char ',' s
-          |> List.map (fun k ->
-                 let k = String.trim k in
-                 match Iw_faults.Plan.kind_of_string k with
-                 | Some k -> k
-                 | None -> die "serve: unknown fault kind %s" k)
-    in
     let with_plan f =
-      if faults_rate > 0.0 || fault_kinds_given then
+      if s.faults > 0.0 || s.fault_kinds <> None then
         Iw_faults.Plan.with_ambient
-          (Iw_faults.Plan.create ~rate:faults_rate ~seed ~kinds:fault_kinds ())
+          (Iw_faults.Plan.create ~rate:s.faults ~seed:p.seed
+             ~kinds:
+               (Option.value s.fault_kinds
+                  ~default:
+                    Iw_faults.Plan.
+                      [ Worker_hang; Req_corrupt; Machine_brownout; Link_drop ])
+             ())
           f
       else f ()
     in
-    let duration_us = duration_ms *. 1000.0 in
+    let duration_us = s.duration_ms *. 1000.0 in
     let workload_of rps =
-      if closed > 0 then
-        Iw_service.Workload.Closed { clients = closed; think_us; duration_us }
-      else if bursty then
-        Iw_service.Workload.Bursty
+      if s.closed > 0 then
+        Workload.Closed
+          { clients = s.closed; think_us = s.think_us; duration_us }
+      else if s.bursty then
+        Workload.Bursty
           {
             rps_on = rps *. 1.8;
             rps_off = rps *. 0.2;
@@ -1199,10 +1220,10 @@ let serve_cmd =
             mean_off_us = 5_000.0;
             duration_us;
           }
-      else Iw_service.Workload.Poisson { rps; duration_us }
+      else Workload.Poisson { rps; duration_us }
     in
     (* A closed loop has no offered rate to sweep: one row. *)
-    let rpss = if closed > 0 then [ List.hd rpss ] else rpss in
+    let rpss = if s.closed > 0 then [ List.hd s.rpss ] else s.rpss in
     (* One row per report: an aligned table on stdout, and the same
        rows as CSV with --csv.  Shared by the fleet and the plane. *)
     let print_rows header cols reports =
@@ -1222,7 +1243,7 @@ let serve_cmd =
             row;
           print_newline ())
         rows;
-      match csv with
+      match s.csv with
       | None -> ()
       | Some path ->
           let oc = open_out path in
@@ -1234,243 +1255,156 @@ let serve_cmd =
     in
     (* --series-csv: the one run's sampled timeline. *)
     let write_series series =
-      match (series_csv, series) with
+      match (s.series_csv, series) with
       | None, _ -> ()
-      | Some path, [ Some s ] ->
-          Iw_obs.Series.write_csv s path;
+      | Some path, [ Some ser ] ->
+          Iw_obs.Series.write_csv ser path;
           Printf.printf "wrote %s: %d samples (%d dropped)\n" path
-            (Iw_obs.Series.length s)
-            (Iw_obs.Series.dropped s)
+            (Iw_obs.Series.length ser)
+            (Iw_obs.Series.dropped ser)
       | Some _, [ None ] -> die "serve: --series-csv needs --sample-us > 0"
       | Some _, _ -> die "serve: --series-csv needs a single --rps"
     in
     let fleet_specs =
-      match hetero with
-      | Some s ->
-          let parse_tok tok =
-            let count, rest =
-              match String.index_opt tok 'x' with
-              | Some i ->
-                  ( (match int_of_string_opt (String.sub tok 0 i) with
-                    | Some c when c > 0 -> c
-                    | _ -> die "serve: bad count in --hetero token %s" tok),
-                    String.sub tok (i + 1) (String.length tok - i - 1) )
-              | None -> die "serve: --hetero token %s is not COUNTxKIND" tok
-            in
-            let kind, wk =
-              match String.index_opt rest ':' with
-              | Some i ->
-                  ( String.sub rest 0 i,
-                    match
-                      int_of_string_opt
-                        (String.sub rest (i + 1) (String.length rest - i - 1))
-                    with
-                    | Some w when w > 0 -> Some w
-                    | _ -> die "serve: bad worker count in --hetero token %s" tok
-                  )
-              | None -> (rest, None)
-            in
-            let spec =
-              match kind with
-              | "knl" -> Iw_service.Fleet.knl_spec ?workers:wk ()
-              | "srv" -> Iw_service.Fleet.server_spec ?workers:wk ()
-              | k -> die "serve: unknown machine kind %s in --hetero (knl, srv)" k
-            in
-            List.init count (fun _ -> spec)
-          in
-          Some
-            (List.concat_map parse_tok
-               (String.split_on_char '+' (String.trim s)))
-      | None ->
-          if machines > 0 then
-            Some (List.init machines (fun _ -> Iw_service.Fleet.knl_spec ~workers ()))
-          else None
+      match s.hetero with
+      | Some specs -> Some specs
+      | None when s.machines > 0 ->
+          Some (List.init s.machines (fun _ -> Fleet.knl_spec ~workers:p.workers ()))
+      | None -> None
     in
     match fleet_specs with
     | Some specs ->
-        if closed > 0 then
+        if s.closed > 0 then
           die "serve: --closed is a single-machine mode (fleets are open-loop)";
-        if alloc_budget <> None then
+        if s.alloc_budget <> None then
           die "serve: --alloc-budget applies to the single-machine plane only";
+        let fc = s.fleet in
         let fm = Array.of_list specs in
-        let net =
-          { Iw_service.Net.default with nc_lat_us = net_lat; nc_gbps = net_bw }
-        in
         (* Fleet runs own their parallelism (one domain per machine),
            so the rate sweep itself stays sequential. *)
         let reports =
           with_plan (fun () ->
               List.map
                 (fun rps ->
-                  Iw_service.Fleet.run
-                    ?parallel:(if fleet_serial then Some false else None)
+                  Fleet.run
+                    ?parallel:(if s.fleet_serial then Some false else None)
                     {
-                      (Iw_service.Fleet.default ()) with
-                      Iw_service.Fleet.fc_machines = fm;
+                      fc with
+                      fc_machines = fm;
                       fc_workload = workload_of rps;
-                      fc_policy = policy;
-                      fc_order = order;
-                      fc_queue_cap = cap;
-                      fc_backend = backend;
-                      fc_work_us = work_us;
-                      fc_hi_frac = hi_frac;
-                      fc_net = net;
-                      fc_gossip_us = gossip_us;
-                      fc_sample_us = sample_us;
-                      fc_slo_us = slo_us;
-                      fc_slo_target = slo_target;
-                      fc_hedge_frac = hedge_frac;
-                      fc_hedge_budget = hedge_budget;
-                      fc_admit = admit;
-                      fc_deadline_us = deadline_us;
-                      fc_bw_wjsq = wjsq_aware;
-                      fc_demand = demand;
-                      fc_nic = nic;
-                      fc_nic_mode = rx_mode;
-                      fc_itr_us = itr_us;
-                      fc_seed = seed;
+                      fc_policy = p.policy;
+                      fc_order = p.order;
+                      fc_queue_cap = p.queue_cap;
+                      fc_backend = p.backend;
+                      fc_work_us = p.work_us;
+                      fc_hi_frac = p.hi_frac;
+                      fc_demand = p.demand;
+                      fc_seed = p.seed;
                     })
                 rpss)
         in
         (* SLO columns appear only when accounting is on, so default
            runs (and the fleet smoke's par-vs-serial cmp) keep their
            existing shape. *)
+        let slo = fc.fc_slo_us > 0.0 in
+        let faulted = s.faults > 0.0 in
+        let hedged = fc.fc_hedge_frac > 0.0 in
         let header =
           [
             "machines"; "policy"; "gossip_us"; "offered_rps"; "arrivals";
             "completed"; "failed"; "retries"; "nacks"; "drops"; "ejects";
             "thru_rps"; "util"; "p50_us"; "p99_us"; "p99.9_us";
           ]
-          @ (if slo_us > 0.0 then [ "slo_good"; "slo_total"; "burn_x1000" ]
-             else [])
-          @ (if faults_rate > 0.0 then [ "steals"; "reexecs"; "brownouts" ]
-             else [])
-          @ (if hedge_frac > 0.0 then [ "hedges"; "hedge_wins"; "hedge_late" ]
-             else [])
-          @ (if admit then [ "adm_shed" ] else [])
+          @ (if slo then [ "slo_good"; "slo_total"; "burn_x1000" ] else [])
+          @ (if faulted then [ "steals"; "reexecs"; "brownouts" ] else [])
+          @ (if hedged then [ "hedges"; "hedge_wins"; "hedge_late" ] else [])
+          @ (if fc.fc_admit then [ "adm_shed" ] else [])
           @
-          (if nic then
-             [
-               "nic_rx"; "nic_drops"; "nic_irqs"; "nic_polls"; "nic_wasted_kc";
-               "nic_switches"; "nic_recovers";
-             ]
-           else [])
+          if fc.fc_nic then
+            [
+              "nic_rx"; "nic_drops"; "nic_irqs"; "nic_polls"; "nic_wasted_kc";
+              "nic_switches"; "nic_recovers";
+            ]
+          else []
         in
-        let cols (r : Iw_service.Fleet.report) =
-          let p pct = Iw_service.Fleet.percentile_us r r.fr_total pct in
+        let cols (r : Fleet.report) =
+          let p pct = Fleet.percentile_us r r.fr_total pct in
+          let ints = List.map string_of_int in
           [
             string_of_int r.fr_machines;
             r.fr_policy;
-            Printf.sprintf "%g" gossip_us;
+            Printf.sprintf "%g" fc.fc_gossip_us;
             Printf.sprintf "%.0f" r.fr_offered_rps;
-            string_of_int r.fr_arrivals;
-            string_of_int r.fr_completed;
-            string_of_int r.fr_failed;
-            string_of_int r.fr_retries;
-            string_of_int r.fr_nacks;
-            string_of_int r.fr_net_drops;
-            string_of_int r.fr_ejects;
-            Printf.sprintf "%.0f" r.fr_throughput_rps;
-            Printf.sprintf "%.2f" r.fr_utilization;
-            Printf.sprintf "%.1f" (p 50.0);
-            Printf.sprintf "%.1f" (p 99.0);
-            Printf.sprintf "%.1f" (p 99.9);
           ]
-          @
-          if slo_us > 0.0 then
-            let burn =
-              if r.fr_slo_total > 0 && slo_target < 1.0 then
-                int_of_float
-                  (float_of_int (r.fr_slo_total - r.fr_slo_good)
-                  /. float_of_int r.fr_slo_total
-                  /. (1.0 -. slo_target) *. 1000.0)
-              else 0
-            in
-            [
-              string_of_int r.fr_slo_good;
-              string_of_int r.fr_slo_total;
-              string_of_int burn;
+          @ ints
+              [
+                r.fr_arrivals; r.fr_completed; r.fr_failed; r.fr_retries;
+                r.fr_nacks; r.fr_net_drops; r.fr_ejects;
+              ]
+          @ [
+              Printf.sprintf "%.0f" r.fr_throughput_rps;
+              Printf.sprintf "%.2f" r.fr_utilization;
+              Printf.sprintf "%.1f" (p 50.0);
+              Printf.sprintf "%.1f" (p 99.0);
+              Printf.sprintf "%.1f" (p 99.9);
             ]
-          else []
-        in
-        let cols r =
-          cols r
-          @ (if faults_rate > 0.0 then
-               [
-                 string_of_int r.Iw_service.Fleet.fr_steals;
-                 string_of_int r.fr_corrupt_retries;
-                 string_of_int r.fr_brownouts;
-               ]
+          @ (if slo then
+               let bad = r.fr_slo_total - r.fr_slo_good in
+               let burn =
+                 if r.fr_slo_total > 0 && fc.fc_slo_target < 1.0 then
+                   int_of_float
+                     (float_of_int bad /. float_of_int r.fr_slo_total
+                     /. (1.0 -. fc.fc_slo_target) *. 1000.0)
+                 else 0
+               in
+               ints [ r.fr_slo_good; r.fr_slo_total; burn ]
              else [])
-          @ (if hedge_frac > 0.0 then
-               [
-                 string_of_int r.Iw_service.Fleet.fr_hedges;
-                 string_of_int r.fr_hedge_wins;
-                 string_of_int r.fr_hedge_cancels;
-               ]
+          @ (if faulted then
+               ints [ r.fr_steals; r.fr_corrupt_retries; r.fr_brownouts ]
              else [])
-          @ (if admit then
-               [ string_of_int r.Iw_service.Fleet.fr_admission_shed ]
+          @ (if hedged then
+               ints [ r.fr_hedges; r.fr_hedge_wins; r.fr_hedge_cancels ]
              else [])
+          @ (if fc.fc_admit then ints [ r.fr_admission_shed ] else [])
           @
-          if nic then
-            [
-              string_of_int r.Iw_service.Fleet.fr_nic_rx;
-              string_of_int r.fr_nic_drops;
-              string_of_int r.fr_nic_irqs;
-              string_of_int r.fr_nic_polls;
-              string_of_int (r.fr_nic_wasted_cycles / 1000);
-              string_of_int r.fr_nic_switches;
-              string_of_int r.fr_nic_recovers;
-            ]
+          if fc.fc_nic then
+            ints
+              [
+                r.fr_nic_rx; r.fr_nic_drops; r.fr_nic_irqs; r.fr_nic_polls;
+                r.fr_nic_wasted_cycles / 1000; r.fr_nic_switches;
+                r.fr_nic_recovers;
+              ]
           else []
         in
         print_rows header cols reports;
-        let members (r : Iw_service.Fleet.report) =
-          Array.to_list
-            (Array.map2 (fun n c -> (n, c)) r.fr_m_names r.fr_m_counters)
-        in
         (match reports with
-        | [ r ] when csv = None ->
+        | [ r ] when s.csv = None ->
             (* A single fleet row gets the per-machine breakdown. *)
             print_newline ();
             print_string
               (Interweave.Table.render
-                 (Interweave.Machine.Fleet.counter_table (members r)))
+                 (Interweave.Machine.Fleet.counter_table
+                    (Array.to_list
+                       (Array.map2 (fun n c -> (n, c)) r.fr_m_names
+                          r.fr_m_counters))))
         | _ -> ());
-        write_series
-          (List.map (fun r -> r.Iw_service.Fleet.fr_series) reports)
+        write_series (List.map (fun r -> r.Fleet.fr_series) reports)
     | None ->
-    if nic then die "serve: --nic needs a fleet (--machines or --hetero)";
-    let plat = Iw_hw.Platform.knl in
+    if s.fleet.fc_nic then
+      die "serve: --nic needs a fleet (--machines or --hetero)";
     (* The ambient fault plan is domain-local, so a faulted sweep runs
        its rows on the coordinator. *)
-    let jobs = if faults_rate > 0.0 then 1 else jobs in
+    let jobs = if s.faults > 0.0 then 1 else s.jobs in
     let reports =
       with_plan (fun () ->
           Interweave.Driver.parallel_map ~jobs
-            (fun rps ->
-              Iw_service.Plane.run
-                {
-                  os;
-                  plat;
-                  workers;
-                  workload = workload_of rps;
-                  policy;
-                  order;
-                  queue_cap = cap;
-                  backend;
-                  work_us;
-                  hi_frac;
-                  demand;
-                  seed;
-                })
+            (fun rps -> Plane.run { p with workload = workload_of rps })
             rpss)
     in
-    let cols r =
-      let p pct = Iw_service.Plane.percentile_us r r.Iw_service.Plane.rep_total pct in
+    let cols (r : Plane.report) =
+      let p pct = Plane.percentile_us r r.rep_total pct in
       [
-        r.Iw_service.Plane.rep_os;
+        r.rep_os;
         r.rep_policy;
         r.rep_backend;
         Printf.sprintf "%.0f" r.rep_offered_rps;
@@ -1478,7 +1412,7 @@ let serve_cmd =
         string_of_int r.rep_shed;
         Printf.sprintf "%.0f" r.rep_throughput_rps;
         Printf.sprintf "%.2f" r.rep_utilization;
-        Printf.sprintf "%.1f" (Iw_service.Plane.mean_us r r.rep_queue);
+        Printf.sprintf "%.1f" (Plane.mean_us r r.rep_queue);
         Printf.sprintf "%.1f" (p 50.0);
         Printf.sprintf "%.1f" (p 90.0);
         Printf.sprintf "%.1f" (p 99.0);
@@ -1486,11 +1420,9 @@ let serve_cmd =
         (* coordinated-omission-corrected p99: measured from each
            request's intended (drawn) send time; equals raw p99 when
            the generator never falls behind *)
-        Printf.sprintf "%.1f"
-          (Iw_service.Plane.percentile_us r r.rep_total_corrected 99.0);
+        Printf.sprintf "%.1f" (Plane.percentile_us r r.rep_total_corrected 99.0);
       ]
-      @
-      if faults_rate > 0.0 then [ string_of_int r.rep_steals ] else []
+      @ if s.faults > 0.0 then [ string_of_int r.rep_steals ] else []
     in
     let header =
       [
@@ -1498,11 +1430,11 @@ let serve_cmd =
         "thru_rps"; "util"; "q_mean_us"; "p50_us"; "p90_us"; "p99_us";
         "p99.9_us"; "p99c_us";
       ]
-      @ if faults_rate > 0.0 then [ "steals" ] else []
+      @ if s.faults > 0.0 then [ "steals" ] else []
     in
     print_rows header cols reports;
-    write_series (List.map (fun r -> r.Iw_service.Plane.rep_series) reports);
-    match alloc_budget with
+    write_series (List.map (fun r -> r.Plane.rep_series) reports);
+    match s.alloc_budget with
     | None -> ()
     | Some budget ->
         (* The alloc-smoke gate: steady-state request processing must
@@ -1511,8 +1443,7 @@ let serve_cmd =
            the run, hence a budget slightly above the asymptotic 0). *)
         let worst =
           List.fold_left
-            (fun acc r ->
-              let open Iw_service.Plane in
+            (fun acc (r : Plane.report) ->
               let per_req =
                 if r.rep_completed > 0 then
                   r.rep_run_minor_words /. float_of_int r.rep_completed
@@ -1539,14 +1470,7 @@ let serve_cmd =
          "Drive open- or closed-loop load through the service plane (queues, \
           dispatch policies, fiber/virtine execution) and report throughput \
           and tail latency per offered rate")
-    Term.(
-      const run $ os_a $ backend_a $ policy_a $ order_a $ workers_a $ rps_a
-      $ duration_a $ work_a $ cap_a $ pool_a $ hi_frac_a $ bursty_a $ closed_a
-      $ think_a $ csv_a $ alloc_budget_a $ seed_a $ machines_a $ hetero_a
-      $ net_lat_a $ net_bw_a $ gossip_us_a $ fleet_serial_a $ sample_us_a
-      $ series_csv_a $ slo_us_a $ slo_target_a $ faults_a $ fault_kinds_a
-      $ hedge_frac_a $ hedge_budget_a $ admit_a $ deadline_us_a $ wjsq_aware_a
-      $ tail_a $ nic_a $ itr_a $ rx_mode_a $ jobs_arg $ seed_arg)
+    Term.(const run $ settings)
 
 let () =
   let doc =

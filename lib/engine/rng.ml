@@ -122,6 +122,10 @@ let two53 = 9007199254740992.0
 
 let float t bound = bound *. (float_of_int (raw53 t) /. two53)
 
+(* [float t 1.0 < p] without the boxed intermediate, and no draw at
+   all when [p <= 0]. *)
+let chance t p = p > 0.0 && float_of_int (raw53 t) /. two53 < p
+
 let bool t =
   step t;
   t.o_lo land 1 = 1

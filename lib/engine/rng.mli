@@ -51,6 +51,11 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
+val chance : t -> float -> bool
+(** [chance t p] is true with probability [p] (a Bernoulli draw,
+    [float t 1.0 < p]).  Draws nothing when [p <= 0], so a zero
+    probability leaves the stream untouched.  Allocation-free. *)
+
 val bool : t -> bool
 
 val gaussian : t -> mu:float -> sigma:float -> float

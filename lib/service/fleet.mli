@@ -9,7 +9,11 @@
     a {!Dispatch} policy over *gossiped* queue depths (the signal
     itself travels over the modeled network, so queue-aware policies
     act on stale information), and recovers from network faults with
-    timeout-driven retries and streak-based ejection.
+    timeout-driven retries and streak-based ejection.  Within each
+    machine, dispatch is po2.  The recovery and NIC ring constants
+    (4 ms RTO, 3 retries, eject after 3 consecutive timeouts for 2 ms;
+    256 descriptors, 16-frame budget, 1 us poll period) are fixed;
+    fleet.ml documents each.
 
     {b Determinism.}  Machines advance in conservative time windows
     of W = one link latency: no message sent inside a window can be
@@ -40,7 +44,6 @@ type config = {
   fc_machines : mspec array;
   fc_workload : Workload.spec;  (** open-loop only *)
   fc_policy : Dispatch.policy;  (** balancer, across machines *)
-  fc_local_policy : Dispatch.policy;  (** within each machine *)
   fc_order : Squeue.order;
   fc_queue_cap : int;
   fc_backend : Exec.backend;
@@ -48,14 +51,6 @@ type config = {
   fc_hi_frac : float;
   fc_net : Net.config;
   fc_gossip_us : float;  (** queue-depth gossip period; 0 disables *)
-  fc_rto_us : float;  (** front-side retry timeout per attempt *)
-  fc_max_retries : int;
-  fc_eject_streak : int;  (** consecutive timeouts before ejection *)
-  fc_eject_us : float;  (** how long an ejected machine sits out *)
-  fc_sample_us : float;
-      (** Telemetry sampling period (virtual us).  0 falls back to the
-          ambient {!Iw_obs.Series.period_us}; both 0 disables the
-          fleet series entirely. *)
   fc_slo_us : float;  (** end-to-end latency SLO; 0 disables accounting *)
   fc_slo_target : float;
       (** Good-fraction target for burn-rate columns (e.g. 0.999). *)
@@ -65,7 +60,7 @@ type config = {
           R5 experiment toggles it off to expose the raw damage. *)
   fc_corrupt_retry : bool;
       (** Re-execute responses the fault plan marks corrupt (counted
-          [corrupt_retry], bounded by [fc_max_retries]).  With it off
+          [corrupt_retry], bounded by the retry budget).  With it off
           a corrupt response completes but can never be SLO-good. *)
   fc_bw_wjsq : bool;
       (** Brownout-aware balancing: weight the front-tier wjsq pick
@@ -99,16 +94,12 @@ type config = {
       (** irq, poll, or hybrid (default) *)
   fc_itr_us : float;
       (** ITR interrupt-moderation gap in virtual us; 0 = unmoderated. *)
-  fc_nic_ring : int;  (** RX/TX descriptor count (power of two) *)
-  fc_nic_budget : int;  (** frames per IRQ burst / poll check *)
-  fc_nic_poll_us : float;  (** poll-engine period in virtual us *)
   fc_seed : int;
 }
 
 val default : unit -> config
 (** Two KNL-like machines, Poisson 100k rps for 50 ms, po2 balancer,
-    po2 local dispatch, 20 us bodies, {!Net.default}, 50 us gossip,
-    4 ms RTO, 3 retries, eject after 3 strikes for 2 ms. *)
+    20 us bodies, {!Net.default}, 50 us gossip. *)
 
 type report = {
   fr_machines : int;
@@ -166,7 +157,8 @@ type report = {
   fr_nic_tx : int;  (** responses drained through TX rings *)
   fr_series : Iw_obs.Series.t option;
       (** Fleet timeline, sampled at conservative-window barriers on
-          the coordinator every [fc_sample_us] of virtual time:
+          the coordinator every ambient {!Iw_obs.Series.period_us} of
+          virtual time ([None] when the period is 0):
           arrival/completion/failure/retry/network deltas, SLO window
           counts with burn rate, windowed e2e p50/p99 (cycles), and
           per-machine depth gauges and completion deltas.  Identical

@@ -97,11 +97,12 @@ let merge_into ~dst src =
   if src.min_v < dst.min_v then dst.min_v <- src.min_v;
   if src.max_v > dst.max_v then dst.max_v <- src.max_v
 
-let merge a b =
+let merge_all hs =
   let dst = create () in
-  merge_into ~dst a;
-  merge_into ~dst b;
+  Array.iter (fun h -> merge_into ~dst h) hs;
   dst
+
+let merge a b = merge_all [| a; b |]
 
 let equal a b =
   a.count = b.count && a.sum = b.sum && a.min_v = b.min_v && a.max_v = b.max_v

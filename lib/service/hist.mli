@@ -34,6 +34,10 @@ val percentile : t -> float -> int
 val merge_into : dst:t -> t -> unit
 val merge : t -> t -> t
 
+val merge_all : t array -> t
+(** A fresh histogram holding every sample of the given ones (e.g. the
+    per-worker shards of a run). *)
+
 val equal : t -> t -> bool
 (** Structural equality on the full state (buckets + moments). *)
 

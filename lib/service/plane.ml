@@ -6,6 +6,7 @@ type os = Nk | Linux
 
 let os_name = function Nk -> "nk" | Linux -> "linux"
 let os_of_string = function "nk" -> Some Nk | "linux" -> Some Linux | _ -> None
+let personality = function Nk -> Os.nautilus | Linux -> Os.linux
 
 type backend = Exec.backend =
   | Fiber_exec
@@ -86,9 +87,6 @@ let mean_us rep h = Hist.mean h /. (rep.rep_ghz *. 1e3)
    perturbed by) kernel-side draws from the boot seed. *)
 let rng_salt = 0x5E21CE
 
-(* 2^53, the mantissa divisor behind [Rng.float]. *)
-let two53 = 9007199254740992.0
-
 (* The open-loop load generator as a flat state machine (the worker
    side lives in [Exec]).  [l_state]: 0 = draw next arrival, 1 =
    woken at the arrival time, 2 = submit overhead paid, 3 = stop
@@ -111,10 +109,9 @@ let run cfg =
   let ncpus = cfg.workers + 1 in
   let plat = Iw_hw.Platform.with_cores cfg.plat ncpus in
   let frontend = cfg.workers in
-  let personality =
-    match cfg.os with Nk -> Os.nautilus plat | Linux -> Os.linux plat
+  let k =
+    Sched.boot ~seed:cfg.seed ~personality:(personality cfg.os plat) plat
   in
-  let k = Sched.boot ~seed:cfg.seed ~personality plat in
   let obs = Sched.obs k in
   let ctr = obs.Iw_obs.Obs.counters in
   let tr = obs.Iw_obs.Obs.trace in
@@ -197,14 +194,6 @@ let run cfg =
     end
   in
 
-  (* Priority draw, shared verbatim between the flat and coroutine
-     submit paths: one [prio_rng] draw iff hi_frac > 0 ([Rng.float]
-     inlined via [raw53] so the flat path never boxes). *)
-  let draw_hi () =
-    cfg.hi_frac > 0.0
-    && float_of_int (Rng.raw53 prio_rng) /. two53 < cfg.hi_frac
-  in
-
   (* ---------------------------------------------------------------- *)
   (* Load generation *)
 
@@ -215,7 +204,7 @@ let run cfg =
       let submit_cl c =
         Counter.incr ctr Counter.Service_arrivals;
         Api.overhead submit_cost;
-        let hi = draw_hi () in
+        let hi = Rng.chance prio_rng cfg.hi_frac in
         let qi =
           Exec.try_enqueue ex ~intended:(-1) ~hi ~arrival:(Api.now ()) ~reply:c
         in
@@ -319,7 +308,7 @@ let run cfg =
         Sched.flat_overhead k lg.l_fl submit_cost
 
       and lg_push lg =
-        let hi = draw_hi () in
+        let hi = Rng.chance prio_rng cfg.hi_frac in
         let now = Sched.now k in
         let qi =
           Exec.try_enqueue ex ~intended:lg.l_target ~hi ~arrival:now ~reply:(-1)
@@ -340,18 +329,17 @@ let run cfg =
       Sched.set_flat_step lg.l_fl (fun () -> lg_activation lg));
 
   (* Steady-state allocation is the run phase's measured quantity:
-     everything above was setup, everything below is readout. *)
+     everything above was setup, everything below is readout.  Minor
+     words come from [Gc.minor_words], which counts the live minor
+     heap too: [quick_stat]'s figure moves only at minor collections,
+     so it would depend on how full the heap was when the run began. *)
   let st0 = Gc.quick_stat () in
+  let w0 = Gc.minor_words () in
   Sched.run k;
+  let run_minor = Gc.minor_words () -. w0 in
   let st1 = Gc.quick_stat () in
-  let run_minor = st1.Gc.minor_words -. st0.Gc.minor_words in
   let run_major = st1.Gc.major_words -. st0.Gc.major_words in
 
-  let merge shards =
-    let dst = Hist.create () in
-    Array.iter (fun h -> Hist.merge_into ~dst h) shards;
-    dst
-  in
   let elapsed = Sched.now k in
   let elapsed_s = Iw_hw.Platform.us_of_cycles plat elapsed /. 1e6 in
   let busy = Exec.busy_cycles ex in
@@ -390,9 +378,9 @@ let run cfg =
     rep_run_major_words = run_major;
     rep_arena_capacity = Exec.arena_capacity ex;
     rep_arena_grows = Exec.arena_grows ex;
-    rep_queue = merge (Exec.h_queue ex);
-    rep_service = merge (Exec.h_service ex);
-    rep_total = merge (Exec.h_total ex);
+    rep_queue = Hist.merge_all (Exec.h_queue ex);
+    rep_service = Hist.merge_all (Exec.h_service ex);
+    rep_total = Hist.merge_all (Exec.h_total ex);
     rep_total_corrected = Exec.h_corrected ex;
     rep_steals = Counter.get ctr Counter.Peer_steal;
     rep_series =

@@ -24,6 +24,10 @@ type os = Nk | Linux
 val os_name : os -> string
 val os_of_string : string -> os option
 
+val personality : os -> Iw_hw.Platform.t -> Iw_kernel.Os.t
+(** The kernel personality an [os] boots: {!Iw_kernel.Os.nautilus} or
+    {!Iw_kernel.Os.linux}. *)
+
 type backend = Exec.backend =
   | Fiber_exec  (** Per-worker cooperative fiber runs each body. *)
   | Virtine_exec of { vconfig : Iw_virtine.Wasp.config; pool : int }
@@ -75,13 +79,15 @@ type report = {
   rep_spawns : int;
   rep_run_minor_words : float;
       (** OCaml minor-heap words allocated during the run phase (load
-          + service; setup and readout excluded).  Divide by
-          [rep_completed] for the per-request allocation profile.
-          Caveat: [Gc.quick_stat] folds in stats from terminated
-          sibling domains, so this is only a clean per-run figure
-          when nothing else runs concurrently in the process (the
-          [serve] CLI; not the [--jobs N] experiment driver). *)
-  rep_run_major_words : float;  (** Major-heap words, same window. *)
+          + service; setup and readout excluded), counted exactly by
+          [Gc.minor_words] on the running domain.  Divide by
+          [rep_completed] for the per-request allocation profile. *)
+  rep_run_major_words : float;
+      (** Major-heap words, same window.  Caveat: [Gc.quick_stat]
+          folds in stats from terminated sibling domains, so this is
+          only a clean per-run figure when nothing else runs
+          concurrently in the process (the [serve] CLI; not the
+          [--jobs N] experiment driver). *)
   rep_arena_capacity : int;  (** Request-arena high-water capacity. *)
   rep_arena_grows : int;
       (** Times the request arena doubled — stops moving once the

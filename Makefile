@@ -2,7 +2,7 @@
         alloc-smoke serve-args-smoke check trace-smoke sweep-smoke \
         profile-smoke profile-diff-smoke faults-smoke faults-csv-smoke \
         serve-smoke serve-update fleet-smoke series-smoke series-update \
-        degrade-smoke \
+        degrade-smoke coherence-smoke coherence-update \
         nic-smoke golden-check golden-update examples csv clean
 
 all: build
@@ -146,6 +146,23 @@ serve-update:
 	@$(call serve_runs,$(SERVE_PLANE_RUNS),golden/serve.plane.csv)
 	@$(call serve_runs,$(SERVE_FLEET_RUNS),golden/serve.fleet.csv)
 
+# Pin the coherence studies end to end: the stdout of E6 (Fig. 7),
+# E16 (language-derived hints), A4 (hint classes) and R4 (shootdowns)
+# must match golden/coherence.tables.txt byte for byte.  The golden
+# counter snapshots pin only directory transitions; these tables pin
+# every speedup, energy figure, invalidation count and makespan they
+# print.  coherence-update refreshes the file.
+COHERENCE_IDS = E6 E16 A4 R4
+coherence-smoke:
+	dune build bin/main.exe
+	./_build/default/bin/main.exe run $(COHERENCE_IDS) > /tmp/coherence.tables.txt
+	cmp /tmp/coherence.tables.txt golden/coherence.tables.txt
+
+# Refresh the pinned coherence tables after an intentional change.
+coherence-update:
+	dune build bin/main.exe
+	./_build/default/bin/main.exe run $(COHERENCE_IDS) > golden/coherence.tables.txt
+
 # Drive a heterogeneous fleet twice -- one domain per machine, then
 # single-domain -- and fail unless the CSVs are byte-identical: the
 # conservative-window determinism claim, checked end to end.
@@ -243,6 +260,7 @@ check:
 	$(MAKE) faults-smoke
 	$(MAKE) faults-csv-smoke
 	$(MAKE) serve-smoke
+	$(MAKE) coherence-smoke
 	$(MAKE) fleet-smoke
 	$(MAKE) series-smoke
 	$(MAKE) degrade-smoke

@@ -27,11 +27,19 @@ let is_pow2 n = n > 0 && n land (n - 1) = 0
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
 
 let create ~size_kb ~ways ~line_bytes =
+  if size_kb < 1 then
+    invalid_arg
+      (Printf.sprintf "Cache.create: cache_kb (size_kb) = %d must be positive"
+         size_kb);
+  if ways < 1 then
+    invalid_arg (Printf.sprintf "Cache.create: ways = %d must be positive" ways);
   if not (is_pow2 line_bytes) then
     invalid_arg "Cache.create: line size must be a power of two";
   let total_lines = size_kb * 1024 / line_bytes in
-  if total_lines mod ways <> 0 then
-    invalid_arg "Cache.create: lines not divisible by ways";
+  if total_lines = 0 || total_lines mod ways <> 0 then
+    invalid_arg
+      (Printf.sprintf "Cache.create: %d lines do not fill whole %d-way sets"
+         total_lines ways);
   let sets = total_lines / ways in
   {
     sets;
@@ -52,17 +60,18 @@ let line_of_addr t addr = addr lsr t.line_shift
 let set_of_line t line =
   if t.set_mask <> 0 then line land t.set_mask else line mod t.sets
 
-(* Index of the way holding [line], or -1.  Empty ways are -1, which
-   shifts to -1 and never equals a (non-negative) line. *)
+(* Index of the way in [i, stop) holding [line], or -1.  Empty ways
+   are -1, which shifts to -1 and never equals a (non-negative) line.
+   A top-level loop: without flambda an inner [let rec] capturing the
+   set bounds is a fresh closure on every probe. *)
+let rec probe data line i stop =
+  if i >= stop then -1
+  else if Array.unsafe_get data i asr 2 = line then i
+  else probe data line (i + 1) stop
+
 let find t line =
   let base = set_of_line t line * t.assoc in
-  let n = t.assoc in
-  let rec go i =
-    if i >= n then -1
-    else if Array.unsafe_get t.data (base + i) asr 2 = line then base + i
-    else go (i + 1)
-  in
-  go 0
+  probe t.data line base (base + t.assoc)
 
 let touch t j =
   t.clock <- t.clock + 1;
@@ -82,7 +91,7 @@ let install t addr st =
   if j >= 0 then begin
     t.data.(j) <- (line lsl 2) lor code st;
     touch t j;
-    None
+    -1
   end
   else begin
     let base = set_of_line t line * t.assoc in
@@ -98,14 +107,16 @@ let install t addr st =
       end
       else if (not !found_invalid) && t.lru.(j) < t.lru.(!vic) then vic := j
     done;
-    let evicted =
-      let e = t.data.(!vic) in
-      if e < 0 then None else Some (e asr 2, state_of_code.(e land 3))
-    in
+    (* The displaced entry is the result: -1 for an empty way. *)
+    let evicted = t.data.(!vic) in
     t.data.(!vic) <- (line lsl 2) lor code st;
     touch t !vic;
     evicted
   end
+
+let evicted_line e = e asr 2
+
+let evicted_state e = state_of_code.(e land 3)
 
 let set_state t addr st =
   let line = line_of_addr t addr in

@@ -47,7 +47,18 @@ type counters = {
 
 type t
 
+val max_cores : int
+(** The most cores a machine can have: [Sys.int_size - 1], 62 on a
+    64-bit host.  The directory keeps one int per line, the sharer set
+    as a bitmask with bit [i] for core [i] and the sign bit as the
+    single-owner tag, so the mask's width is the limit. *)
+
 val create : ?obs:Iw_obs.Obs.t -> ?params:params -> deactivation -> t
+(** A machine with empty caches and directory.
+    @raise Invalid_argument naming the field when [cores] is outside
+    [1..max_cores], [cores_per_socket < 1], or {!Cache.create} refuses
+    [cache_kb], [ways] or [line_bytes]. *)
+
 val params : t -> params
 val access : t -> core:int -> addr:int -> write:bool -> hint:hint -> unit
 val core_cycles : t -> int -> int
@@ -65,4 +76,5 @@ val swmr_holds : t -> bool
 (** The single-writer-multiple-reader invariant over every line that
     has ever been coherence-tracked: an M/E copy excludes all other
     copies.  Deactivated (hinted) lines are exempt by design — that
-    is what deactivation means. *)
+    is what deactivation means.  An [Off] machine tracks every line
+    it touches, so there it covers every resident line. *)

@@ -365,149 +365,39 @@ let profile_cmd =
       $ threshold)
 
 let golden_cmd =
-  let ids =
+  let id =
     Arg.(
-      value
-      & pos_all string []
-      & info [] ~docv:"ID" ~doc:"Experiment ids (default: every experiment)")
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"ID" ~doc:"Experiment id (e.g. E3)")
   in
-  let update =
-    Arg.(
-      value & flag
-      & info [ "update" ] ~doc:"Regenerate snapshots instead of checking")
-  in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ] ~doc:"Check counters against snapshots (the default)")
-  in
-  let dir =
-    Arg.(
-      value & opt string "golden"
-      & info [ "dir" ] ~docv:"DIR" ~doc:"Snapshot directory")
-  in
-  let spans =
-    Arg.(
-      value & flag
-      & info [ "spans" ]
-          ~doc:
-            "Also gate coarse trace shape: run each experiment under a \
-             counting trace sink and compare per-category span tallies \
-             against $(b,ID.spans.txt) snapshots, so a silently-dead probe \
-             is caught even when counters still balance")
-  in
-  let run ids update check dir spans jobs =
-    if update && check then die "golden: pass at most one of --check / --update";
-    let targets =
-      match ids with
-      | [] -> Interweave.Experiments.all ()
-      | ids -> List.map find_experiment ids
+  (* One run under a counting trace sink feeds all three sections:
+     probes only tally, so the tables match an untraced run. *)
+  let run id =
+    let e = find_experiment id in
+    let tr = Iw_obs.Trace.counting () in
+    let output, counters, _ =
+      Interweave.Experiments.run_with_counters ~trace:tr e
     in
-    let path_of (e : Interweave.Experiments.experiment) =
-      Filename.concat dir (e.id ^ ".txt")
-    in
-    let spans_path_of (e : Interweave.Experiments.experiment) =
-      Filename.concat dir (e.id ^ ".spans.txt")
-    in
-    (* Each worker runs its experiment under its own collecting ambient
-       context (ambient state is domain-local), so the parallel fan-out
-       cannot mix counters across experiments.  With --spans the run
-       additionally feeds a counting trace sink; tracing-on runs are
-       byte-identical to tracing-off ones (probes only tally), so one
-       run serves both gates. *)
-    let results =
-      Interweave.Driver.parallel_map ~jobs
-        (fun (e : Interweave.Experiments.experiment) ->
-          if spans then begin
-            let tr = Iw_obs.Trace.counting () in
-            let _, counters, _ =
-              Interweave.Experiments.run_with_counters ~trace:tr e
-            in
-            (e, counters, Some (Iw_obs.Trace.shape_counts tr))
-          end
-          else
-            let _, counters, _ = Interweave.Experiments.run_with_counters e in
-            (e, counters, None))
-        targets
-    in
-    if update then begin
-      (try Unix.mkdir dir 0o755
-       with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      List.iter
-        (fun ((e : Interweave.Experiments.experiment), counters, shape) ->
-          let path = path_of e in
-          Iw_obs.Golden.write_file
-            ~header:
-              [
-                Printf.sprintf "golden counters for %s (%s)" e.id e.title;
-                "regenerate with: interweave golden --update " ^ e.id;
-              ]
-            counters path;
-          Printf.printf "wrote %s (%d counters)\n" path (List.length counters);
-          match shape with
-          | None -> ()
-          | Some shape ->
-              let spath = spans_path_of e in
-              Iw_obs.Golden.write_file
-                ~header:
-                  [
-                    Printf.sprintf "golden span shape for %s (cat/name tallies)"
-                      e.id;
-                    "regenerate with: interweave golden --update --spans "
-                    ^ e.id;
-                  ]
-                shape spath;
-              Printf.printf "wrote %s (%d span categories)\n" spath
-                (List.length shape))
-        results
-    end
-    else begin
-      let failures = ref 0 in
-      let gate ~what ~tolerances e path actual =
-        match Iw_obs.Golden.read_file path with
-        | exception Sys_error _ ->
-            incr failures;
-            Printf.printf "%-4s MISSING %s (run 'golden --update%s %s')\n"
-              e.Interweave.Experiments.id path
-              (if what = "spans" then " --spans" else "")
-              e.id
-        | exception Invalid_argument msg ->
-            incr failures;
-            Printf.printf "%-4s UNREADABLE %s: %s\n" e.id path msg
-        | expected -> (
-            match Iw_obs.Golden.compare_counters ~tolerances ~expected actual with
-            | [] ->
-                Printf.printf "%-4s ok (%d %s)\n" e.id (List.length expected)
-                  what
-            | drifts ->
-                incr failures;
-                Printf.printf "%-4s DRIFT (%s)\n" e.id what;
-                List.iter
-                  (fun d ->
-                    Printf.printf "     %s\n" (Iw_obs.Golden.render_drift d))
-                  drifts)
-      in
-      List.iter
-        (fun ((e : Interweave.Experiments.experiment), counters, shape) ->
-          gate ~what:"counters" ~tolerances:Iw_obs.Golden.default_tolerances e
-            (path_of e) counters;
-          match shape with
-          | None -> ()
-          | Some shape ->
-              gate ~what:"spans" ~tolerances:Iw_obs.Golden.shape_tolerances e
-                (spans_path_of e) shape)
-        results;
-      if !failures > 0 then die "golden: %d gate(s) drifted" !failures
-    end
+    print_string
+      (Iw_obs.Golden.render_file
+         ~header:
+           [
+             Printf.sprintf
+               "%s (%s): counters, span tallies, rendered tables" e.id e.title;
+             "dune runtest diffs this file with `interweave golden " ^ e.id
+             ^ "`; dune promote refreshes it";
+           ]
+         ~counters ~spans:(Iw_obs.Trace.shape_counts tr) ~output)
   in
   Cmd.v
     (Cmd.info "golden"
        ~doc:
-         "Re-run experiments and compare their machine-wide counter totals \
-          (and with --spans, coarse trace shape) against committed golden \
-          snapshots (or --update to regenerate); drift beyond per-counter \
-          tolerance fails the command")
-    Term.(const run $ ids $ update $ check $ dir $ spans $ jobs_arg)
+         "Run one experiment under a counting trace and print its pinned \
+          golden file: machine-wide counter totals, then a '## spans' \
+          section of per-category span tallies and a '## output' section \
+          with the rendered tables")
+    Term.(const run $ id)
 
 let sweep_cmd =
   let field =
@@ -1437,10 +1327,11 @@ let serve_cmd =
     match s.alloc_budget with
     | None -> ()
     | Some budget ->
-        (* The alloc-smoke gate: steady-state request processing must
-           stay inside the committed minor-words-per-request budget
-           (warmup — arena growth, stream setup — is amortized over
-           the run, hence a budget slightly above the asymptotic 0). *)
+        (* The allocation-budget gate (test/smokes.t): steady-state
+           request processing must stay inside the committed
+           minor-words-per-request budget (warmup — arena growth,
+           stream setup — is amortized over the run, hence a budget
+           slightly above the asymptotic 0). *)
         let worst =
           List.fold_left
             (fun acc (r : Plane.report) ->

@@ -1,10 +1,8 @@
 (* Binary min-heap specialized to int keys.
 
-   The generic [Heap] costs a polymorphic-compare (or closure) call
-   per sift step and boxes nothing but still pays an indirect call;
-   here keys are a flat int array compared with [<] directly, and
-   payloads sit in a parallel array.  This is the simulator's event
-   queue. *)
+   Keys are a flat int array compared with [<] directly (no
+   polymorphic-compare or closure call per sift step), and payloads
+   sit in a parallel array.  This is the simulator's event queue. *)
 
 type 'a t = {
   dummy : 'a;

@@ -8,8 +8,8 @@
    (optionally) windowed {!Series} samples as [ph:"C"] counter tracks
    so Perfetto renders queue depth / p99 / fault-rate lanes alongside
    the spans.  Validation reads the file back through the shared
-   {!Json} reader — used by `trace --check`, the smoke target, and
-   the test suite. *)
+   {!Json} reader — used by `trace --check` (test/smokes.t) and the
+   test suite. *)
 
 let pid_of_cpu cpu = cpu + 1
 let process_label cpu = if cpu < 0 then "machine" else Printf.sprintf "cpu %d" cpu

@@ -3,7 +3,7 @@
    of speedscope's "import folded" mode.  Counts are self cycles, so
    the per-line counts of a well-formed export sum exactly to the
    profile's total traced cycles — [check] verifies that invariant,
-   and the test suite and `make profile-smoke` run it. *)
+   and the test suite and test/smokes.t run it. *)
 
 let to_string (p : Profile.t) =
   let b = Buffer.create 1024 in

@@ -570,8 +570,8 @@ let test_pinned_fingerprint () =
   if got <> want then print_string text;
   Alcotest.(check string) "pinned coherence fingerprint" want got
 
-(* The replay's allocation budget, the coherence twin of
-   [make alloc-smoke]: a whole [Traces.run_bench] on the 24-core
+(* The replay's allocation budget, the coherence twin of serve's
+   budget in test/smokes.t: a whole [Traces.run_bench] on the 24-core
    machine, setup included, may allocate at most one minor word per
    access.  [Gc.minor_words] counts exactly on the running domain, so
    the gate is host-independent. *)

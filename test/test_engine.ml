@@ -107,27 +107,6 @@ let test_rng_shuffle_permutation () =
   Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let test_heap_ordering () =
-  let h = Heap.create ~cmp:compare () in
-  List.iter (fun k -> Heap.push h k (string_of_int k)) [ 5; 1; 9; 3; 7; 2; 8 ];
-  let order = List.map fst (Heap.to_sorted_list h) in
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] order;
-  check_int "length preserved" 7 (Heap.length h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list small_int)
-    (fun keys ->
-      let h = Heap.create ~cmp:compare () in
-      List.iter (fun k -> Heap.push h k ()) keys;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some (k, ()) -> drain (k :: acc)
-      in
-      drain [] = List.sort compare keys)
-
-(* ------------------------------------------------------------------ *)
 (* Sim *)
 
 let test_sim_event_order () =
@@ -539,11 +518,6 @@ let () =
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "shuffle is a permutation" `Quick
             test_rng_shuffle_permutation;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          q prop_heap_sorts;
         ] );
       ( "sim",
         [

@@ -169,7 +169,7 @@ module Plan = Iw_faults.Plan
    the one deliberate exception: an enabled plan arms the TPAL
    watchdog, which legitimately fires under the jittery Linux signal
    driver even with zero injected faults; the *disabled* plan is the
-   strict no-op everywhere, gated by `golden --check`.) *)
+   strict no-op everywhere, gated by the golden/ diffs.) *)
 let test_faults_disabled_byte_identical () =
   List.iter
     (fun id ->

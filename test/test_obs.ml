@@ -526,6 +526,26 @@ let test_golden_parse_hardened () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "non-integer value accepted"
 
+let test_golden_sections () =
+  (* A pinned file: counters, then span tallies and rendered tables
+     under "## " markers.  Only the counters above the first marker
+     parse, even where the output section holds counter-shaped lines. *)
+  let text =
+    "# E99 (pinned)\nspawns 4\nticks 100\n## spans\nhw/irq 7\n\
+     sched/switch:thread 2\n## output\n[E99] pinned\nticks 123\n"
+  in
+  Alcotest.(check string)
+    "render_file lays the sections out" text
+    (Golden.render_file ~header:[ "E99 (pinned)" ]
+       ~counters:[ ("ticks", 100); ("spawns", 4) ]
+       ~spans:[ ("sched/switch:thread", 2); ("hw/irq", 7) ]
+       ~output:"[E99] pinned\nticks 123\n");
+  Alcotest.(check (list (pair string int)))
+    "counters only" [ ("spawns", 4); ("ticks", 100) ] (Golden.parse text);
+  match Golden.parse "spawns 4\nlonely\n## spans\nhw/irq 7\n" with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "malformed line above the first marker accepted"
+
 let () =
   Alcotest.run "obs"
     [
@@ -605,5 +625,6 @@ let () =
           Alcotest.test_case "render/parse round trip" `Quick
             test_golden_render_parse_round_trip;
           Alcotest.test_case "parse hardened" `Quick test_golden_parse_hardened;
+          Alcotest.test_case "sectioned file" `Quick test_golden_sections;
         ] );
     ]

@@ -7,6 +7,11 @@ open Cmdliner
    scattered per-branch [exit] calls. *)
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
 
+(* The plane and the fleet reject a config they cannot run with an
+   [Invalid_argument] naming the field; the commands that run them
+   report it like a bad flag. *)
+let or_die cmd f = try f () with Invalid_argument msg -> die "%s: %s" cmd msg
+
 let find_experiment id =
   try Interweave.Experiments.find id
   with Not_found -> die "unknown experiment %s (try 'interweave list')" id
@@ -79,17 +84,18 @@ let run_cmd =
       if List.mem "all" ids then Interweave.Experiments.all ()
       else List.map find_experiment ids
     in
-    Interweave.Driver.parallel_map ~jobs
-      (fun (e : Interweave.Experiments.experiment) ->
-        if markdown then
-          Printf.sprintf "## [%s] %s\n\nPaper: %s\n\n%s" e.id e.title
-            e.paper_claim
-            (String.concat ""
-               (List.map
-                  (fun t -> Interweave.Table.to_markdown t ^ "\n")
-                  (e.tables ())))
-        else Interweave.Experiments.run_to_string e)
-      targets
+    or_die "run" (fun () ->
+        Interweave.Driver.parallel_map ~jobs
+          (fun (e : Interweave.Experiments.experiment) ->
+            if markdown then
+              Printf.sprintf "## [%s] %s\n\nPaper: %s\n\n%s" e.id e.title
+                e.paper_claim
+                (String.concat ""
+                   (List.map
+                      (fun t -> Interweave.Table.to_markdown t ^ "\n")
+                      (e.tables ())))
+            else Interweave.Experiments.run_to_string e)
+          targets)
     |> List.iter print_string
   in
   Cmd.v
@@ -228,8 +234,9 @@ let trace_cmd =
     (* Run serially under an ambient traced context: every kernel,
        CPU, and runtime the experiment creates inherits the ring. *)
     let text =
-      Iw_obs.Obs.with_ambient obs (fun () ->
-          Interweave.Experiments.run_to_string e)
+      or_die "trace" (fun () ->
+          Iw_obs.Obs.with_ambient obs (fun () ->
+              Interweave.Experiments.run_to_string e))
     in
     print_string text;
     let series = Iw_obs.Series.published () in
@@ -619,7 +626,7 @@ let faults_cmd =
                 Iw_obs.Obs.with_ambient obs (fun () ->
                     Iw_faults.Plan.with_ambient plan (fun () ->
                         try Ok (Interweave.Experiments.run_to_string e)
-                        with Failure msg -> Error msg))
+                        with Failure msg | Invalid_argument msg -> Error msg))
               in
               (match out with
               | Ok _ -> ()
@@ -664,7 +671,7 @@ let faults_cmd =
       Iw_obs.Obs.with_ambient obs (fun () ->
           Iw_faults.Plan.with_ambient plan (fun () ->
               try Ok (Interweave.Experiments.run_to_string e)
-              with Failure msg -> Error msg))
+              with Failure msg | Invalid_argument msg -> Error msg))
     in
     (match out with
     | Ok text -> print_string text
@@ -1079,11 +1086,14 @@ let serve_cmd =
     (* The plane and the fleet both sample off the ambient period. *)
     Iw_obs.Series.set_period_us s.sample_us;
     let p = s.plane in
-    (* An explicit --fault-kinds arms the plan even at rate 0: kinds
-       with recovery machinery that exists only when armed (the NIC's
+    (* Runs [f] (the plane or fleet runs) under the fault plan, and
+       reports a config they reject like a bad flag.  An explicit
+       --fault-kinds arms the plan even at rate 0: kinds with
+       recovery machinery that exists only when armed (the NIC's
        lost-IRQ slack scan) can then be exercised — and shown inert —
        without any injection. *)
     let with_plan f =
+      let f () = or_die "serve" f in
       if s.faults > 0.0 || s.fault_kinds <> None then
         Iw_faults.Plan.with_ambient
           (Iw_faults.Plan.create ~rate:s.faults ~seed:p.seed

@@ -1,4 +1,3 @@
-open Iw_ir
 (** The CARAT overhead study (E7, §IV-A).
 
     For each benchmark: run clean, run naively instrumented, run with
@@ -18,11 +17,6 @@ type row = {
   dyn_guards_naive : int;
   dyn_guards_opt : int;
 }
-
-val run_program :
-  Programs.program -> row
-(** @raise Invalid_argument if instrumentation changes the program's
-    result. *)
 
 val table : unit -> row list
 (** The full CARAT suite. *)

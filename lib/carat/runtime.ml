@@ -46,11 +46,6 @@ let region_containing t addr =
   | Some (_, r) when addr < r.logical + r.size -> Some r
   | _ -> None
 
-let region_of t addr =
-  match region_containing t addr with
-  | Some r -> Some (r.logical, r.size)
-  | None -> None
-
 let regions t =
   IntMap.fold (fun _ r acc -> (r.logical, r.size) :: acc) t.regions []
   |> List.rev

@@ -26,9 +26,6 @@ val hooks : t -> Interp.hooks
 
 val region_count : t -> int
 val live_words : t -> int
-val region_of : t -> int -> (int * int) option
-(** [region_of t addr] is [(base, size)] of the live region containing
-    the (physical, post-forwarding) address. *)
 
 val regions : t -> (int * int) list
 (** All live regions as [(logical_base, size)], ascending. *)

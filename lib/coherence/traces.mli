@@ -24,12 +24,7 @@ type bench = { bench_name : string; mix : mix; accesses_per_core : int }
 
 val samplesort : bench
 val bfs : bench
-val mis : bench
-val convex_hull : bench
-val remove_duplicates : bench
-val suffix_array : bench
 val nbody : bench
-val word_counts : bench
 
 val pbbs_suite : bench list
 

@@ -1,13 +1,11 @@
 (** Packed [(time, sequence)] event keys.
 
     One native int holds the event time in its high bits and a
-    per-time sequence number in the low {!seq_bits} bits, so the
-    simulator's total event order is plain integer [<]. *)
-
-val seq_bits : int
+    per-time sequence number in the low 18 bits, so the simulator's
+    total event order is plain integer [<]. *)
 
 val seq_limit : int
-(** [2 ^ seq_bits]: max events sharing one timestamp. *)
+(** [2 ^ 18]: max events sharing one timestamp. *)
 
 val max_time : int
 (** Largest representable time. *)

@@ -113,10 +113,6 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   raw62 t mod bound
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: empty range";
-  lo + int t (hi - lo + 1)
-
 (* 2^53 *)
 let two53 = 9007199254740992.0
 

@@ -149,14 +149,10 @@ let push_recycled t key at action =
 
 let schedule t ~at action = push_fresh t (alloc_key t at) at action
 
-let schedule_after t dt action =
-  if dt < 0 then invalid_arg "Sim.schedule_after: negative delay";
-  schedule t ~at:(t.now + dt) action
-
 let schedule_unit t ~at action = ignore (push_recycled t (alloc_key t at) at action)
 
 let schedule_after_unit t dt action =
-  if dt < 0 then invalid_arg "Sim.schedule_after: negative delay";
+  if dt < 0 then invalid_arg "Sim.schedule_after_unit: negative delay";
   schedule_unit t ~at:(t.now + dt) action
 
 let cancel ev =

@@ -45,9 +45,6 @@ val schedule : t -> at:int -> (unit -> unit) -> event
 (** [schedule t ~at f] runs [f] at virtual time [at].  @raise
     Invalid_argument if [at] is in the past. *)
 
-val schedule_after : t -> int -> (unit -> unit) -> event
-(** [schedule_after t dt f] = [schedule t ~at:(now t + dt) f]. *)
-
 val schedule_unit : t -> at:int -> (unit -> unit) -> unit
 (** Like {!schedule} but returns no handle; the event record is
     recycled through a free list after it fires, so fire-and-forget
@@ -76,8 +73,6 @@ val arm_after : t -> timer -> int -> (unit -> unit) -> unit
 
 val disarm : t -> timer -> unit
 (** O(1) cancel; no-op on an idle timer. *)
-
-val timer_armed : timer -> bool
 
 val pending : t -> int
 (** Number of not-yet-fired, not-cancelled events plus armed timers.

@@ -103,11 +103,6 @@ let coefficient_of_variation t =
 
 let samples t = Array.sub t.data 0 t.size
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p90=%.2f p99=%.2f max=%.2f" s.n
-    s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max
-
 module Counters = struct
   type nonrec t = (string, int ref) Hashtbl.t
 

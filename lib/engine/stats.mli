@@ -27,9 +27,6 @@ val total : t -> float
 val mean : t -> float
 (** 0 when empty. *)
 
-val stddev : t -> float
-(** Population standard deviation; 0 when fewer than 2 samples. *)
-
 val min_value : t -> float
 (** @raise Invalid_argument when empty. *)
 
@@ -48,8 +45,6 @@ val coefficient_of_variation : t -> float
 
 val samples : t -> float array
 (** Copy of the raw samples, in insertion order. *)
-
-val pp_summary : Format.formatter -> summary -> unit
 
 (** Named integer counters, for event/message accounting. *)
 module Counters : sig

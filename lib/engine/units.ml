@@ -1,10 +1,4 @@
 let cycles_of_ns ~ghz ns = int_of_float (Float.round (ns *. ghz))
 let cycles_of_us ~ghz us = cycles_of_ns ~ghz (us *. 1e3)
-let cycles_of_ms ~ghz ms = cycles_of_ns ~ghz (ms *. 1e6)
 let ns_of_cycles ~ghz c = float_of_int c /. ghz
 let us_of_cycles ~ghz c = ns_of_cycles ~ghz c /. 1e3
-let ms_of_cycles ~ghz c = ns_of_cycles ~ghz c /. 1e6
-
-let hz_of_period_cycles ~ghz period =
-  if period <= 0 then invalid_arg "Units.hz_of_period_cycles: period <= 0";
-  ghz *. 1e9 /. float_of_int period

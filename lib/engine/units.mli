@@ -4,12 +4,5 @@
     frequency (GHz) defines the exchange rate to nanoseconds and
     microseconds. *)
 
-val cycles_of_ns : ghz:float -> float -> int
 val cycles_of_us : ghz:float -> float -> int
-val cycles_of_ms : ghz:float -> float -> int
-val ns_of_cycles : ghz:float -> int -> float
 val us_of_cycles : ghz:float -> int -> float
-val ms_of_cycles : ghz:float -> int -> float
-
-val hz_of_period_cycles : ghz:float -> int -> float
-(** Events per second implied by a period in cycles. *)

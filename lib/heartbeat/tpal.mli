@@ -22,12 +22,7 @@ type range = { items : int; grain : int  (** cycles per item *) }
 
 type bench = { bench_name : string; ranges : range list }
 
-val plus_reduce : bench
 val spmv : bench
-val mandelbrot : bench
-val srad : bench
-val floyd_warshall : bench
-val kmeans : bench
 
 val suite : bench list
 (** The six-benchmark heartbeat suite (after the TPAL paper's). *)

@@ -52,15 +52,9 @@ let id t = t.cpu_id
 let sim t = t.s
 let obs t = t.obs
 let busy t = match t.state with Idle -> false | Granted | In_irq -> true
-let pending_interrupts t = t.iq_n
 let work_cycles t = t.work
 let overhead_cycles t = t.overhead
 let irq_cycles t = t.irq_time
-
-let reset_accounting t =
-  t.work <- 0;
-  t.overhead <- 0;
-  t.irq_time <- 0
 
 let account t kind cycles =
   match kind with

@@ -64,8 +64,6 @@ val interrupt :
     cycles; then [after ()] with the core idle again.  Queued
     interrupts are delivered FIFO from a preallocated ring. *)
 
-val pending_interrupts : t -> int
-
 val work_cycles : t -> int
 (** Total cycles granted as [Work] that actually elapsed. *)
 
@@ -74,5 +72,3 @@ val overhead_cycles : t -> int
 
 val irq_cycles : t -> int
 (** Total cycles spent in dispatch + handler + return paths. *)
-
-val reset_accounting : t -> unit

@@ -1,12 +1,12 @@
 open Iw_engine
 
-(* Each [oneshot]/[periodic] call allocates one reusable Sim.timer for
-   its stream; a periodic stream then re-arms that same record every
-   tick through the O(1) timer wheel, instead of pushing a fresh heap
-   event per tick.  Several streams may coexist on one LAPIC (e.g. a
-   heartbeat driver installed on top of scheduler ticks); [armed]
-   tracks the most recently re-armed one, and the generation counter
-   quiesces the rest after [stop], exactly as before. *)
+(* Each [periodic] call allocates one reusable Sim.timer for its
+   stream, then re-arms that same record every tick through the O(1)
+   timer wheel, instead of pushing a fresh heap event per tick.
+   Several streams may coexist on one LAPIC (e.g. a heartbeat driver
+   installed on top of scheduler ticks); [armed] tracks the most
+   recently re-armed one, and the generation counter quiesces the
+   rest after [stop], exactly as before. *)
 
 type t = {
   s : Sim.t;
@@ -57,17 +57,6 @@ let deliver t ~gen handler after =
       then inject t handler after
     end
   end
-
-let oneshot t ~delay ~handler ~after =
-  if delay < 0 then invalid_arg "Lapic.oneshot: negative delay";
-  let gen = t.generation in
-  let tm = Sim.timer t.s in
-  Sim.arm_after t.s tm delay (fun () ->
-      if gen = t.generation then begin
-        t.armed <- None;
-        deliver t ~gen handler after
-      end);
-  t.armed <- Some tm
 
 let periodic t ?phase ~period ~handler ~after () =
   if period <= 0 then invalid_arg "Lapic.periodic: period <= 0";

@@ -11,16 +11,6 @@ val create : Iw_engine.Sim.t -> Platform.t -> Cpu.t -> t
 
 val cpu : t -> Cpu.t
 
-val oneshot :
-  t ->
-  delay:int ->
-  handler:(preempted:int -> int) ->
-  after:(unit -> unit) ->
-  unit
-(** Arm the timer to fire once, [delay] cycles from now.  Handler and
-    [after] follow {!Cpu.interrupt} semantics; dispatch and return
-    costs come from the platform cost table. *)
-
 val periodic :
   t ->
   ?phase:int ->
@@ -35,7 +25,7 @@ val periodic :
     just like a real APIC holding a pending vector). *)
 
 val stop : t -> unit
-(** Disarm; a pending oneshot is cancelled, a periodic stream stops. *)
+(** Disarm: every periodic stream on this LAPIC stops. *)
 
 val fired : t -> int
 (** Number of interrupts injected so far. *)

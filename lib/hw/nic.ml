@@ -73,9 +73,13 @@ module Ring = struct
   let overruns r = r.overruns
 end
 
-type config = { nic_ring : int; nic_itr_cycles : int; nic_tx_cycles : int }
+(* Fixed for every device: no caller has needed another value. *)
 
-let default = { nic_ring = 256; nic_itr_cycles = 0; nic_tx_cycles = 120 }
+(* RX and TX descriptor count (a power of two). *)
+let ring_slots = 256
+
+(* Per-descriptor TX drain cost, in cycles. *)
+let tx_cycles = 120
 
 type t = {
   sim : Sim.t;
@@ -83,8 +87,7 @@ type t = {
   plan : Plan.t;
   rx : Ring.t;
   tx : Ring.t;
-  mutable itr_cycles : int;
-  tx_cycles : int;
+  itr_cycles : int;
   mutable on_irq : unit -> unit;
   mutable on_tx : a:int -> b:int -> unit;
   mutable irq_enabled : bool;
@@ -101,7 +104,6 @@ type t = {
   mutable irqs : int;
   mutable irqs_lost : int;
   mutable tx_pkts : int;
-  mutable tx_drops : int;
 }
 
 let assert_now t =
@@ -139,19 +141,17 @@ let maybe_assert t =
     end
   end
 
-let create ?obs ~sim cfg =
-  if cfg.nic_itr_cycles < 0 then invalid_arg "Nic.create: itr < 0";
-  if cfg.nic_tx_cycles <= 0 then invalid_arg "Nic.create: tx cost <= 0";
+let create ?obs ~sim itr_cycles =
+  if itr_cycles < 0 then invalid_arg "Nic.create: itr < 0";
   let obs = match obs with Some o -> o | None -> Obs.ambient () in
   let t =
     {
       sim;
       obs;
       plan = Plan.ambient ();
-      rx = Ring.create cfg.nic_ring;
-      tx = Ring.create cfg.nic_ring;
-      itr_cycles = cfg.nic_itr_cycles;
-      tx_cycles = cfg.nic_tx_cycles;
+      rx = Ring.create ring_slots;
+      tx = Ring.create ring_slots;
+      itr_cycles;
       on_irq = ignore;
       on_tx = (fun ~a:_ ~b:_ -> ());
       irq_enabled = true;
@@ -170,7 +170,6 @@ let create ?obs ~sim cfg =
       irqs = 0;
       irqs_lost = 0;
       tx_pkts = 0;
-      tx_drops = 0;
     }
   in
   t.itr_cb <-
@@ -185,17 +184,13 @@ let create ?obs ~sim cfg =
       Counter.incr t.obs.Obs.counters Counter.Nic_tx_pkts;
       t.on_tx ~a ~b;
       if Ring.length t.tx > 0 then
-        Sim.arm t.sim t.tx_timer ~at:(Sim.now t.sim + t.tx_cycles) t.tx_cb
+        Sim.arm t.sim t.tx_timer ~at:(Sim.now t.sim + tx_cycles) t.tx_cb
       else t.tx_busy <- false);
   t
 
 let set_on_irq t f = t.on_irq <- f
 let set_on_tx t f = t.on_tx <- f
 let itr t = t.itr_cycles
-
-let set_itr t v =
-  if v < 0 then invalid_arg "Nic.set_itr: itr < 0";
-  t.itr_cycles <- v
 
 let drop t =
   t.rx_drops <- t.rx_drops + 1;
@@ -221,7 +216,6 @@ let rx_push t ~a ~b =
 let rx_avail t = Ring.length t.rx
 let rx_peek_a t = Ring.peek_a t.rx
 let rx_peek_b t = Ring.peek_b t.rx
-let rx_peek_ts t = Ring.peek_ts t.rx
 let rx_consume t = Ring.pop t.rx
 let irq_enabled t = t.irq_enabled
 
@@ -237,14 +231,11 @@ let irq_done t = t.irq_inflight <- false
 
 let tx_push t ~a ~b =
   let now = Sim.now t.sim in
-  if not (Ring.push t.tx ~a ~b ~ts:now) then begin
-    t.tx_drops <- t.tx_drops + 1;
-    false
-  end
+  if not (Ring.push t.tx ~a ~b ~ts:now) then false
   else begin
     if not t.tx_busy then begin
       t.tx_busy <- true;
-      Sim.arm t.sim t.tx_timer ~at:(now + t.tx_cycles) t.tx_cb
+      Sim.arm t.sim t.tx_timer ~at:(now + tx_cycles) t.tx_cb
     end;
     true
   end
@@ -257,8 +248,6 @@ let stop t =
 
 let rx_pkts t = t.rx_pkts
 let rx_drops t = t.rx_drops
-let rx_overruns t = Ring.overruns t.rx
 let irqs t = t.irqs
 let irqs_lost t = t.irqs_lost
 let tx_pkts t = t.tx_pkts
-let tx_drops t = t.tx_drops

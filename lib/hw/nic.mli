@@ -53,21 +53,15 @@ module Ring : sig
   (** Pushes rejected because the ring was full. *)
 end
 
-type config = {
-  nic_ring : int;  (** RX and TX descriptor count (rounded to pow2) *)
-  nic_itr_cycles : int;
-      (** ITR register: minimum gap between interrupt assertions, in
-          cycles; 0 = assert on every enabled-with-work edge *)
-  nic_tx_cycles : int;  (** per-descriptor TX drain cost, in cycles *)
-}
-
-val default : config
-
 type t
 
-val create : ?obs:Iw_obs.Obs.t -> sim:Iw_engine.Sim.t -> config -> t
-(** [obs] defaults to the ambient context; the ambient fault plan is
-    captured here, like [Exec]. *)
+val create : ?obs:Iw_obs.Obs.t -> sim:Iw_engine.Sim.t -> int -> t
+(** [create ~sim itr_cycles] is a device with 256-slot RX and TX
+    rings.  [itr_cycles] is the ITR register: the minimum gap between
+    interrupt assertions, in cycles; 0 asserts on every
+    enabled-with-work edge.  [obs] defaults to the ambient context;
+    the ambient fault plan is captured here, like [Exec].
+    @raise Invalid_argument if [itr_cycles < 0]. *)
 
 val set_on_irq : t -> (unit -> unit) -> unit
 (** Driver hook: called from event context when the device asserts its
@@ -77,7 +71,6 @@ val set_on_tx : t -> (a:int -> b:int -> unit) -> unit
 (** Wire hook: called as each TX descriptor finishes serializing. *)
 
 val itr : t -> int
-val set_itr : t -> int -> unit
 
 val rx_push : t -> a:int -> b:int -> bool
 (** A frame arrives from the wire.  Draws the RX fault kinds, then
@@ -87,7 +80,6 @@ val rx_push : t -> a:int -> b:int -> bool
 val rx_avail : t -> int
 val rx_peek_a : t -> int
 val rx_peek_b : t -> int
-val rx_peek_ts : t -> int
 val rx_consume : t -> unit
 (** Driver-side batched receive: check [rx_avail], peek, consume. *)
 
@@ -110,7 +102,7 @@ val irq_done : t -> unit
 val tx_push : t -> a:int -> b:int -> bool
 (** Queue a completion on the TX ring; false = ring full, frame lost
     (recovery is the sender's retry, one layer up).  The ring drains
-    at [nic_tx_cycles] per descriptor, invoking [on_tx]. *)
+    at 120 cycles per descriptor, invoking [on_tx]. *)
 
 val stop : t -> unit
 (** Disarm the ITR and TX timers so a drained simulator terminates. *)
@@ -118,8 +110,6 @@ val stop : t -> unit
 (* Per-device stats (also mirrored on the obs counter set). *)
 val rx_pkts : t -> int
 val rx_drops : t -> int
-val rx_overruns : t -> int
 val irqs : t -> int
 val irqs_lost : t -> int
 val tx_pkts : t -> int
-val tx_drops : t -> int

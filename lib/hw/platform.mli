@@ -89,9 +89,6 @@ type t = {
   costs : costs;
 }
 
-val default_costs : costs
-(** Commodity-server cost table; presets override fields from here. *)
-
 val knl : t
 (** Xeon-Phi-KNL-like: 64 slow cores at 1.3 GHz, expensive (512-bit)
     FP state. *)

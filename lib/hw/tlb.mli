@@ -25,8 +25,6 @@ type profile = {
 val create : Platform.t -> page_kb:int -> t
 (** A TLB of [Platform.tlb_entries] entries mapping [page_kb] pages. *)
 
-val reach_kb : t -> int
-
 val misses : t -> profile -> int
 (** Expected TLB misses for the profile: zero when the footprint fits
     the reach; otherwise non-hot accesses miss in proportion to the

@@ -142,11 +142,6 @@ let loops t =
          { header; body; latches; depth = depth_of header })
   |> List.sort (fun a b -> compare a.depth b.depth)
 
-let loop_depth t b =
-  List.fold_left
-    (fun acc l -> if List.mem b l.body then max acc l.depth else acc)
-    0 (loops t)
-
 let defs_of_inst = function
   | Ir.Bin { dst; _ }
   | Ir.Fbin { dst; _ }

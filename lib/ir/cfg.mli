@@ -32,9 +32,6 @@ val loops : t -> loop list
 (** Natural loops, one per header (back edges to the same header are
     merged), outermost first. *)
 
-val loop_depth : t -> Ir.label -> int
-(** Nesting depth of a block (0 = not in any loop). *)
-
 val defs_in : Ir.func -> Ir.label list -> (Ir.reg, unit) Hashtbl.t
 (** Registers assigned by any instruction in the given blocks. *)
 

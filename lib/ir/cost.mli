@@ -7,9 +7,6 @@ val term : Ir.terminator -> int
 val block : Ir.block -> int
 (** Instructions + terminator. *)
 
-val call_overhead : int
-val guard_addr : int
-val guard_region : int
 val track : int
 
 val callback : int

@@ -65,105 +65,7 @@ let add_func m f =
 
 let find_func m name = Hashtbl.find m.funcs name
 
-let fresh_reg f =
-  let r = f.next_reg in
-  f.next_reg <- r + 1;
-  r
-
 let block f l = f.blocks.(l)
-let block_count f = Array.length f.blocks
-
-let instruction_count f =
-  Array.fold_left (fun acc b -> acc + List.length b.insts) 0 f.blocks
-
-let count_matching f pred =
-  Array.fold_left
-    (fun acc b -> acc + List.length (List.filter pred b.insts))
-    0 f.blocks
-
-(* ------------------------------------------------------------------ *)
-(* Printing *)
-
-let pp_operand ppf = function
-  | Reg r -> Format.fprintf ppf "%%%d" r
-  | Imm i -> Format.fprintf ppf "%d" i
-
-let binop_name = function
-  | Add -> "add"
-  | Sub -> "sub"
-  | Mul -> "mul"
-  | Div -> "div"
-  | Rem -> "rem"
-  | And -> "and"
-  | Or -> "or"
-  | Xor -> "xor"
-  | Shl -> "shl"
-  | Shr -> "shr"
-  | Lt -> "lt"
-  | Le -> "le"
-  | Eq -> "eq"
-  | Ne -> "ne"
-
-let pp_inst ppf = function
-  | Bin { dst; op; a; b } ->
-      Format.fprintf ppf "%%%d = %s %a, %a" dst (binop_name op) pp_operand a
-        pp_operand b
-  | Fbin { dst; op; a; b } ->
-      Format.fprintf ppf "%%%d = f%s %a, %a" dst (binop_name op) pp_operand a
-        pp_operand b
-  | Mov { dst; src } -> Format.fprintf ppf "%%%d = mov %a" dst pp_operand src
-  | Load { dst; base; offset } ->
-      Format.fprintf ppf "%%%d = load %a[%a]" dst pp_operand base pp_operand
-        offset
-  | Store { base; offset; value } ->
-      Format.fprintf ppf "store %a[%a] <- %a" pp_operand base pp_operand offset
-        pp_operand value
-  | Alloc { dst; size } ->
-      Format.fprintf ppf "%%%d = alloc %a" dst pp_operand size
-  | Free { base } -> Format.fprintf ppf "free %a" pp_operand base
-  | Call { dst; callee; args } ->
-      (match dst with
-      | Some d -> Format.fprintf ppf "%%%d = call %s(" d callee
-      | None -> Format.fprintf ppf "call %s(" callee);
-      List.iteri
-        (fun i a ->
-          if i > 0 then Format.fprintf ppf ", ";
-          pp_operand ppf a)
-        args;
-      Format.fprintf ppf ")"
-  | Guard { base; offset; kind } -> (
-      match kind with
-      | Guard_addr ->
-          Format.fprintf ppf "guard %a[%a]" pp_operand base pp_operand offset
-      | Guard_region { length } ->
-          Format.fprintf ppf "guard.region %a len %a (off %a)" pp_operand base
-            pp_operand length pp_operand offset)
-  | Track { base; tkind } -> (
-      match tkind with
-      | `Alloc size ->
-          Format.fprintf ppf "track.alloc %a size %a" pp_operand base
-            pp_operand size
-      | `Free -> Format.fprintf ppf "track.free %a" pp_operand base)
-  | Callback { cb } -> Format.fprintf ppf "callback %s" cb
-  | Poll { device } -> Format.fprintf ppf "poll dev%d" device
-
-let pp_term ppf = function
-  | Jmp l -> Format.fprintf ppf "jmp L%d" l
-  | Br { cond; if_true; if_false } ->
-      Format.fprintf ppf "br %a, L%d, L%d" pp_operand cond if_true if_false
-  | Ret None -> Format.fprintf ppf "ret"
-  | Ret (Some v) -> Format.fprintf ppf "ret %a" pp_operand v
-
-let pp_func ppf f =
-  Format.fprintf ppf "@[<v>func %s(%s):@," f.fname
-    (String.concat ", " (List.map (Printf.sprintf "%%%d") f.params));
-  Array.iter
-    (fun b ->
-      Format.fprintf ppf "L%d:@," b.bid;
-      List.iter (fun i -> Format.fprintf ppf "  %a@," pp_inst i) b.insts;
-      Format.fprintf ppf "  %a@," pp_term b.term)
-    f.blocks;
-  Format.fprintf ppf "@]"
 
 (* ------------------------------------------------------------------ *)
 (* Builder *)

@@ -82,17 +82,7 @@ val add_func : modul -> func -> unit
 val find_func : modul -> string -> func
 (** @raise Not_found *)
 
-val fresh_reg : func -> reg
 val block : func -> label -> block
-val block_count : func -> int
-
-val instruction_count : func -> int
-(** Static instruction count (excluding terminators). *)
-
-val count_matching : func -> (inst -> bool) -> int
-
-val pp_inst : Format.formatter -> inst -> unit
-val pp_func : Format.formatter -> func -> unit
 
 (** Imperative function builder: blocks are created, then filled via a
     cursor. *)

@@ -575,11 +575,3 @@ let carat_suite () =
 
 let timing_suite () =
   [ vec_sum 4000; mat_mul 20; fib_rec 18; branchy 2000; stencil_1d 3000 ]
-
-let by_name name =
-  let all =
-    carat_suite () @ timing_suite ()
-  in
-  match List.find_opt (fun p -> p.name = name) all with
-  | Some p -> p
-  | None -> raise Not_found

@@ -47,29 +47,12 @@ val histogram : int -> program
 (** Data-dependent scatter increments (PARSEC streamcluster
     flavor). *)
 
-val nbody_step : int -> program
-(** FP-heavy O(n^2) interaction loop (PARSEC fluidanimate flavor). *)
-
-val mg_smooth : int -> program
-(** Three-level multigrid-style smoother (NAS MG flavor). *)
-
-val find_min : int -> program
-(** Selection scan with a data-dependent branch per element (PARSEC
-    streamcluster flavor). *)
-
 val fib_rec : int -> program
 (** Recursive Fibonacci: call-heavy control flow for the timing
     pass. *)
-
-val branchy : int -> program
-(** Unbalanced branches: one path much longer than the other, the
-    adversarial case for callback placement. *)
 
 val carat_suite : unit -> program list
 (** The eleven-benchmark suite used for the CARAT overhead table. *)
 
 val timing_suite : unit -> program list
 (** Programs used to validate bounded callback gaps. *)
-
-val by_name : string -> program
-(** @raise Not_found *)

@@ -34,7 +34,6 @@ let signal c = Coro.request (Sched.R_cond_signal c)
 let broadcast c = Coro.request (Sched.R_cond_broadcast c)
 let sem_wait s = Coro.request (Sched.R_sem_wait s)
 let sem_post s = Coro.request (Sched.R_sem_post s)
-let barrier_wait b = Coro.request (Sched.R_barrier b)
 
 let parallel ?(fp = false) n f =
   if n <= 0 then invalid_arg "Api.parallel: n <= 0";

@@ -41,7 +41,6 @@ val signal : Sched.cond -> unit
 val broadcast : Sched.cond -> unit
 val sem_wait : Sched.semaphore -> unit
 val sem_post : Sched.semaphore -> unit
-val barrier_wait : Sched.barrier -> unit
 
 val parallel : ?fp:bool -> int -> (int -> unit) -> unit
 (** [parallel n f] spawns [f 1 .. f (n-1)] on distinct CPUs, runs

@@ -15,9 +15,4 @@ module Nemo = struct
         handler ();
         80)
       ~after:(fun () -> Sched.resched_or_resume k target_cpu)
-
-  let signal_from_thread k ~target_cpu ~handler =
-    let plat = Sched.platform k in
-    Api.overhead plat.Platform.costs.ipi_send;
-    signal k ~target_cpu ~handler
 end

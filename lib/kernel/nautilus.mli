@@ -22,9 +22,4 @@ module Nemo : sig
   (** Inject the event now (from simulator/interrupt context): after
       IPI latency the handler runs on [target_cpu] in interrupt
       context, then the interrupted thread is resumed or rescheduled. *)
-
-  val signal_from_thread :
-    Sched.t -> target_cpu:int -> handler:(unit -> unit) -> unit
-  (** Same, but called from inside a thread: the sender also pays the
-      ICR-write cost. *)
 end

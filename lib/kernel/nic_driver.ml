@@ -20,46 +20,37 @@ let mode_of_string = function
   | "hybrid" -> Some Hybrid
   | _ -> None
 
-type config = {
-  nd_mode : mode;
-  nd_cpu : int;
-  nd_budget : int;
-  nd_poll_cycles : int;
-  nd_poll_cost : int;
-  nd_pkt_cycles : int;
-  nd_slack_cycles : int;
-  nd_switch_gap : int;
-  nd_switch_streak : int;
-  nd_idle_polls : int;
-}
+(* Fixed for every driver: no caller has needed another value. *)
 
-let default =
-  {
-    nd_mode = Hybrid;
-    nd_cpu = 0;
-    nd_budget = 16;
-    nd_poll_cycles = 1_400;
-    nd_poll_cost = 80;
-    nd_pkt_cycles = 120;
-    nd_slack_cycles = 70_000;
-    nd_switch_gap = 5_600;
-    nd_switch_streak = 2;
-    nd_idle_polls = 12;
-  }
+(* IRQ steering target. *)
+let irq_cpu = 0
+
+let budget = 16
+
+(* Poll-engine period, lost-IRQ slack-scan period, and the hybrid
+   switch-in gap (an inter-IRQ gap at or under it counts as "arriving
+   fast"), in microseconds of the driver's own kernel clock. *)
+let poll_us = 1.0
+let slack_us = 50.0
+let switch_gap_us = 4.0
+
+(* Cycles one poll check burns, and the per-frame handler cost charged
+   on IRQ. *)
+let poll_cost = 80
+let pkt_cycles = 120
+
+(* Hybrid: fast gaps in a row before polling, and empty polls in a row
+   before interrupts come back. *)
+let switch_streak = 2
+let idle_polls = 12
 
 type t = {
   k : Sched.t;
   nic : Nic.t;
   mode : mode;
-  cpu : int;
-  budget : int;
   poll_cycles : int;
-  poll_cost : int;
-  pkt_cycles : int;
   slack_cycles : int;
   switch_gap : int;
-  switch_streak : int;
-  idle_polls : int;
   handler : a:int -> b:int -> unit;
   poll_timer : Sim.timer;
   mutable polling : bool;
@@ -75,7 +66,6 @@ type t = {
   mutable stopped : bool;
   mutable polls : int;
   mutable empty_polls : int;
-  mutable poll_cycles_spent : int;
   mutable wasted_cycles : int;
   mutable irq_bursts : int;
   mutable switches : int;
@@ -85,7 +75,7 @@ type t = {
 (* Batched receive: deliver at most [budget] frames to the handler. *)
 let drain t =
   let n = ref 0 in
-  while !n < t.budget && Nic.rx_avail t.nic > 0 do
+  while !n < budget && Nic.rx_avail t.nic > 0 do
     let a = Nic.rx_peek_a t.nic and b = Nic.rx_peek_b t.nic in
     Nic.rx_consume t.nic;
     incr n;
@@ -110,31 +100,21 @@ let start_polling t =
    re-injecting a lost one. *)
 let deliver t =
   let plat = Sched.platform t.k in
-  Cpu.interrupt (Sched.cpu t.k t.cpu)
+  Cpu.interrupt (Sched.cpu t.k irq_cpu)
     ~dispatch:plat.Platform.costs.interrupt_dispatch
     ~return_cost:plat.Platform.costs.interrupt_return ~handler:t.irq_h
     ~after:t.irq_after
 
-let create ~k ~nic cfg ~handler =
-  if cfg.nd_budget <= 0 then invalid_arg "Nic_driver.create: budget <= 0";
-  if cfg.nd_poll_cycles <= 0 then
-    invalid_arg "Nic_driver.create: poll period <= 0";
-  if cfg.nd_cpu < 0 || cfg.nd_cpu >= Sched.cpu_count k then
-    invalid_arg "Nic_driver.create: bad steering target";
+let create ~k ~nic mode ~handler =
+  let cyc = Platform.cycles_of_us (Sched.platform k) in
   let t =
     {
       k;
       nic;
-      mode = cfg.nd_mode;
-      cpu = cfg.nd_cpu;
-      budget = cfg.nd_budget;
-      poll_cycles = cfg.nd_poll_cycles;
-      poll_cost = cfg.nd_poll_cost;
-      pkt_cycles = cfg.nd_pkt_cycles;
-      slack_cycles = cfg.nd_slack_cycles;
-      switch_gap = cfg.nd_switch_gap;
-      switch_streak = cfg.nd_switch_streak;
-      idle_polls = cfg.nd_idle_polls;
+      mode;
+      poll_cycles = max 1 (cyc poll_us);
+      slack_cycles = cyc slack_us;
+      switch_gap = cyc switch_gap_us;
       handler;
       poll_timer = Sim.timer (Sched.sim k);
       polling = false;
@@ -150,7 +130,6 @@ let create ~k ~nic cfg ~handler =
       stopped = false;
       polls = 0;
       empty_polls = 0;
-      poll_cycles_spent = 0;
       wasted_cycles = 0;
       irq_bursts = 0;
       switches = 0;
@@ -160,7 +139,7 @@ let create ~k ~nic cfg ~handler =
   let ctr = Sched.counters k in
   t.irq_h <-
     (fun ~preempted ->
-      if preempted >= 0 then Sched.stash_preempted t.k t.cpu preempted;
+      if preempted >= 0 then Sched.stash_preempted t.k irq_cpu preempted;
       t.irq_bursts <- t.irq_bursts + 1;
       t.recovering <- false;
       let now = Sim.now (Sched.sim t.k) in
@@ -178,24 +157,23 @@ let create ~k ~nic cfg ~handler =
              left frames behind) arms the poll loop; otherwise stay
              interrupt-driven. *)
           if
-            t.short_streak >= t.switch_streak
-            || (n >= t.budget && Nic.rx_avail t.nic > 0)
+            t.short_streak >= switch_streak
+            || (n >= budget && Nic.rx_avail t.nic > 0)
           then start_polling t
           else Nic.enable_irq t.nic
       | Poll -> ());
-      max 1 (n * t.pkt_cycles));
-  t.irq_after <- (fun () -> Sched.resched_or_resume t.k t.cpu);
+      max 1 (n * pkt_cycles));
+  t.irq_after <- (fun () -> Sched.resched_or_resume t.k irq_cpu);
   t.poll_cb <-
     (fun () ->
       if (not t.stopped) && t.polling then begin
         t.polls <- t.polls + 1;
         Counter.incr ctr Counter.Nic_polls;
-        t.poll_cycles_spent <- t.poll_cycles_spent + t.poll_cost;
         let n = drain t in
         if n = 0 then begin
           t.empty_polls <- t.empty_polls + 1;
           Counter.incr ctr Counter.Nic_poll_empty;
-          t.wasted_cycles <- t.wasted_cycles + t.poll_cost;
+          t.wasted_cycles <- t.wasted_cycles + poll_cost;
           match t.mode with
           | Poll -> arm_poll t
           | Hybrid ->
@@ -203,7 +181,7 @@ let create ~k ~nic cfg ~handler =
                  arrival estimate no longer justifies burning checks,
                  so hand back to interrupts. *)
               t.empty_streak <- t.empty_streak + 1;
-              if t.empty_streak >= t.idle_polls then begin
+              if t.empty_streak >= idle_polls then begin
                 t.polling <- false;
                 t.short_streak <- 0;
                 Nic.enable_irq t.nic
@@ -232,7 +210,7 @@ let create ~k ~nic cfg ~handler =
           let obs = Sched.obs t.k in
           if obs.Obs.trace.Trace.enabled then
             Trace.instant obs.Obs.trace ~name:"nic:irq-recover" ~cat:"nic"
-              ~cpu:t.cpu
+              ~cpu:irq_cpu
               ~ts:(Sim.now (Sched.sim t.k))
               ();
           t.recovering <- true;
@@ -269,7 +247,6 @@ let stop t =
 let mode t = t.mode
 let polls t = t.polls
 let empty_polls t = t.empty_polls
-let poll_cycles_spent t = t.poll_cycles_spent
 let wasted_cycles t = t.wasted_cycles
 let irq_bursts t = t.irq_bursts
 let switches t = t.switches

@@ -2,32 +2,36 @@
     hybrid receive.
 
     The driver is the layer above {!Iw_hw.Nic}: it owns the RX drain
-    (batched, at most [nd_budget] frames per burst) and chooses how
+    (batched, at most {!budget} frames per burst) and chooses how
     packets reach the handler:
 
-    - [Irq]: every device assertion lands on CPU [nd_cpu] through
+    - [Irq]: every device assertion lands on CPU 0 through
       {!Iw_hw.Cpu.interrupt} (the same dispatch/return costs as
-      [Device_irq]), the handler drains a budget-bounded batch, then
-      re-enables the auto-masked device — so interrupt work taxes the
-      worker that owns that core, which is the whole tradeoff.
+      [Device_irq]), the handler drains a budget-bounded batch at 120
+      cycles per frame, then re-enables the auto-masked device — so
+      interrupt work taxes the worker that owns that core, which is
+      the whole tradeoff.
     - [Poll]: the device is masked forever and a dedicated poll engine
       (a sim timer, not a worker core — think a DPDK lcore) checks the
-      ring every [nd_poll_cycles], burning [nd_poll_cost] cycles per
-      check whether or not frames are waiting.  Empty checks are the
-      wasted-poll-cycles power proxy.
+      ring every 1 us, burning 80 cycles per check whether or not
+      frames are waiting.  Empty checks are the wasted-poll-cycles
+      power proxy.
     - [Hybrid] (NAPI): interrupts armed; the driver watches the
-      observed arrival rate through inter-IRQ gaps, and a streak of
-      [nd_switch_streak] gaps at or under [nd_switch_gap] cycles (or a
-      budget-limited drain that leaves frames behind) switches to the
-      poll loop; [nd_idle_polls] consecutive empty polls re-enable
-      interrupts and stop polling.
+      observed arrival rate through inter-IRQ gaps, and a streak of 2
+      gaps at or under 4 us (or a budget-limited drain that leaves
+      frames behind) switches to the poll loop; 12 consecutive empty
+      polls re-enable interrupts and stop polling.
+
+    Times are in the driver's own kernel clock
+    ({!Sched.platform}'s [ghz]).
 
     Lost-interrupt recovery lives here, one layer above the fault:
     when the ambient plan arms [Nic_irq_lost] (and the mode can take
-    interrupts), a slack timer scans for the stranded state — device
-    masked, no assertion in flight, frames waiting — and re-injects
-    the delivery, counted as [nic_irq_recover].  Unfaulted runs never
-    arm the timer, so they stay byte-identical. *)
+    interrupts), a slack timer scans every 50 us for the stranded
+    state — device masked, no assertion in flight, frames waiting —
+    and re-injects the delivery, counted as [nic_irq_recover].
+    Unfaulted runs never arm the timer, so they stay
+    byte-identical. *)
 
 open Iw_hw
 
@@ -36,27 +40,13 @@ type mode = Irq | Poll | Hybrid
 val mode_name : mode -> string
 val mode_of_string : string -> mode option
 
-type config = {
-  nd_mode : mode;
-  nd_cpu : int;  (** IRQ steering target *)
-  nd_budget : int;  (** max frames per IRQ burst or poll check *)
-  nd_poll_cycles : int;  (** poll-engine period *)
-  nd_poll_cost : int;  (** cycles one poll check burns *)
-  nd_pkt_cycles : int;  (** per-frame handler cost charged on IRQ *)
-  nd_slack_cycles : int;  (** lost-IRQ recovery scan period *)
-  nd_switch_gap : int;
-      (** hybrid: an inter-IRQ gap at or under this many cycles counts
-          as "arriving fast" for the switch-in estimator *)
-  nd_switch_streak : int;  (** hybrid: fast gaps in a row before polling *)
-  nd_idle_polls : int;  (** hybrid: empty polls in a row before IRQs *)
-}
-
-val default : config
+val budget : int
+(** Max frames per IRQ burst or poll check: 16. *)
 
 type t
 
 val create :
-  k:Sched.t -> nic:Nic.t -> config -> handler:(a:int -> b:int -> unit) -> t
+  k:Sched.t -> nic:Nic.t -> mode -> handler:(a:int -> b:int -> unit) -> t
 (** Wires the device's [on_irq], masks it in [Poll] mode, starts the
     poll engine ([Poll]) and — only when the ambient plan arms
     [Nic_irq_lost] — the recovery slack timer.  [handler] receives
@@ -69,7 +59,6 @@ val stop : t -> unit
 val mode : t -> mode
 val polls : t -> int
 val empty_polls : t -> int
-val poll_cycles_spent : t -> int
 
 val wasted_cycles : t -> int
 (** Poll-engine cycles burned by empty checks — the power proxy. *)

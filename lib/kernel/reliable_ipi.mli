@@ -2,15 +2,10 @@
 
     Same shape as {!Iw_hw.Ipi}, but the sender tracks delivery: if the
     wrapped handler has not run by the timeout, the IPI is resent with
-    a doubled timeout, up to {!max_attempts} total sends.  Each resend
+    a doubled timeout, up to 5 total sends.  Each resend
     bumps the [ipi_retry] counter and emits an [ipi_retry] trace
     instant.  Handlers may run more than once (a duplicated wire or a
     resend racing a slow delivery); callers must be idempotent. *)
-
-val max_attempts : int
-
-val default_timeout : Iw_hw.Platform.costs -> int
-(** First-attempt ack timeout in cycles; doubles per resend. *)
 
 val send :
   ?timeout:int ->

@@ -113,12 +113,6 @@ type mutex = { mutable owner : thread option; mwaiters : thread Queue.t }
 type cond = { cwaiters : (thread * mutex) Queue.t }
 type semaphore = { mutable count : int; swaiters : tq }
 
-type barrier = {
-  parties : int;
-  mutable arrived : int;
-  bwaiters : thread Queue.t;
-}
-
 type t = {
   s : Sim.t;
   plat : Platform.t;
@@ -153,7 +147,6 @@ type _ Coro.Request.t +=
   | R_cond_broadcast : cond -> unit Coro.Request.t
   | R_sem_wait : semaphore -> unit Coro.Request.t
   | R_sem_post : semaphore -> unit Coro.Request.t
-  | R_barrier : barrier -> unit Coro.Request.t
   | R_rand : int -> int Coro.Request.t
   | R_overhead : int -> unit Coro.Request.t
   | R_kernel : t Coro.Request.t
@@ -165,10 +158,6 @@ let semaphore ~init =
   if init < 0 then invalid_arg "Sched.semaphore: negative count";
   { count = init; swaiters = tq_create () }
 
-let barrier ~parties =
-  if parties <= 0 then invalid_arg "Sched.barrier: parties <= 0";
-  { parties; arrived = 0; bwaiters = Queue.create () }
-
 let sim t = t.s
 let platform t = t.plat
 let personality t = t.p
@@ -178,7 +167,6 @@ let cpu_count t = Array.length t.cpus
 let rng t = t.krng
 let counters t = t.obs.Iw_obs.Obs.counters
 let obs t = t.obs
-let live_threads t = t.live
 let now t = Sim.now t.s
 
 let total_work_cycles t =
@@ -190,9 +178,6 @@ let total_overhead_cycles t =
     0 t.cpus
 
 let thread_id th = th.tid
-let thread_name th = th.tname
-let thread_cpu th = th.bound
-let thread_dead th = th.state = Dead
 
 (* ------------------------------------------------------------------ *)
 (* Run queues and dispatch                                             *)
@@ -474,20 +459,6 @@ and handle_request : type a.
         make_runnable t w;
         reply t cid th t.p.wake () k
       end
-  | R_barrier b ->
-      b.arrived <- b.arrived + 1;
-      if b.arrived = b.parties then begin
-        b.arrived <- 0;
-        let n = Queue.length b.bwaiters in
-        Queue.iter (fun w -> make_runnable t w) b.bwaiters;
-        Queue.clear b.bwaiters;
-        reply t cid th (t.p.uncontended_sync + (n * t.p.wake)) () k
-      end
-      else begin
-        th.pending <- Owe { rem = 0; okind = Overhead; thunk = (fun () -> k ()) };
-        Queue.push th b.bwaiters;
-        block_current t cid th
-      end
   | _ ->
       invalid_arg
         (Printf.sprintf "Sched: unknown request from thread %d (%s)" th.tid
@@ -553,8 +524,6 @@ let boot ?obs ?(seed = 42) ?(quantum_us = 1000.0) ~personality plat =
    and none of them allocate. *)
 
 let set_flat_step f step = f.f_step <- step
-
-let flat_thread f = f.f_th
 
 let spawn_flat t ?(spec = default_spec) () =
   let th = create_thread t spec nop in
@@ -637,8 +606,6 @@ let flat_exit t f = finish t f.f_th.bound f.f_th
 
 (* ------------------------------------------------------------------ *)
 (* Interrupt-context services                                          *)
-
-let wake_thread t th = make_runnable t th
 
 (* Semaphore post from outside any thread (a device RX event, the
    fleet's network delivery path): no requester to charge, so the

@@ -60,7 +60,6 @@ val counters : t -> Iw_obs.Counter.set
 val obs : t -> Iw_obs.Obs.t
 (** The observability context this kernel reports into. *)
 
-val live_threads : t -> int
 val now : t -> int
 
 val total_work_cycles : t -> int
@@ -72,9 +71,6 @@ val total_overhead_cycles : t -> int
 (** {1 Thread handles} *)
 
 val thread_id : thread -> int
-val thread_name : thread -> string
-val thread_cpu : thread -> int
-val thread_dead : thread -> bool
 
 (** {1 Synchronization objects}
 
@@ -84,12 +80,10 @@ val thread_dead : thread -> bool
 type mutex
 type cond
 type semaphore
-type barrier
 
 val mutex : unit -> mutex
 val cond : unit -> cond
 val semaphore : init:int -> semaphore
-val barrier : parties:int -> barrier
 
 (** {1 Requests}
 
@@ -111,7 +105,6 @@ type _ Iw_engine.Coro.Request.t +=
   | R_cond_broadcast : cond -> unit Iw_engine.Coro.Request.t
   | R_sem_wait : semaphore -> unit Iw_engine.Coro.Request.t
   | R_sem_post : semaphore -> unit Iw_engine.Coro.Request.t
-  | R_barrier : barrier -> unit Iw_engine.Coro.Request.t
   | R_rand : int -> int Iw_engine.Coro.Request.t
   | R_overhead : int -> unit Iw_engine.Coro.Request.t
   | R_kernel : t Iw_engine.Coro.Request.t
@@ -143,12 +136,6 @@ val spawn_flat : t -> ?spec:spawn_spec -> unit -> flat
     function with {!set_flat_step} before the simulator runs. *)
 
 val set_flat_step : flat -> (unit -> unit) -> unit
-val flat_thread : flat -> thread
-
-val flat_continue : t -> flat -> cost:int -> kind:Iw_hw.Cpu.kind -> unit
-(** Re-enter the step function after [cost] cycles of [kind];
-    [cost = 0] re-enters immediately (same-activation), exactly as a
-    zero-cost reply steps a coroutine inline. *)
 
 val flat_work : t -> flat -> int -> unit
 (** {!Api.work}: owe [n] work cycles, then step again. *)
@@ -184,10 +171,6 @@ val flat_exit : t -> flat -> unit
 
     For device models and heartbeat drivers: called from interrupt
     handlers or simulator events, never from thread code. *)
-
-val wake_thread : t -> thread -> unit
-(** Make a blocked thread runnable (no-op on runnable/dead threads).
-    Pays the personality's wake latency before the CPU notices. *)
 
 val sem_signal : t -> semaphore -> unit
 (** Post a semaphore from event context (a device RX path, a network

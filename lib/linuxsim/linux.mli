@@ -9,9 +9,5 @@
 val boot :
   ?seed:int -> ?quantum_us:float -> Iw_hw.Platform.t -> Iw_kernel.Sched.t
 
-val boot_rt :
-  ?seed:int -> ?quantum_us:float -> Iw_hw.Platform.t -> Iw_kernel.Sched.t
-(** SCHED_FIFO-flavored variant: tighter timers, same crossings. *)
-
 val address_space : Iw_hw.Platform.t -> Iw_mem.Address_space.t
 (** Demand-paged, base-page-size address space. *)

@@ -100,10 +100,7 @@ let block_size t addr =
   | None -> invalid_arg (Printf.sprintf "Buddy.block_size: %#x is not live" addr)
   | Some order -> 1 lsl order
 
-let is_allocated t addr = Hashtbl.mem t.live addr
-
 let allocated_bytes t = t.allocated
-let total_bytes t = t.size
 let free_bytes t = t.size - t.allocated
 
 let largest_free_block t =

@@ -27,11 +27,7 @@ val block_size : t -> int -> int
 (** Size of the live allocation at this base address.
     @raise Invalid_argument if not live. *)
 
-val is_allocated : t -> int -> bool
-
 val allocated_bytes : t -> int
-val free_bytes : t -> int
-val total_bytes : t -> int
 
 val largest_free_block : t -> int
 (** Size of the largest currently allocatable block (0 when full). *)

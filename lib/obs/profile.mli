@@ -41,9 +41,6 @@ val of_trace : Trace.t -> t
 
 val total_cycles : t -> int
 
-val frame_label : frame -> string
-(** ["cat:name"], the label used in folded paths and streams. *)
-
 val cpu_label : int -> string
 (** ["cpu N"], or ["machine"] for cpu [-1]. *)
 

@@ -62,7 +62,6 @@ let create ?(capacity = 4096) ~name ~cols ?(post = []) () =
   }
 
 let name t = t.s_name
-let ncols t = Array.length t.s_cols
 let col_names t = Array.to_list (Array.map (fun c -> c.col_name) t.s_cols)
 
 let sample t ~ts =
@@ -79,7 +78,6 @@ let sample t ~ts =
   t.s_taken <- t.s_taken + 1
 
 let length t = min t.s_taken t.s_cap
-let taken t = t.s_taken
 let dropped t = max 0 (t.s_taken - t.s_cap)
 
 (* Ring slot of retained sample [i] (0 = oldest retained). *)
@@ -128,7 +126,17 @@ let write_csv t path =
 
 let ambient_period_us = ref 0.0
 let set_period_us us = ambient_period_us := if us > 0.0 then us else 0.0
-let period_us () = !ambient_period_us
+
+let period_cycles ~cyc =
+  let us = !ambient_period_us in
+  if us = 0.0 then 0
+  else
+    let c = cyc us in
+    if c < 1 then
+      invalid_arg
+        (Printf.sprintf
+           "Series: period_us %g is below one cycle of the run's clock" us);
+    c
 
 (* ------------------------------------------------------------------ *)
 (* Published series: runs deposit their series here (domain-locally,

@@ -32,7 +32,6 @@ val create :
     not cumulative. *)
 
 val name : t -> string
-val ncols : t -> int
 val col_names : t -> string list
 
 val sample : t -> ts:int -> unit
@@ -41,9 +40,6 @@ val sample : t -> ts:int -> unit
 
 val length : t -> int
 (** Samples currently retained. *)
-
-val taken : t -> int
-(** Samples ever taken (including overwritten ones). *)
 
 val dropped : t -> int
 
@@ -66,7 +62,11 @@ val write_csv : t -> string -> unit
     every domain), so set it before spawning workers. *)
 
 val set_period_us : float -> unit
-val period_us : unit -> float
+
+val period_cycles : cyc:(float -> int) -> int
+(** The ambient period in cycles of a run's clock ([cyc] converts
+    microseconds); 0 when sampling is off.  @raise Invalid_argument,
+    naming [period_us], if the period is below one cycle. *)
 
 (** {2 Published series}
 

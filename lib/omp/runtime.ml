@@ -273,13 +273,9 @@ let parallel_for t ?(schedule = Static) ~iters ~iter_cycles () =
       ~dur:(Sched.now t.k - region_start)
       ()
 
-let serial_for ~iters ~iter_cycles =
-  Coro.consume (sum_cycles iter_cycles 0 iters)
-
 let shutdown t =
   t.stopping <- true;
   List.iter Api.join t.team;
   match t.tasks with Some tf -> Task.shutdown tf | None -> ()
 
 let regions t = t.nregions
-let chunks_dispatched t = t.nchunks

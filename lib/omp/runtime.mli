@@ -49,11 +49,7 @@ val parallel_for :
     the work of iteration [i].  Returns when all iterations complete
     (implicit barrier, except CCK which task-waits). *)
 
-val serial_for : iters:int -> iter_cycles:(int -> int) -> unit
-(** The sequential elision, for baselines. *)
-
 val shutdown : t -> unit
 (** Dismiss the team (call from the master thread). *)
 
 val regions : t -> int
-val chunks_dispatched : t -> int

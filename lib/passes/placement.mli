@@ -16,10 +16,5 @@ open Iw_ir
       dataflow inserts a site before the instruction that would
       overflow the budget. *)
 
-val instrument_func :
-  budget:int -> site:Ir.inst -> site_cost:int -> Ir.func -> int
-(** Returns the number of sites inserted.  [site_cost] is what one
-    site costs (so the residue accounting stays exact). *)
-
 val instrument :
   budget:int -> site:Ir.inst -> site_cost:int -> Ir.modul -> int

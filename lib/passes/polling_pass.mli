@@ -17,14 +17,6 @@ module Device : sig
   val create : completions:int list -> t
   (** Completion times, in cycles, ascending. *)
 
-  val poll_hook : t -> Iw_ir.Interp.hooks -> Iw_ir.Interp.hooks
-  (** Wire the device into injected [Poll] sites: each poll services
-      any completions that are ready. *)
-
-  val service_latencies : t -> int list
-  (** For each completion, cycles from completion to service (only
-      completions that were serviced). *)
-
   val serviced : t -> int
   val polls : t -> int
 end

@@ -63,5 +63,4 @@ module Framework = struct
     }
 
   let fires t = t.fires
-  let total_fire_cost t = t.fires * t.fire_cost
 end

@@ -42,5 +42,4 @@ module Framework : sig
       framework. *)
 
   val fires : t -> int
-  val total_fire_cost : t -> int
 end

@@ -368,6 +368,16 @@ let create ~k ?(prefix = "serve") ?(watchdog = true)
   in
   let plan = Iw_faults.Plan.ambient () in
   let hang_armed = Iw_faults.Plan.armed plan Iw_faults.Plan.Worker_hang in
+  let perm_ok = match mode with Fleet _ -> true | Standalone _ -> false in
+  (* Standalone hangs are clocked, never permanent: at rate 1 every
+     pop with work hangs again after each one, and no request ever
+     completes. *)
+  if hang_armed && (not perm_ok) && Iw_faults.Plan.rate plan >= 1.0 then
+    invalid_arg
+      (Printf.sprintf
+         "Exec.create: worker-hang at rate %g never lets a single-machine \
+          plane complete a request; use a rate below 1"
+         (Iw_faults.Plan.rate plan));
   let t =
     {
       ex_k = k;
@@ -392,7 +402,7 @@ let create ~k ?(prefix = "serve") ?(watchdog = true)
       ex_on_stop = (fun () -> ());
       ex_plan = plan;
       ex_hang_armed = hang_armed;
-      ex_perm_ok = (match mode with Fleet _ -> true | Standalone _ -> false);
+      ex_perm_ok = perm_ok;
       ex_slow_x1000 = 1000;
       ex_demand = demand;
       ex_demand_seed = demand_seed;

@@ -80,11 +80,11 @@ let max_retries = 3
 let eject_streak = 3
 let eject_us = 2_000.0
 
-(* NIC: RX/TX descriptor count (a power of two), frames per IRQ burst
-   or poll check, and the poll-engine period. *)
-let nic_ring = 256
-let nic_budget = 16
-let nic_poll_us = 1.0
+(* Wire size of each message kind, in bytes (responses and nacks share
+   one size). *)
+let req_bytes = 512
+let resp_bytes = 256
+let gossip_bytes = 64
 
 let default () =
   {
@@ -260,9 +260,9 @@ let plan_needs_serial plan =
 
 let run ?parallel cfg =
   let n = Array.length cfg.fc_machines in
-  if n < 1 then invalid_arg "Fleet.run: empty machine array";
+  if n < 1 then invalid_arg "Fleet.run: fc_machines is empty";
   if not (Workload.is_open cfg.fc_workload) then
-    invalid_arg "Fleet.run: open-loop workloads only";
+    invalid_arg "Fleet.run: fc_workload must be open-loop";
 
   (* One fleet clock: the first machine's.  Heterogeneity comes from
      personalities, cost tables, worker counts, and body speed. *)
@@ -307,8 +307,12 @@ let run ?parallel cfg =
   let machines =
     Array.init n (fun m ->
         let spec = cfg.fc_machines.(m) in
-        if spec.ms_workers < 1 then invalid_arg "Fleet.run: machine without workers";
-        if spec.ms_speed <= 0.0 then invalid_arg "Fleet.run: non-positive speed";
+        let reject what =
+          invalid_arg
+            (Printf.sprintf "Fleet.run: fc_machines.(%d).%s" m what)
+        in
+        if spec.ms_workers < 1 then reject "ms_workers must be >= 1";
+        if spec.ms_speed <= 0.0 then reject "ms_speed must be > 0";
         let plat =
           Iw_hw.Platform.with_cores
             { spec.ms_plat with Iw_hw.Platform.ghz }
@@ -651,9 +655,9 @@ let run ?parallel cfg =
   (* -------------------------------------------------------------- *)
   (* Barrier: route every outbox message in canonical order *)
   let bytes_of kind =
-    if kind = Net.k_req then cfg.fc_net.Net.nc_req_bytes
-    else if kind = Net.k_gossip then cfg.fc_net.Net.nc_gossip_bytes
-    else cfg.fc_net.Net.nc_resp_bytes
+    if kind = Net.k_req then req_bytes
+    else if kind = Net.k_gossip then gossip_bytes
+    else resp_bytes
   in
   let rx m id hi attempt =
     let mc = machines.(m) in
@@ -681,31 +685,16 @@ let run ?parallel cfg =
     if not cfg.fc_nic then [||]
     else begin
       let itr_c = if cfg.fc_itr_us > 0.0 then cyc cfg.fc_itr_us else 0 in
-      let poll_c = max 1 (cyc nic_poll_us) in
-      let slack_c = cyc 50.0 in
       Array.init n (fun m ->
           let mc = machines.(m) in
           let nic =
-            Iw_hw.Nic.create ~obs:(Sched.obs mc.m_k) ~sim:mc.m_sim
-              {
-                Iw_hw.Nic.nic_ring;
-                nic_itr_cycles = itr_c;
-                nic_tx_cycles = Iw_hw.Nic.default.Iw_hw.Nic.nic_tx_cycles;
-              }
+            Iw_hw.Nic.create ~obs:(Sched.obs mc.m_k) ~sim:mc.m_sim itr_c
           in
           Iw_hw.Nic.set_on_tx nic (fun ~a ~b ->
               Net.mb_push mc.m_outbox ~kind:Net.k_resp ~dst:(-1) ~a ~b
                 ~t:(Iw_engine.Sim.now mc.m_sim));
           let drv =
-            Nic_driver.create ~k:mc.m_k ~nic
-              {
-                Nic_driver.default with
-                Nic_driver.nd_mode = cfg.fc_nic_mode;
-                nd_budget = nic_budget;
-                nd_poll_cycles = poll_c;
-                nd_slack_cycles = slack_c;
-                nd_switch_gap = cyc 4.0;
-              }
+            Nic_driver.create ~k:mc.m_k ~nic cfg.fc_nic_mode
               ~handler:(fun ~a ~b -> rx m a (b land 1 = 1) (b asr 1))
           in
           nic_slots.(m) := Some nic;
@@ -827,10 +816,7 @@ let run ?parallel cfg =
      pure reads; with it off the loop below is unchanged, so tables
      and goldens cannot drift (DESIGN §10).  The period is the ambient
      one, as for [Plane]. *)
-  let sample_c =
-    let us = Iw_obs.Series.period_us () in
-    if us > 0.0 then max 1 (cyc us) else 0
-  in
+  let sample_c = Iw_obs.Series.period_cycles ~cyc in
   let series =
     if sample_c = 0 then None
     else begin

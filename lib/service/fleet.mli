@@ -10,10 +10,11 @@
     itself travels over the modeled network, so queue-aware policies
     act on stale information), and recovers from network faults with
     timeout-driven retries and streak-based ejection.  Within each
-    machine, dispatch is po2.  The recovery and NIC ring constants
-    (4 ms RTO, 3 retries, eject after 3 consecutive timeouts for 2 ms;
-    256 descriptors, 16-frame budget, 1 us poll period) are fixed;
-    fleet.ml documents each.
+    machine, dispatch is po2.  The recovery constants (4 ms RTO, 3
+    retries, eject after 3 consecutive timeouts for 2 ms) and the wire
+    sizes (512 B requests, 256 B responses, 64 B gossip) are fixed;
+    fleet.ml documents each.  The NIC's ring and the driver's budget
+    and periods are fixed in {!Iw_hw.Nic} and {!Iw_kernel.Nic_driver}.
 
     {b Determinism.}  Machines advance in conservative time windows
     of W = one link latency: no message sent inside a window can be
@@ -157,8 +158,9 @@ type report = {
   fr_nic_tx : int;  (** responses drained through TX rings *)
   fr_series : Iw_obs.Series.t option;
       (** Fleet timeline, sampled at conservative-window barriers on
-          the coordinator every ambient {!Iw_obs.Series.period_us} of
-          virtual time ([None] when the period is 0):
+          the coordinator every ambient period
+          ({!Iw_obs.Series.set_period_us}) of virtual time ([None]
+          when the period is 0):
           arrival/completion/failure/retry/network deltas, SLO window
           counts with burn rate, windowed e2e p50/p99 (cycles), and
           per-machine depth gauges and completion deltas.  Identical

@@ -102,8 +102,6 @@ let merge_all hs =
   Array.iter (fun h -> merge_into ~dst h) hs;
   dst
 
-let merge a b = merge_all [| a; b |]
-
 let equal a b =
   a.count = b.count && a.sum = b.sum && a.min_v = b.min_v && a.max_v = b.max_v
   && a.buckets = b.buckets
@@ -151,7 +149,7 @@ let win_percentile w p =
 (* Union of several windows (e.g. one per worker shard): equivalent to
    [win_percentile] on their merged deltas, without materializing the
    merge — bucket-delta addition is the same element-wise sum that
-   makes {!merge} associative. *)
+   makes {!merge_all} associative. *)
 let win_percentile_many ws p =
   if p <= 0.0 || p > 100.0 then
     invalid_arg "Hist.win_percentile_many: p outside (0,100]";

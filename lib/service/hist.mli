@@ -32,7 +32,6 @@ val percentile : t -> float -> int
     empty. *)
 
 val merge_into : dst:t -> t -> unit
-val merge : t -> t -> t
 
 val merge_all : t array -> t
 (** A fresh histogram holding every sample of the given ones (e.g. the

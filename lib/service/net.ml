@@ -1,26 +1,9 @@
 (* Inter-machine links and outbox buffers.  See net.mli. *)
 
-type config = {
-  nc_lat_us : float;
-  nc_gbps : float;
-  nc_req_bytes : int;
-  nc_resp_bytes : int;
-  nc_gossip_bytes : int;
-  nc_inflight : int;
-}
+type config = { nc_lat_us : float; nc_gbps : float }
 
-let default =
-  {
-    nc_lat_us = 15.0;
-    nc_gbps = 10.0;
-    nc_req_bytes = 512;
-    nc_resp_bytes = 256;
-    nc_gossip_bytes = 64;
-    nc_inflight = 256;
-  }
-
-let describe c =
-  Printf.sprintf "%.0fus/%.0fGbps/%dB" c.nc_lat_us c.nc_gbps c.nc_req_bytes
+let default = { nc_lat_us = 15.0; nc_gbps = 10.0 }
+let inflight = 256
 
 type link = {
   lk_lat_c : int;
@@ -31,17 +14,22 @@ type link = {
   mutable lk_n : int;
 }
 
-let lat_cycles c ~ghz = max 1 (int_of_float (c.nc_lat_us *. ghz *. 1e3))
+let lat_cycles c ~ghz =
+  let l = int_of_float (c.nc_lat_us *. ghz *. 1e3) in
+  if l < 1 then
+    invalid_arg
+      (Printf.sprintf "Net: nc_lat_us %g is below one cycle at %g GHz"
+         c.nc_lat_us ghz);
+  l
 
 let link c ~ghz =
-  if c.nc_inflight < 1 then invalid_arg "Net.link: nc_inflight < 1";
   if c.nc_gbps <= 0.0 then invalid_arg "Net.link: nc_gbps <= 0";
   {
     lk_lat_c = lat_cycles c ~ghz;
     (* bytes/cycle = gbps*1e9/8 / (ghz*1e9)  =>  cycles/byte: *)
     lk_cpb = 8.0 *. ghz /. c.nc_gbps;
     lk_busy_until = 0;
-    lk_ring = Array.make c.nc_inflight 0;
+    lk_ring = Array.make inflight 0;
     lk_pos = 0;
     lk_n = 0;
   }

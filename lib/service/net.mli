@@ -3,7 +3,7 @@
     Each front↔machine direction is a {!link}: a fixed propagation
     latency, a serialization FIFO (one message at a time at the
     link's bandwidth), and a bounded in-flight window — message [i]
-    cannot start serializing until message [i - bound] has been
+    cannot start serializing until message [i - ]{!inflight} has been
     delivered, the credit-style backpressure real NICs apply.
 
     Routing is a pure function of the call sequence: the fleet
@@ -19,25 +19,22 @@
 type config = {
   nc_lat_us : float;  (** one-way propagation latency *)
   nc_gbps : float;  (** per-direction link bandwidth *)
-  nc_req_bytes : int;
-  nc_resp_bytes : int;
-  nc_gossip_bytes : int;
-  nc_inflight : int;  (** in-flight window per link direction *)
 }
 
 val default : config
-(** 15 us, 10 Gb/s, 512 B requests, 256 B responses, 64 B gossip,
-    256 messages in flight. *)
+(** 15 us, 10 Gb/s. *)
 
-val describe : config -> string
+val inflight : int
+(** The in-flight window per link direction: 256 messages. *)
 
 type link
 
 val link : config -> ghz:float -> link
 val lat_cycles : config -> ghz:float -> int
-(** Propagation latency in cycles (at least 1) — the conservative
-    synchronization window: no message sent in a window can be
-    delivered inside the same window. *)
+(** Propagation latency in cycles — the conservative synchronization
+    window: no message sent in a window can be delivered inside the
+    same window.  @raise Invalid_argument, naming [nc_lat_us], if the
+    latency is below one cycle. *)
 
 val route : link -> send:int -> bytes:int -> extra:int -> int
 (** Delivery time for a message handed to the link at [send]:

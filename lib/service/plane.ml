@@ -99,10 +99,10 @@ type loadgen = {
 }
 
 let run cfg =
-  if cfg.workers < 1 then invalid_arg "Plane.run: need at least one worker";
+  if cfg.workers < 1 then invalid_arg "Plane.run: workers must be >= 1";
   (match cfg.workload with
   | Workload.Closed { clients; _ } when clients < 1 ->
-      invalid_arg "Plane.run: closed-loop workload needs at least one client"
+      invalid_arg "Plane.run: clients must be >= 1"
   | _ -> ());
   (* Workers on CPUs 0..workers-1, load generation on a dedicated
      frontend CPU so client-side costs never steal worker cycles. *)
@@ -155,10 +155,7 @@ let run cfg =
      drained simulator alive), so elapsed time and every table stay
      byte-identical with sampling off. *)
   let sim = Sched.sim k in
-  let sample_c =
-    let us = Iw_obs.Series.period_us () in
-    if us > 0.0 then max 1 (cyc us) else 0
-  in
+  let sample_c = Iw_obs.Series.period_cycles ~cyc in
   let series =
     if sample_c = 0 then None
     else begin

@@ -105,9 +105,9 @@ type report = {
       (** Requests the hang watchdog moved to live peers (0 unless a
           fault plan arms [worker-hang]). *)
   rep_series : Iw_obs.Series.t option;
-      (** Windowed telemetry sampled every ambient
-          [Iw_obs.Series.period_us] of virtual time ([None] when the
-          period is 0): arrival/admission/completion/shed deltas,
+      (** Windowed telemetry sampled every ambient period
+          ([Iw_obs.Series.set_period_us]) of virtual time ([None] when
+          the period is 0): arrival/admission/completion/shed deltas,
           queue depth, and windowed p50/p99 total latency (cycles).
           Also {!Iw_obs.Series.publish}ed for trace exporters. *)
 }

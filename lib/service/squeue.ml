@@ -55,7 +55,6 @@ let length t = t.hi_n + t.lo_n + t.leased
 let is_empty t = t.hi_n = 0 && t.lo_n = 0
 let pushed t = t.pushed
 let dropped t = t.dropped
-let leased t = t.leased
 
 let[@inline] wrap t i = if i >= t.q_cap then i - t.q_cap else i
 

@@ -54,6 +54,5 @@ val settle : t -> unit
 (** Retire one leased element.  @raise Invalid_argument when nothing
     is leased. *)
 
-val leased : t -> int
 val pushed : t -> int
 val dropped : t -> int

@@ -57,13 +57,6 @@ let validate_demand = function
         invalid_arg "Workload: lognormal median must be positive";
       if sigma < 0.0 then invalid_arg "Workload: lognormal sigma must be >= 0"
 
-let describe_demand = function
-  | Dfixed -> "fixed"
-  | Dpareto { alpha; xmin_us; xmax_us } ->
-      Printf.sprintf "pareto a=%.2f [%.0f,%.0f]us" alpha xmin_us xmax_us
-  | Dlognorm { median_us; sigma } ->
-      Printf.sprintf "lognorm med=%.0fus s=%.2f" median_us sigma
-
 (* Two rounds of a 63-bit splitmix-style finalizer; native-int
    multiplies wrap mod 2^63, deterministically, with no boxing.  The
    constants fit OCaml's 63-bit literals. *)

@@ -42,8 +42,6 @@ type demand =
 val validate_demand : demand -> unit
 (** @raise Invalid_argument on non-sensical parameters. *)
 
-val describe_demand : demand -> string
-
 val demand_us : demand -> seed:int -> id:int -> float
 (** Per-request service demand in microseconds, or [-1.0] under
     [Dfixed].  A pure stateless hash of [(seed, id)]: its own logical
@@ -59,11 +57,6 @@ val gen : spec -> rng:Iw_engine.Rng.t -> gen
 val next : gen -> float option
 (** Next absolute arrival time in microseconds, strictly increasing;
     [None] once past the spec's duration. *)
-
-val next_into : gen -> bool
-(** Advance to the next arrival without returning it: [false] once
-    past the duration.  Identical draws to {!next}, nothing boxed;
-    read the arrival back with {!next_cycles}-style accessors. *)
 
 val set_ghz : gen -> float -> unit
 (** Set the clock rate used by {!next_cycles}.

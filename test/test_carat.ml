@@ -1,5 +1,5 @@
 (* Tests for the CARAT runtime: region tracking, protection, data
-   movement under a running program, defragmentation, PIK. *)
+   movement under a running program, defragmentation. *)
 
 open Iw_ir
 open Iw_carat
@@ -188,39 +188,6 @@ let test_far_memory_respects_capacity () =
   check_bool "resident fraction <= capacity" true (r.local_fraction <= 0.3 +. 1e-6)
 
 (* ------------------------------------------------------------------ *)
-(* PIK *)
-
-let test_pik_runs_and_verifies () =
-  let p = Pik.load (Programs.vec_sum 100) in
-  check_bool "attested" true (Pik.verify p);
-  let r = Pik.run p in
-  check_int "computes" 4950 (Option.get r.ret)
-
-let test_pik_tamper_detected () =
-  let p = Pik.load (Programs.vec_sum 50) in
-  Pik.tamper p;
-  check_bool "verify fails" false (Pik.verify p);
-  check_bool "run refuses" true
-    (try
-       ignore (Pik.run p);
-       false
-     with Invalid_argument _ -> true)
-
-let test_pik_processes_isolated () =
-  (* Two PIK processes have distinct runtimes; their logical spaces
-     are private, so even identical logical addresses are distinct
-     regions.  A process faults on an address it never allocated even
-     if the other process owns "the same" number. *)
-  let p1 = Pik.load (Programs.vec_sum 50) in
-  let p2 = Pik.load wild_access_program in
-  ignore (Pik.run p1);
-  check_bool "wild process faults despite p1's allocations" true
-    (try
-       ignore (Pik.run p2);
-       false
-     with Interp.Fault _ -> true)
-
-(* ------------------------------------------------------------------ *)
 (* Overhead study *)
 
 let test_overhead_table_shape () =
@@ -277,14 +244,6 @@ let () =
             test_far_memory_capacity_monotone;
           Alcotest.test_case "respects capacity" `Quick
             test_far_memory_respects_capacity;
-        ] );
-      ( "pik",
-        [
-          Alcotest.test_case "runs and verifies" `Quick
-            test_pik_runs_and_verifies;
-          Alcotest.test_case "tamper detected" `Quick test_pik_tamper_detected;
-          Alcotest.test_case "processes isolated" `Quick
-            test_pik_processes_isolated;
         ] );
       ( "overhead",
         [

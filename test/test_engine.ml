@@ -82,8 +82,6 @@ let test_rng_bounds () =
   for _ = 1 to 1000 do
     let x = Rng.int r 17 in
     check_bool "in range" true (x >= 0 && x < 17);
-    let y = Rng.int_in r (-5) 5 in
-    check_bool "in closed range" true (y >= -5 && y <= 5);
     let f = Rng.float r 2.5 in
     check_bool "float in range" true (f >= 0.0 && f < 2.5)
   done
@@ -144,7 +142,9 @@ let test_sim_schedule_from_event () =
   let times = ref [] in
   ignore
     (Sim.schedule s ~at:5 (fun () ->
-         ignore (Sim.schedule_after s 7 (fun () -> times := Sim.now s :: !times))));
+         ignore
+           (Sim.schedule s ~at:(Sim.now s + 7) (fun () ->
+                times := Sim.now s :: !times))));
   Sim.run s;
   Alcotest.(check (list int)) "nested schedule" [ 12 ] !times
 
@@ -161,7 +161,7 @@ let test_sim_until () =
   let count = ref 0 in
   let rec tick () =
     incr count;
-    ignore (Sim.schedule_after s 10 tick)
+    ignore (Sim.schedule s ~at:(Sim.now s + 10) tick)
   in
   ignore (Sim.schedule s ~at:0 tick);
   Sim.run ~until:95 s;
@@ -499,10 +499,6 @@ let test_units_roundtrip () =
   check_int "100us at 1.3GHz" 130_000 c;
   Alcotest.(check (float 1e-6)) "roundtrip" 100.0 (Units.us_of_cycles ~ghz c)
 
-let test_units_hz () =
-  Alcotest.(check (float 1e-3)) "10kHz" 10_000.0
-    (Units.hz_of_period_cycles ~ghz:1.0 100_000)
-
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "engine"
@@ -568,6 +564,5 @@ let () =
       ( "units",
         [
           Alcotest.test_case "roundtrip" `Quick test_units_roundtrip;
-          Alcotest.test_case "hz" `Quick test_units_hz;
         ] );
     ]

@@ -143,20 +143,6 @@ let test_resume_after_preemption () =
 (* ------------------------------------------------------------------ *)
 (* Lapic *)
 
-let test_lapic_oneshot () =
-  let s = Sim.create () in
-  let cpu = Cpu.create s ~id:0 in
-  let lapic = Lapic.create s plat cpu in
-  let at = ref (-1) in
-  Lapic.oneshot lapic ~delay:500
-    ~handler:(fun ~preempted:_ ->
-      at := Sim.now s;
-      0)
-    ~after:(fun () -> ());
-  Sim.run s;
-  check_int "fires after delay + dispatch" (500 + plat.costs.interrupt_dispatch) !at;
-  check_int "fired count" 1 (Lapic.fired lapic)
-
 let test_lapic_periodic_and_stop () =
   let s = Sim.create () in
   let cpu = Cpu.create s ~id:0 in
@@ -171,20 +157,6 @@ let test_lapic_periodic_and_stop () =
   ignore (Sim.schedule s ~at:550 (fun () -> Lapic.stop lapic));
   Sim.run s;
   check_int "ticks until stopped" 5 !count
-
-let test_lapic_stop_cancels_oneshot () =
-  let s = Sim.create () in
-  let cpu = Cpu.create s ~id:0 in
-  let lapic = Lapic.create s plat cpu in
-  let fired = ref false in
-  Lapic.oneshot lapic ~delay:100
-    ~handler:(fun ~preempted:_ ->
-      fired := true;
-      0)
-    ~after:(fun () -> ());
-  ignore (Sim.schedule s ~at:10 (fun () -> Lapic.stop lapic));
-  Sim.run s;
-  check_bool "cancelled" false !fired
 
 (* ------------------------------------------------------------------ *)
 (* Ipi *)
@@ -305,11 +277,8 @@ let () =
         ] );
       ( "lapic",
         [
-          Alcotest.test_case "oneshot" `Quick test_lapic_oneshot;
           Alcotest.test_case "periodic + stop" `Quick
             test_lapic_periodic_and_stop;
-          Alcotest.test_case "stop cancels oneshot" `Quick
-            test_lapic_stop_cancels_oneshot;
         ] );
       ( "ipi",
         [

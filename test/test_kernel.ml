@@ -228,39 +228,6 @@ let test_semaphore_counting () =
   check_bool "at most 2 inside" true (!max_in <= 2);
   check_bool "some concurrency" true (!max_in >= 1)
 
-let test_barrier_rendezvous () =
-  let k = nk () in
-  let b = Sched.barrier ~parties:4 in
-  let before = ref 0 and after_min = ref max_int in
-  for i = 0 to 3 do
-    ignore
-      (Sched.spawn k ~spec:{ Sched.default_spec with sp_cpu = Some i }
-         (fun () ->
-           Api.work ((i + 1) * 10_000);
-           incr before;
-           Api.barrier_wait b;
-           (* Everyone must have arrived by the time anyone passes. *)
-           if !before < !after_min then after_min := !before))
-  done;
-  Sched.run k;
-  check_int "all passed with full count" 4 !after_min
-
-let test_barrier_reusable () =
-  let k = nk () in
-  let b = Sched.barrier ~parties:2 in
-  let rounds = ref 0 in
-  for i = 0 to 1 do
-    ignore
-      (Sched.spawn k ~spec:{ Sched.default_spec with sp_cpu = Some i }
-         (fun () ->
-           for _ = 1 to 3 do
-             Api.barrier_wait b;
-             if i = 0 then incr rounds
-           done))
-  done;
-  Sched.run k;
-  check_int "three rounds" 3 !rounds
-
 let test_sleep_duration () =
   let k = nk () in
   let woke_at = ref 0 in
@@ -333,7 +300,7 @@ let test_nemo_signal_latency () =
     (Sched.spawn k ~spec:{ Sched.default_spec with sp_cpu = Some 0 } (fun () ->
          Api.work 1000;
          sent := Api.now ();
-         Nautilus.Nemo.signal_from_thread k ~target_cpu:1 ~handler:(fun () ->
+         Nautilus.Nemo.signal k ~target_cpu:1 ~handler:(fun () ->
              received := Sched.now k)));
   Sched.run k;
   let latency = !received - !sent in
@@ -576,8 +543,6 @@ let () =
           Alcotest.test_case "condvar broadcast" `Quick
             test_condvar_broadcast_wakes_all;
           Alcotest.test_case "semaphore" `Quick test_semaphore_counting;
-          Alcotest.test_case "barrier" `Quick test_barrier_rendezvous;
-          Alcotest.test_case "barrier reusable" `Quick test_barrier_reusable;
           Alcotest.test_case "sleep" `Quick test_sleep_duration;
         ] );
       ( "personalities",

@@ -24,27 +24,37 @@ let hist_of values =
 
 let samples = QCheck.(list_of_size Gen.(int_range 0 200) (int_bound 5_000_000))
 
+(* Shard arrays as the Plane and Fleet readouts pass them to
+   [merge_all]: empty, one shard, and several. *)
+let shards = QCheck.(list_of_size Gen.(int_range 0 5) samples)
+let merged xss = Hist.merge_all (Array.of_list (List.map hist_of xss))
+
 let prop_merge_commutative =
   QCheck.Test.make ~name:"hist merge is commutative" ~count:100
-    QCheck.(pair samples samples)
-    (fun (xs, ys) ->
-      Hist.equal (Hist.merge (hist_of xs) (hist_of ys))
-        (Hist.merge (hist_of ys) (hist_of xs)))
+    QCheck.(pair shards (int_bound 5))
+    (fun (xss, k) ->
+      let n = List.length xss in
+      let k = if n = 0 then 0 else k mod n in
+      let rotated =
+        List.filteri (fun i _ -> i >= k) xss
+        @ List.filteri (fun i _ -> i < k) xss
+      in
+      Hist.equal (merged xss) (merged (List.rev xss))
+      && Hist.equal (merged xss) (merged rotated))
 
 let prop_merge_associative =
   QCheck.Test.make ~name:"hist merge is associative" ~count:100
-    QCheck.(triple samples samples samples)
-    (fun (xs, ys, zs) ->
-      let a = hist_of xs and b = hist_of ys and c = hist_of zs in
-      Hist.equal
-        (Hist.merge (Hist.merge a b) c)
-        (Hist.merge a (Hist.merge b c)))
+    QCheck.(pair shards (int_bound 5))
+    (fun (xss, k) ->
+      let left = List.filteri (fun i _ -> i < k) xss
+      and right = List.filteri (fun i _ -> i >= k) xss in
+      Hist.equal (merged xss)
+        (Hist.merge_all [| merged left; merged right |]))
 
 let prop_merge_is_concat =
   QCheck.Test.make ~name:"merge equals recording the concatenation" ~count:100
-    QCheck.(pair samples samples)
-    (fun (xs, ys) ->
-      Hist.equal (Hist.merge (hist_of xs) (hist_of ys)) (hist_of (xs @ ys)))
+    shards
+    (fun xss -> Hist.equal (merged xss) (hist_of (List.concat xss)))
 
 (* The exactness contract: percentile p returns the quantized value of
    the nearest-rank sample from the sorted reference. *)
@@ -589,14 +599,18 @@ let test_s_experiments_deterministic () =
 (* The network model *)
 
 (* A canonical message sequence: nondecreasing send times with random
-   gaps, random payload sizes. *)
+   gaps, random payload sizes; often longer than the in-flight
+   window. *)
 let net_script =
   QCheck.(
     list_of_size
-      Gen.(int_range 1 300)
+      Gen.(int_range 1 600)
       (pair (int_bound 2_000) (int_range 1 1_500)))
 
-let net_cfg = { Iw_service.Net.default with nc_inflight = 8 }
+(* A 1 ms link: a window's worth of messages is sent well within one
+   latency, so the in-flight window, not the wire, holds message i
+   back. *)
+let net_cfg = { Iw_service.Net.default with nc_lat_us = 1_000.0 }
 
 let route_all script =
   let lk = Iw_service.Net.link net_cfg ~ghz:1.4 in
@@ -628,7 +642,7 @@ let prop_net_inflight_bound =
   QCheck.Test.make ~name:"message i waits for delivery of message i-bound"
     ~count:200 net_script (fun script ->
       let deliveries = Array.of_list (List.map snd (route_all script)) in
-      let bound = net_cfg.Iw_service.Net.nc_inflight in
+      let bound = Iw_service.Net.inflight in
       let lat = Iw_service.Net.lat_cycles net_cfg ~ghz:1.4 in
       let ok = ref true in
       Array.iteri
@@ -851,6 +865,53 @@ let test_fleet_hedge_first_response_wins () =
   check_int "hedge count identical" a.fr_hedges b.fr_hedges;
   check_int "hedge wins identical" a.fr_hedge_wins b.fr_hedge_wins
 
+(* A config the plane or the fleet cannot run is refused before the
+   simulator starts, naming the field. *)
+let test_rejections_name_the_field () =
+  let open Iw_service in
+  let raises msg f =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  let plane = small_cfg () in
+  raises "Plane.run: workers must be >= 1" (fun () ->
+      Plane.run { plane with workers = 0 });
+  raises "Plane.run: clients must be >= 1" (fun () ->
+      Plane.run
+        {
+          plane with
+          workload =
+            Workload.Closed { clients = 0; think_us = 1.0; duration_us = 1.0 };
+        });
+  raises
+    "Exec.create: worker-hang at rate 1 never lets a single-machine plane \
+     complete a request; use a rate below 1" (fun () ->
+      Iw_faults.Plan.with_ambient
+        (Iw_faults.Plan.create ~rate:1.0 ~seed:7
+           ~kinds:Iw_faults.Plan.[ Worker_hang ] ())
+        (fun () -> Plane.run plane));
+  let fleet = small_fleet () in
+  raises "Fleet.run: fc_machines is empty" (fun () ->
+      Fleet.run { fleet with fc_machines = [||] });
+  raises "Fleet.run: fc_workload must be open-loop" (fun () ->
+      Fleet.run
+        {
+          fleet with
+          fc_workload =
+            Workload.Closed { clients = 1; think_us = 1.0; duration_us = 1.0 };
+        });
+  raises "Fleet.run: fc_machines.(0).ms_workers must be >= 1" (fun () ->
+      Fleet.run { fleet with fc_machines = [| Fleet.knl_spec ~workers:0 () |] });
+  raises "Fleet.run: fc_machines.(1).ms_speed must be > 0" (fun () ->
+      Fleet.run
+        {
+          fleet with
+          fc_machines =
+            [| Fleet.knl_spec (); { (Fleet.knl_spec ()) with ms_speed = 0.0 } |];
+        });
+  raises "Net: nc_lat_us 0.0001 is below one cycle at 1.3 GHz" (fun () ->
+      Fleet.run
+        { fleet with fc_net = { Net.default with nc_lat_us = 0.0001 } })
+
 let test_fleet_admission_sheds_and_conserves () =
   (* Overload with admission control on: arrivals split three ways
      (completed, failed, shed at the door), and sheds count against
@@ -1056,6 +1117,8 @@ let () =
             test_fleet_pinned_fingerprint;
           Alcotest.test_case "fleet counter table" `Quick
             test_fleet_counter_table;
+          Alcotest.test_case "rejections name the field" `Quick
+            test_rejections_name_the_field;
         ] );
       ( "workload",
         [

@@ -956,8 +956,9 @@ let serve_cmd =
         Arg.(opt float f.fc_gossip_us)
         (fun s fc_gossip_us -> { s with fleet = { s.fleet with fc_gossip_us } });
       knob "fleet-serial"
-        "Advance fleet machines on one domain instead of one domain each \
-         (byte-identical results; the smoke test compares both)"
+        "Advance fleet machines on one domain instead of spreading them \
+         over one domain per core (byte-identical results; the smoke test \
+         compares both)"
         Arg.flag
         (fun s fleet_serial -> { s with fleet_serial });
       knob ~docv:"US" ~range:non_negative "slo-us"
@@ -1180,8 +1181,9 @@ let serve_cmd =
           die "serve: --alloc-budget applies to the single-machine plane only";
         let fc = s.fleet in
         let fm = Array.of_list specs in
-        (* Fleet runs own their parallelism (one domain per machine),
-           so the rate sweep itself stays sequential. *)
+        (* Fleet runs own their parallelism (machine blocks on up to
+           one domain per core), so the rate sweep itself stays
+           sequential. *)
         let reports =
           with_plan (fun () ->
               List.map

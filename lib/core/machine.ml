@@ -32,7 +32,7 @@ let platform t = t.stack.Stack.platform
 let sim t = Sched.sim t.kernel
 let trace t = t.obs.Iw_obs.Obs.trace
 let counters t = t.obs.Iw_obs.Obs.counters
-let run ?horizon t = Sched.run ?horizon t.kernel
+let run t = Sched.run t.kernel
 
 let counter_table t =
   Table.make ~title:"machine counters" ~headers:[ "counter"; "events" ]

@@ -27,7 +27,7 @@ val platform : t -> Iw_hw.Platform.t
 val sim : t -> Iw_engine.Sim.t
 val trace : t -> Iw_obs.Trace.t
 val counters : t -> Iw_obs.Counter.set
-val run : ?horizon:int -> t -> unit
+val run : t -> unit
 
 val counter_table : t -> Table.t
 (** Every counter that fired, rendered like the experiment tables. *)

@@ -289,12 +289,13 @@ and fire_wheel t wtm ~horizon =
 
 let step t = fire_one t ~horizon:max_int
 
-let run ?until ?max_events t =
-  let horizon = match until with None -> max_int | Some h -> h in
+let run_until t horizon = while fire_one t ~horizon do () done
+
+let run ?max_events t =
   match max_events with
-  | None -> while fire_one t ~horizon do () done
+  | None -> run_until t max_int
   | Some m ->
       let fired = ref 0 in
-      while !fired < m && fire_one t ~horizon do
+      while !fired < m && fire_one t ~horizon:max_int do
         incr fired
       done

@@ -82,11 +82,15 @@ val step : t -> bool
 (** Fire the next event or timer.  Returns [false] when nothing is
     pending. *)
 
-val run : ?until:int -> ?max_events:int -> t -> unit
-(** Drain the event queue.  [until] stops the clock at that time (the
-    event at [until] itself still fires, later ones do not and remain
-    queued); [max_events] bounds the number of fired events (guards
-    against accidental non-termination in tests). *)
+val run : ?max_events:int -> t -> unit
+(** Drain the event queue.  [max_events] bounds the number of fired
+    events (guards against accidental non-termination in tests). *)
+
+val run_until : t -> int -> unit
+(** [run_until t h] fires everything due at or before [h] (the event
+    at [h] itself still fires, later ones do not and remain queued).
+    Allocation-free, so a loop of conservative windows can call it
+    once per window. *)
 
 val exhausted : t -> bool
 (** True when no live events or armed timers remain.  O(1). *)

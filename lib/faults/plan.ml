@@ -225,10 +225,14 @@ let note (t : t) (obs : Obs.t) ~kind ~cpu ~ts n =
 (* One opportunity: does a [kind] fault fire here?  Draws exactly one
    sample when the kind is armed, none otherwise — so the schedule for
    one kind is independent of which other kinds are armed only when
-   sites query kinds in a fixed order (they do). *)
+   sites query kinds in a fixed order (they do).  The draw is
+   [Rng.float t.rng 1.0] inlined, bit for bit, so no float crosses a
+   function boundary (which would box it).  [Rng.chance] is no
+   substitute: it skips the draw at rate 0, and an armed kind at
+   rate 0 must still advance the stream. *)
 let fire t obs ~kind ~cpu ~ts =
   armed t kind
-  && Rng.float t.rng 1.0 < t.rate
+  && float_of_int (Rng.raw53 t.rng) /. 9007199254740992.0 < t.rate
   && (note t obs ~kind ~cpu ~ts 1;
       true)
 

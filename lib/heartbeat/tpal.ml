@@ -348,7 +348,7 @@ let run ?(promote_div = 2) plat (config : config) bench =
          Array.iter Api.join workers;
          sh.finish <- Api.now ();
          Array.iter Iw_linuxsim.Itimer.stop !itimers));
-  Sched.run ~horizon:(200 * serial_cycles bench) k;
+  Sched.run_until k (200 * serial_cycles bench);
   if sh.remaining > 0 then
     failwith
       (Printf.sprintf "tpal: %s did not finish (%d items left)"

@@ -200,7 +200,7 @@ let run plat (config : config) bench =
          Array.iter Api.join workers;
          sh.finish <- Api.now ()));
   let serial = total_work bench in
-  Sched.run ~horizon:(400 * serial) k;
+  Sched.run_until k (400 * serial);
   if sh.outstanding > 0 then
     failwith
       (Printf.sprintf "tpal_tree: %s did not finish (%d frames left)"

@@ -672,7 +672,9 @@ let spawn t ?(spec = default_spec) body =
   make_runnable t th;
   th
 
-let run ?horizon t =
+let run_until t horizon =
   start_ticks t;
   if t.live = 0 then stop_ticks t;
-  Sim.run ?until:horizon t.s
+  Sim.run_until t.s horizon
+
+let run t = run_until t max_int

@@ -41,10 +41,14 @@ val spawn : t -> ?spec:spawn_spec -> (unit -> unit) -> thread
 (** Create a thread from outside the simulation (initial threads).
     Inside thread code, use {!Api.spawn}. *)
 
-val run : ?horizon:int -> t -> unit
+val run : t -> unit
 (** Start scheduler ticks and drive the simulation until every thread
-    has exited (or the optional horizon is reached).  Idempotent
-    ticks stop automatically when the last thread exits. *)
+    has exited.  Idempotent; ticks stop automatically when the last
+    thread exits. *)
+
+val run_until : t -> int -> unit
+(** [run] stopped at a horizon: events due at or before it fire, later
+    ones stay queued for the next call.  Allocation-free. *)
 
 val sim : t -> Iw_engine.Sim.t
 val platform : t -> Iw_hw.Platform.t

@@ -470,10 +470,9 @@ let try_enqueue t ~intended ~hi ~arrival ~reply =
           | Fleet _ when reply >= 0 -> reply
           | _ -> Request_arena.allocs t.ex_arena
         in
-        let us =
-          Workload.demand_us d ~seed:t.ex_demand_seed ~id *. t.ex_demand_scale
-        in
-        max 1 (Iw_hw.Platform.cycles_of_us (Sched.platform t.ex_k) us)
+        Workload.demand_cycles d ~seed:t.ex_demand_seed ~id
+          ~scale:t.ex_demand_scale
+          ~ghz:(Sched.platform t.ex_k).Iw_hw.Platform.ghz
   in
   let idx = Request_arena.alloc ~demand ~intended t.ex_arena ~arrival ~hi ~reply in
   if Squeue.try_push t.ex_queues.(qi) ~hi idx then begin

@@ -258,6 +258,158 @@ let plan_needs_serial plan =
          | _ -> true)
        Plan.all_kinds
 
+(* ------------------------------------------------------------------ *)
+(* Payload pools
+
+   A routed message or a front-tier timer is a recycled record: the
+   handler of its kind and two int words.  Each record builds its
+   firing closure once, so posting one through [Sim.schedule_unit]
+   allocates nothing once the pool has warmed up.  There is one pool
+   per simulator.  A machine's pool is filled by the coordinator at
+   the barrier and drained inside the window by the domain that runs
+   the machine, never both at once. *)
+
+type payload = {
+  mutable p_handler : int -> int -> unit;
+  mutable p_a : int;
+  mutable p_b : int;
+  mutable p_next : payload;  (* free-list link *)
+  mutable p_fire : unit -> unit;
+}
+
+let no_handler (_ : int) (_ : int) = ()
+
+let rec nil_payload =
+  {
+    p_handler = no_handler;
+    p_a = 0;
+    p_b = 0;
+    p_next = nil_payload;
+    p_fire = ignore;
+  }
+
+type pool = { pl_sim : Iw_engine.Sim.t; mutable pl_free : payload }
+
+let pool sim = { pl_sim = sim; pl_free = nil_payload }
+
+let fire pl p =
+  let handler = p.p_handler and a = p.p_a and b = p.p_b in
+  p.p_next <- pl.pl_free;
+  pl.pl_free <- p;
+  handler a b
+
+(* [handler a b] at cycle [at] on the pool's simulator. *)
+let post pl ~at handler a b =
+  let p = pl.pl_free in
+  let p =
+    if p != nil_payload then begin
+      pl.pl_free <- p.p_next;
+      p
+    end
+    else begin
+      let p =
+        { p_handler = handler; p_a = a; p_b = b; p_next = nil_payload; p_fire = ignore }
+      in
+      p.p_fire <- (fun () -> fire pl p);
+      p
+    end
+  in
+  p.p_handler <- handler;
+  p.p_a <- a;
+  p.p_b <- b;
+  Iw_engine.Sim.schedule_unit pl.pl_sim ~at p.p_fire
+
+(* ------------------------------------------------------------------ *)
+(* Window handoff
+
+   The coordinator and each helper domain wait for the other through
+   one [Atomic] word: spin on it for a bounded while, then park on a
+   mutex and condition variable.  A waiter raises [pk_parked] under
+   the mutex before its last look at the word; a publisher writes the
+   word before it reads the flag.  Atomics are sequentially
+   consistent, so either the waiter sees the new word or the publisher
+   sees the flag and signals under the mutex: no wake-up is lost.
+
+   Spinning only pays while both sides hold a core.  When the host is
+   oversubscribed the side being waited for may not be running at
+   all, and every full spin is a core's worth of time stolen from it.
+   So a waiter whose last [miss_limit] waits all ended parked parks
+   at once, except that one wait in [probe_every] spins the full
+   budget to find out whether the cores came back.  A single park is
+   no such sign: one slow window or one preempted core causes it. *)
+
+(* [Domain.cpu_relax] rounds in a full spin: about 0.1 ms on a 2-core
+   x86 host (22 ns a round), a few windows' work. *)
+let spin_limit = 4_096
+let miss_limit = 2
+let probe_every = 256
+
+type parking = {
+  pk_mu : Mutex.t;
+  pk_cv : Condition.t;
+  pk_parked : bool Atomic.t;
+  (* the waiter's own history; only the waiter touches these *)
+  mutable pk_waits : int;
+  mutable pk_misses : int;  (* consecutive waits that ended parked *)
+}
+
+let parking () =
+  {
+    pk_mu = Mutex.create ();
+    pk_cv = Condition.create ();
+    pk_parked = Atomic.make false;
+    pk_waits = 0;
+    pk_misses = 0;
+  }
+
+(* Wait until [a] no longer holds [old]; return what it holds. *)
+let await pk a old =
+  pk.pk_waits <- pk.pk_waits + 1;
+  let budget =
+    if pk.pk_misses < miss_limit || pk.pk_waits mod probe_every = 0 then spin_limit
+    else 0
+  in
+  let spins = ref 0 in
+  while Atomic.get a = old && !spins < budget do
+    Domain.cpu_relax ();
+    incr spins
+  done;
+  if Atomic.get a = old then begin
+    pk.pk_misses <- pk.pk_misses + 1;
+    Mutex.lock pk.pk_mu;
+    Atomic.set pk.pk_parked true;
+    while Atomic.get a = old do
+      Condition.wait pk.pk_cv pk.pk_mu
+    done;
+    Atomic.set pk.pk_parked false;
+    Mutex.unlock pk.pk_mu
+  end
+  else pk.pk_misses <- 0;
+  Atomic.get a
+
+(* Store [v] in [a] and wake its waiter if that waiter parked. *)
+let publish pk a v =
+  Atomic.set a v;
+  if Atomic.get pk.pk_parked then begin
+    Mutex.lock pk.pk_mu;
+    Condition.signal pk.pk_cv;
+    Mutex.unlock pk.pk_mu
+  end
+
+(* A helper domain and the contiguous block of machines it owns.
+   [hp_cmd] carries the horizon of the window to run (horizons only
+   grow, so each is its own sequence number) or -1 to exit; [hp_done]
+   the horizon last finished.  [hp_failed] is written before
+   [hp_done] is published, so the coordinator sees it. *)
+type helper = {
+  hp_lo : int;
+  hp_hi : int;
+  hp_cmd : int Atomic.t;
+  hp_park : parking;  (* the helper's own, waiting for [hp_cmd] *)
+  hp_done : int Atomic.t;
+  mutable hp_failed : exn option;
+}
+
 let run ?parallel cfg =
   let n = Array.length cfg.fc_machines in
   if n < 1 then invalid_arg "Fleet.run: fc_machines is empty";
@@ -393,6 +545,7 @@ let run ?parallel cfg =
   let balancer_rng = Rng.split base in
   let prio_rng = Rng.split base in
   let bdisp = Dispatch.create cfg.fc_policy ~rng:balancer_rng in
+  let fpool = pool fsim in
   let front_outbox = Net.mb_create () in
   let view = Array.make n 0 in
   let weights =
@@ -441,7 +594,11 @@ let run ?parallel cfg =
   let prev_comp = Array.make n 0 in
   let mweight m = if cfg.fc_bw_wjsq then max 1 obs_w.(m) else weights.(m) in
 
+  (* The balancer's probes over the candidate set, built once per run:
+     a closure or a [Some] per pick would allocate. *)
   let cand = Array.make n 0 in
+  let cand_len j = view.(cand.(j)) in
+  let cand_weight = Some (fun j -> mweight cand.(j)) in
   let pick_machine now =
     let nc = ref 0 in
     for m = 0 to n - 1 do
@@ -457,12 +614,7 @@ let run ?parallel cfg =
       done;
       nc := n
     end;
-    let j =
-      Dispatch.pick bdisp ~n:!nc
-        ~len:(fun j -> view.(cand.(j)))
-        ~weight:(fun j -> mweight cand.(j))
-    in
-    cand.(j)
+    cand.(Dispatch.pick bdisp ?weight:cand_weight ~n:!nc ~len:cand_len)
   in
 
   let rec send_attempt id attempt =
@@ -481,16 +633,14 @@ let run ?parallel cfg =
     Net.mb_push front_outbox ~kind:Net.k_req ~dst:m ~a:id
       ~b:((attempt lsl 1) lor ft.ft_hi.(id))
       ~t:now;
-    Iw_engine.Sim.schedule_unit fsim ~at:(now + rto_c) (fun () ->
-        on_timeout id attempt);
-    if hedge_c > 0 && attempt = 0 then
-      Iw_engine.Sim.schedule_unit fsim ~at:(now + hedge_c) (fun () ->
-          maybe_hedge id)
-  and maybe_hedge id =
+    post fpool ~at:(now + rto_c) on_timeout id attempt;
+    if hedge_c > 0 && attempt = 0 then post fpool ~at:(now + hedge_c) maybe_hedge id 0
+  and maybe_hedge id (_ : int) =
     (* Hedge once per request, against a global budget (a fraction of
        arrivals so far), onto a live machine other than the primary.
        The hedge copy gets no RTO of its own: the primary's timeout
-       still guards the request. *)
+       still guards the request.  (The ignored word gives the timer
+       the (a, b) shape of every pooled handler.) *)
     if
       ft.ft_state.(id) = 0
       && ft.ft_hmachine.(id) < 0
@@ -508,12 +658,7 @@ let run ?parallel cfg =
         end
       done;
       if !nc > 0 then begin
-        let j =
-          Dispatch.pick bdisp ~n:!nc
-            ~len:(fun j -> view.(cand.(j)))
-            ~weight:(fun j -> mweight cand.(j))
-        in
-        let m = cand.(j) in
+        let m = cand.(Dispatch.pick bdisp ?weight:cand_weight ~n:!nc ~len:cand_len) in
         ft.ft_hmachine.(id) <- m;
         Counter.incr fctr Counter.Hedge_sent;
         if tracing then
@@ -701,6 +846,22 @@ let run ?parallel cfg =
           (nic, drv))
     end
   in
+  (* One handler per message kind, built once: a delivered message is
+     a pooled (handler, a, b) record, never a fresh closure. *)
+  let mpools = Array.map (fun mc -> pool mc.m_sim) machines in
+  let on_req =
+    Array.init n (fun m ->
+        if cfg.fc_nic then begin
+          let nic, _ = nics.(m) in
+          fun a b -> ignore (Iw_hw.Nic.rx_push nic ~a ~b)
+        end
+        else fun a b -> rx m a (b land 1 = 1) (b asr 1))
+  in
+  let on_gossip depth m =
+    view.(m) <- depth;
+    Counter.incr fctr Counter.Gossip_msgs
+  in
+  let on_nack_from = Array.init n (fun m -> fun id attempt -> on_nack id attempt m) in
   let route_one src buf i h =
     let kind = buf.Net.mb_kind.(i) in
     let dst = buf.Net.mb_dst.(i) in
@@ -724,33 +885,58 @@ let run ?parallel cfg =
       (* conservative clamp: never deliver into the closing window *)
       let at = if d < h then h else d in
       Counter.incr fctr Counter.Net_msgs;
-      if kind = Net.k_req then begin
-        if cfg.fc_nic then begin
-          let nic, _ = nics.(dst) in
-          Iw_engine.Sim.schedule_unit machines.(dst).m_sim ~at (fun () ->
-              ignore (Iw_hw.Nic.rx_push nic ~a ~b))
-        end
-        else begin
-          let hi = b land 1 = 1 in
-          let attempt = b asr 1 in
-          Iw_engine.Sim.schedule_unit machines.(dst).m_sim ~at (fun () ->
-              rx dst a hi attempt)
-        end
-      end
-      else if kind = Net.k_resp then
-        Iw_engine.Sim.schedule_unit fsim ~at (fun () -> on_resp a b)
-      else if kind = Net.k_gossip then
-        Iw_engine.Sim.schedule_unit fsim ~at (fun () ->
-            view.(b) <- a;
-            Counter.incr fctr Counter.Gossip_msgs)
-      else
-        Iw_engine.Sim.schedule_unit fsim ~at (fun () -> on_nack a b (src - 1))
+      if kind = Net.k_req then post mpools.(dst) ~at on_req.(dst) a b
+      else if kind = Net.k_resp then post fpool ~at on_resp a b
+      else if kind = Net.k_gossip then post fpool ~at on_gossip a b
+      else post fpool ~at on_nack_from.(src - 1) a b
     end
   in
+  (* Source 0 is the front tier, source m + 1 machine m. *)
   let bufs = Array.make (n + 1) front_outbox in
   for m = 0 to n - 1 do
     bufs.(m + 1) <- machines.(m).m_outbox
   done;
+  (* Canonical order: send time, then source, then per-source
+     submission order — independent of how machines were spread over
+     domains.  Every outbox is already sorted by send time (see
+     [Net.mb_push]), so that order is a k-way merge of the n + 1 runs:
+     repeatedly route the earliest head, the lowest source on a tie.
+     [act] lists the sources with messages left, in source order. *)
+  let cur = Array.make (n + 1) 0 in
+  let act = Array.make (n + 1) 0 in
+  let route_all h =
+    let na = ref 0 in
+    for s = 0 to n do
+      cur.(s) <- 0;
+      if bufs.(s).Net.mb_n > 0 then begin
+        act.(!na) <- s;
+        incr na
+      end
+    done;
+    while !na > 0 do
+      let best = ref 0 in
+      let best_t = ref bufs.(act.(0)).Net.mb_t.(cur.(act.(0))) in
+      for j = 1 to !na - 1 do
+        let s = act.(j) in
+        let t = bufs.(s).Net.mb_t.(cur.(s)) in
+        if t < !best_t then begin
+          best := j;
+          best_t := t
+        end
+      done;
+      let s = act.(!best) in
+      let i = cur.(s) in
+      route_one s bufs.(s) i h;
+      cur.(s) <- i + 1;
+      if i + 1 = bufs.(s).Net.mb_n then begin
+        Array.blit act (!best + 1) act !best (!na - !best - 1);
+        decr na
+      end
+    done;
+    for s = 0 to n do
+      Net.mb_clear bufs.(s)
+    done
+  in
   let barrier h =
     (* machine pauses draw first, in machine order *)
     if Plan.enabled plan then
@@ -787,31 +973,13 @@ let run ?parallel cfg =
         prev_comp.(m) <- c;
         obs_w.(m) <- obs_w.(m) - (obs_w.(m) asr 3) + d
       done;
-    let total = ref 0 in
-    Array.iter (fun b -> total := !total + b.Net.mb_n) bufs;
-    if !total > 0 then begin
-      (* canonical order: send time, then source (front first), then
-         per-source submission order — independent of how machine
-         domains were scheduled *)
-      let items = Array.make !total (0, 0, 0) in
-      let pos = ref 0 in
-      Array.iteri
-        (fun s b ->
-          for i = 0 to b.Net.mb_n - 1 do
-            items.(!pos) <- (b.Net.mb_t.(i), s, i);
-            incr pos
-          done)
-        bufs;
-      Array.sort compare items;
-      Array.iter (fun (_, s, i) -> route_one s bufs.(s) i h) items;
-      Array.iter Net.mb_clear bufs
-    end
+    route_all h
   in
 
   (* -------------------------------------------------------------- *)
   (* Fleet telemetry: one series sampled at conservative-window
      barriers on the coordinator (machines quiescent, their writes
-     published by the mutex handoff in parallel mode), so parallel
+     published by the atomic handoff in parallel mode), so parallel
      and serial fleets sample byte-identical timelines.  Sampling is
      pure reads; with it off the loop below is unchanged, so tables
      and goldens cannot drift (DESIGN §10).  The period is the ambient
@@ -890,98 +1058,77 @@ let run ?parallel cfg =
   in
 
   (* -------------------------------------------------------------- *)
-  (* The conservative window loop.  Serial and parallel fleets differ
-     only in how [advance h] brings every unpaused machine to the
-     horizon.  Loops, not [Array.iter]: a closure over [h] would
-     allocate every window. *)
-  let advance, stop =
-    if not parallel then
-      let advance h =
-        for m = 0 to n - 1 do
-          let mc = machines.(m) in
-          if not mc.m_paused then begin
-            if tracing then Iw_obs.Trace.set_cpu_base tr mc.m_cpu_base;
-            Sched.run ~horizon:h mc.m_k;
-            if tracing then Iw_obs.Trace.set_cpu_base tr 0
-          end
-        done
-      in
-      (advance, ignore)
-    else begin
-      (* One domain per machine.  Commands (a horizon, or -1 to exit)
-         and completions hand off through a mutex, which also
-         publishes each side's writes to the other. *)
-      let ctl =
-        Array.init n (fun _ ->
-            (Mutex.create (), Condition.create (), ref 0, ref false))
-      in
-      let command m c =
-        let mu, cv, cmd, _ = ctl.(m) in
-        Mutex.lock mu;
-        cmd := c;
-        Condition.signal cv;
-        Mutex.unlock mu
-      in
-      let body m () =
-        let mu, cv, cmd, done_ = ctl.(m) in
-        let mc = machines.(m) in
-        let rec loop () =
-          Mutex.lock mu;
-          while !cmd = 0 do
-            Condition.wait cv mu
-          done;
-          let c = !cmd in
-          cmd := 0;
-          Mutex.unlock mu;
-          if c > 0 then begin
-            Sched.run ~horizon:c mc.m_k;
-            Mutex.lock mu;
-            done_ := true;
-            Condition.signal cv;
-            Mutex.unlock mu;
-            loop ()
-          end
-        in
-        loop ()
-      in
-      let domains = Array.init n (fun m -> Domain.spawn (body m)) in
-      let advance h =
-        for m = 0 to n - 1 do
-          if not machines.(m).m_paused then command m h
-        done;
-        for m = 0 to n - 1 do
-          if not machines.(m).m_paused then begin
-            let mu, cv, _, done_ = ctl.(m) in
-            Mutex.lock mu;
-            while not !done_ do
-              Condition.wait cv mu
-            done;
-            done_ := false;
-            Mutex.unlock mu
-          end
-        done
-      in
-      let stop () =
-        Array.iteri (fun m _ -> command m (-1)) machines;
-        Array.iter Domain.join domains
-      in
-      (advance, stop)
+  (* The conservative window loop.  The machines are cut into
+     contiguous blocks, one per domain: block 0 runs on the
+     coordinator, after the front tier's window, and every other block
+     on a helper domain of its own.  The front tier and the machines
+     share nothing inside a window (messages move only at the
+     barrier), so the coordinator overlaps them.  A serial fleet is
+     the zero-helper case.  Loops, not [Array.iter]: a closure over
+     [h] would allocate every window. *)
+  let run_block lo hi h =
+    for m = lo to hi - 1 do
+      let mc = machines.(m) in
+      if not mc.m_paused then begin
+        if tracing then Iw_obs.Trace.set_cpu_base tr mc.m_cpu_base;
+        Sched.run_until mc.m_k h;
+        if tracing then Iw_obs.Trace.set_cpu_base tr 0
+      end
+    done
+  in
+  let nh = if parallel then min n (Domain.recommended_domain_count ()) - 1 else 0 in
+  let block_lo b = b * n / (nh + 1) in
+  let coord = parking () in
+  let helpers =
+    Array.init nh (fun i ->
+        {
+          hp_lo = block_lo (i + 1);
+          hp_hi = block_lo (i + 2);
+          hp_cmd = Atomic.make 0;
+          hp_park = parking ();
+          hp_done = Atomic.make 0;
+          hp_failed = None;
+        })
+  in
+  let rec helper_loop hp last =
+    let h = await hp.hp_park hp.hp_cmd last in
+    if h > 0 then begin
+      (try run_block hp.hp_lo hp.hp_hi h with e -> hp.hp_failed <- Some e);
+      publish coord hp.hp_done h;
+      helper_loop hp h
     end
+  in
+  let domains =
+    Array.map (fun hp -> Domain.spawn (fun () -> helper_loop hp 0)) helpers
   in
   let windows = ref 0 in
   let elapsed = ref 0 in
-  while not (!gen_done && !outstanding = 0) do
-    let h = !elapsed + w_c in
-    Iw_engine.Sim.run fsim ~until:h;
-    advance h;
-    (* a paused machine sits out exactly one window *)
-    Array.iter (fun mc -> mc.m_paused <- false) machines;
-    barrier h;
-    sample_window h;
-    incr windows;
-    elapsed := h
-  done;
-  stop ();
+  let loop () =
+    while not (!gen_done && !outstanding = 0) do
+      let h = !elapsed + w_c in
+      for i = 0 to nh - 1 do
+        publish helpers.(i).hp_park helpers.(i).hp_cmd h
+      done;
+      Iw_engine.Sim.run_until fsim h;
+      run_block 0 (block_lo 1) h;
+      for i = 0 to nh - 1 do
+        let hp = helpers.(i) in
+        ignore (await coord hp.hp_done !elapsed);
+        match hp.hp_failed with Some e -> raise e | None -> ()
+      done;
+      (* a paused machine sits out exactly one window *)
+      for m = 0 to n - 1 do
+        machines.(m).m_paused <- false
+      done;
+      barrier h;
+      sample_window h;
+      incr windows;
+      elapsed := h
+    done
+  in
+  Fun.protect loop ~finally:(fun () ->
+      Array.iter (fun hp -> publish hp.hp_park hp.hp_cmd (-1)) helpers;
+      Array.iter Domain.join domains);
 
   (* -------------------------------------------------------------- *)
   (* Readout *)

@@ -23,8 +23,9 @@
     barrier the coordinator routes every outbox message in canonical
     order (send time, source node, submission order) and schedules
     deliveries into the next window.  Running machines on one domain
-    or N domains therefore produces byte-identical results; fault
-    draws happen only at barriers, on the coordinator.  See DESIGN §9. *)
+    or several therefore produces byte-identical results; fault draws
+    happen only at barriers, on the coordinator.  A routed message, a
+    timer and a window allocate nothing.  See DESIGN §9. *)
 
 type mspec = {
   ms_name : string;  (** per-machine identity in tables and spans *)
@@ -169,9 +170,13 @@ type report = {
 }
 
 val run : ?parallel:bool -> config -> report
-(** [parallel] defaults to one-domain-per-machine when called from
-    the main domain with tracing off, and serial otherwise (nested
-    experiment drivers, traced runs).  Both modes are byte-identical.
+(** A parallel run cuts the machines into contiguous blocks, one per
+    domain: the calling domain runs the front tier and the first
+    block, and [min n (Domain.recommended_domain_count ()) - 1] helper
+    domains run the others.  [parallel] defaults to [true] when
+    called from the main domain with tracing off, and to [false]
+    otherwise (nested experiment drivers, traced runs); a serial run
+    is the same loop with no helpers.  Both are byte-identical.
     @raise Invalid_argument on a closed-loop workload or an empty
     machine array. *)
 

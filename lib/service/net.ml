@@ -81,7 +81,11 @@ let mb_create () =
 
 let grow a = Array.append a (Array.make (Array.length a) 0)
 
+(* Each outbox stays sorted by send time (see net.mli): the fleet's
+   barrier merges the runs instead of sorting their union. *)
 let mb_push b ~kind ~dst ~a ~b:bb ~t =
+  if b.mb_n > 0 && t < b.mb_t.(b.mb_n - 1) then
+    invalid_arg "Net.mb_push: send time before the previous message's";
   if b.mb_n = Array.length b.mb_kind then begin
     b.mb_kind <- grow b.mb_kind;
     b.mb_dst <- grow b.mb_dst;

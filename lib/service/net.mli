@@ -9,8 +9,8 @@
     Routing is a pure function of the call sequence: the fleet
     coordinator routes every window's messages in one canonical
     order (send time, then source node, then submission order), so
-    delivery times are identical however the per-machine domains
-    were scheduled — the property the qcheck determinism tests pin.
+    delivery times are identical however machines were spread over
+    domains — the property the qcheck determinism tests pin.
 
     Messages themselves live in {!msgbuf} outboxes: growable int
     arrays appended from machine domains during a window and drained
@@ -64,4 +64,10 @@ type msgbuf = {
 
 val mb_create : unit -> msgbuf
 val mb_push : msgbuf -> kind:int -> dst:int -> a:int -> b:int -> t:int -> unit
+(** Append a message sent at [t].  An outbox is a sorted run: every
+    push stamps its own simulator's clock, which never goes back, so
+    [t] is never below the previous message's.  The barrier's k-way
+    merge relies on it.  @raise Invalid_argument if [t] would break
+    the run. *)
+
 val mb_clear : msgbuf -> unit

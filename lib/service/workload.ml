@@ -70,7 +70,9 @@ let[@inline] mix63 z =
 let[@inline] u01 h =
   (float_of_int (h land ((1 lsl 53) - 1)) +. 0.5) /. 9007199254740992.0
 
-let demand_us dspec ~seed ~id =
+(* Inlined into [demand_cycles] below, where the float result stays
+   unboxed; a call from another module boxes it. *)
+let[@inline] demand_us dspec ~seed ~id =
   match dspec with
   | Dfixed -> -1.0
   | Dpareto { alpha; xmin_us; xmax_us } ->
@@ -86,6 +88,16 @@ let demand_us dspec ~seed ~id =
       (* Box-Muller. *)
       let z = sqrt (-2.0 *. log u1) *. cos (6.283185307179586 *. u2) in
       median_us *. exp (sigma *. z)
+
+(* [Units.cycles_of_us ~ghz (demand_us dspec ~seed ~id *. scale)],
+   floored at one cycle, in one function body so no float is boxed on
+   the way: same operations in the same order, so the same cycles. *)
+let demand_cycles dspec ~seed ~id ~scale ~ghz =
+  match dspec with
+  | Dfixed -> -1
+  | Dpareto _ | Dlognorm _ ->
+      let us = demand_us dspec ~seed ~id in
+      max 1 (int_of_float (Float.round (us *. scale *. 1e3 *. ghz)))
 
 let describe = function
   | Poisson { rps; _ } -> Printf.sprintf "poisson %.0f rps" rps

@@ -46,7 +46,14 @@ val demand_us : demand -> seed:int -> id:int -> float
 (** Per-request service demand in microseconds, or [-1.0] under
     [Dfixed].  A pure stateless hash of [(seed, id)]: its own logical
     RNG stream, independent of every arrival/dispatch draw, stable
-    across retries of the same request id, allocation-free. *)
+    across retries of the same request id.  Its float result is boxed
+    across a module boundary; hot paths use {!demand_cycles}. *)
+
+val demand_cycles :
+  demand -> seed:int -> id:int -> scale:float -> ghz:float -> int
+(** [demand_us] scaled by [scale] and converted to cycles at [ghz]
+    ([Units.cycles_of_us] rounding), at least 1; [-1] under [Dfixed].
+    Allocation-free. *)
 
 type gen
 

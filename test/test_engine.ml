@@ -164,7 +164,7 @@ let test_sim_until () =
     ignore (Sim.schedule s ~at:(Sim.now s + 10) tick)
   in
   ignore (Sim.schedule s ~at:0 tick);
-  Sim.run ~until:95 s;
+  Sim.run_until s 95;
   (* Fires at 0,10,...,90: 10 events. *)
   check_int "bounded by horizon" 10 !count
 

@@ -106,7 +106,7 @@ let test_preemptive_timeslicing () =
            done))
   done;
   (* Run only long enough for ~20 quanta. *)
-  Sched.run ~horizon:(q * 20) k;
+  Sched.run_until k (q * 20);
   check_bool "thread 0 progressed" true (progress.(0) > 10);
   check_bool "thread 1 progressed" true (progress.(1) > 10)
 

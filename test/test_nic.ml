@@ -104,7 +104,7 @@ let prop_batch_le_budget =
             ignore (Nic.rx_push nic ~a:i ~b:0)
           done);
       (* Poll mode re-arms forever; bound the run and stop the timers. *)
-      Sched.run ~horizon:1_000_000 k;
+      Sched.run_until k 1_000_000;
       Nic_driver.stop drv;
       Nic.stop nic;
       let tbl = Hashtbl.create 16 in
@@ -201,7 +201,7 @@ let test_irq_lost_recovered_by_slack_scan () =
       Sim.schedule_unit sim ~at:1_000 (fun () ->
           ignore (Nic.rx_push nic ~a:1 ~b:0));
       (* The slack timer re-arms forever; bound the run. *)
-      Sched.run ~horizon:500_000 k;
+      Sched.run_until k 500_000;
       Nic_driver.stop drv;
       Nic.stop nic;
       check_int "assertion swallowed" 1 (Nic.irqs_lost nic);

@@ -651,6 +651,21 @@ let prop_net_inflight_bound =
         deliveries;
       !ok)
 
+(* An outbox is a sorted run of send times, which the fleet barrier's
+   merge relies on: ties are fine, going back is refused, and a
+   cleared outbox starts a new run. *)
+let test_net_outbox_sorted_run () =
+  let open Iw_service.Net in
+  let b = mb_create () in
+  List.iter (fun t -> mb_push b ~kind:k_req ~dst:0 ~a:t ~b:0 ~t) [ 5; 5; 9 ];
+  check_int "three messages" 3 b.mb_n;
+  Alcotest.check_raises "send time goes back"
+    (Invalid_argument "Net.mb_push: send time before the previous message's")
+    (fun () -> mb_push b ~kind:k_req ~dst:0 ~a:0 ~b:0 ~t:8);
+  mb_clear b;
+  mb_push b ~kind:k_req ~dst:0 ~a:0 ~b:0 ~t:1;
+  check_int "a new run after clear" 1 b.mb_n
+
 (* ------------------------------------------------------------------ *)
 (* Weighted dispatch *)
 
@@ -1011,6 +1026,63 @@ let test_fleet_pinned_fingerprint () =
     "1982/658/0/19/0/2698/61/675/0/371/76/337/1324/5/0/22/466/1982/690/447,574"
     (pinned_fleet_fingerprint r)
 
+(* The fleet's allocation cap, the twin of the coherence replay's
+   budget: a routed message, a timer and a window allocate nothing, so
+   a longer run costs at most one more minor word per extra arrival.
+   The difference of two durations cancels the fixed setup.  The runs
+   are serial because [Gc.minor_words] counts only the running
+   domain. *)
+let test_fleet_allocation_cap () =
+  let open Iw_service in
+  let machines () =
+    [| Fleet.knl_spec ~workers:4 (); Fleet.server_spec ~workers:2 () |]
+  in
+  let nic ms =
+    {
+      (Fleet.default ()) with
+      Fleet.fc_machines = machines ();
+      fc_workload = Workload.Poisson { rps = 200_000.0; duration_us = ms *. 1e3 };
+      fc_slo_us = 100.0;
+      fc_nic = true;
+    }
+  in
+  let chaos ms =
+    {
+      (Fleet.default ()) with
+      Fleet.fc_machines = machines ();
+      fc_workload = Workload.Poisson { rps = 120_000.0; duration_us = ms *. 1e3 };
+      fc_demand = Workload.Dpareto { alpha = 1.5; xmin_us = 10.0; xmax_us = 2000.0 };
+      fc_hedge_frac = 0.5;
+      fc_deadline_us = 1000.0;
+      fc_slo_us = 1000.0;
+    }
+  in
+  let plan () =
+    Iw_faults.Plan.create ~rate:3e-5 ~seed:42
+      ~kinds:Iw_faults.Plan.[ Req_corrupt; Machine_brownout; Link_drop ]
+      ()
+  in
+  let measure name cfg ~with_plan =
+    let run ms =
+      let w0 = Gc.minor_words () in
+      let r =
+        if with_plan then
+          Iw_faults.Plan.with_ambient (plan ()) (fun () ->
+              Fleet.run ~parallel:false (cfg ms))
+        else Fleet.run ~parallel:false (cfg ms)
+      in
+      (Gc.minor_words () -. w0, r.Fleet.fr_arrivals)
+    in
+    let ws, as_ = run 20.0 and wl, al = run 60.0 in
+    let per = (wl -. ws) /. float_of_int (al - as_) in
+    Printf.printf "%s: %.4f minor words per extra arrival\n" name per;
+    check_bool
+      (Printf.sprintf "%s: %.4f words per arrival <= 1" name per)
+      true (per <= 1.0)
+  in
+  measure "fleet-nic" nic ~with_plan:false;
+  measure "chaos-fleet" chaos ~with_plan:true
+
 let test_fleet_counter_table () =
   let r = Iw_service.Fleet.run (small_fleet ()) in
   let members =
@@ -1088,6 +1160,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_net_replay_identical;
           QCheck_alcotest.to_alcotest prop_net_delivery_bounds;
           QCheck_alcotest.to_alcotest prop_net_inflight_bound;
+          Alcotest.test_case "outbox is a sorted run" `Quick
+            test_net_outbox_sorted_run;
         ] );
       ( "fleet",
         [
@@ -1117,6 +1191,7 @@ let () =
             test_fleet_pinned_fingerprint;
           Alcotest.test_case "fleet counter table" `Quick
             test_fleet_counter_table;
+          Alcotest.test_case "allocation cap" `Quick test_fleet_allocation_cap;
           Alcotest.test_case "rejections name the field" `Quick
             test_rejections_name_the_field;
         ] );

@@ -240,6 +240,86 @@ let test_sleep_duration () =
   check_bool "no gross oversleep" true (!woke_at < 200_000)
 
 (* ------------------------------------------------------------------ *)
+(* Coroutine and flat threads *)
+
+(* One program, written once as coroutine threads through [Api] and
+   once as hand-written flat threads through [Sched.flat_*].  CPU 0
+   blocks on [ping] until CPU 1 posts it, then takes [spare] without
+   blocking; a 20 us quantum makes the ticks cut both threads' grants
+   short. *)
+type op =
+  | Work of int
+  | Overhead of int
+  | Sleep of int
+  | Wait of Sched.semaphore
+  | Post of Sched.semaphore
+
+let twin_program () =
+  let ping = Sched.semaphore ~init:0 and spare = Sched.semaphore ~init:1 in
+  [|
+    [ Work 30_000; Overhead 4_000; Wait ping; Wait spare; Sleep 20_000;
+      Work 12_000 ];
+    [ Work 70_000; Overhead 3_000; Post ping; Sleep 15_000; Work 25_000 ];
+  |]
+
+let twin_coroutine ops () =
+  List.iter
+    (function
+      | Work n -> Api.work n
+      | Overhead n -> Api.overhead n
+      | Sleep dt -> Api.sleep dt
+      | Wait s -> Api.sem_wait s
+      | Post s -> Api.sem_post s)
+    ops
+
+let twin_flat k spec ops =
+  let fl = Sched.spawn_flat k ~spec () in
+  let rest = ref ops in
+  Sched.set_flat_step fl (fun () ->
+      match !rest with
+      | [] -> Sched.flat_exit k fl
+      | op :: tl -> (
+          rest := tl;
+          match op with
+          | Work n -> Sched.flat_work k fl n
+          | Overhead n -> Sched.flat_overhead k fl n
+          | Sleep dt -> Sched.flat_sleep k fl dt
+          | Wait s -> Sched.flat_sem_wait k fl s
+          | Post s -> Sched.flat_sem_post k fl s))
+
+let twin_run personality ~flat =
+  let k = Sched.boot ~personality ~quantum_us:20.0 plat in
+  Array.iteri
+    (fun cpu ops ->
+      let spec = { Sched.default_spec with sp_cpu = Some cpu } in
+      if flat then twin_flat k spec ops
+      else ignore (Sched.spawn k ~spec (twin_coroutine ops)))
+    (twin_program ());
+  Sched.run k;
+  let per_cpu f = List.init (Sched.cpu_count k) (fun i -> f (Sched.cpu k i)) in
+  ( Sched.now k,
+    Iw_obs.Counter.to_list (Sched.counters k),
+    (per_cpu Cpu.work_cycles, per_cpu Cpu.overhead_cycles, per_cpu Cpu.irq_cycles)
+  )
+
+let test_flat_twin personality () =
+  let now_c, counters_c, (work_c, over_c, irq_c) =
+    twin_run (personality plat) ~flat:false
+  in
+  let now_f, counters_f, (work_f, over_f, irq_f) =
+    twin_run (personality plat) ~flat:true
+  in
+  let ints = Alcotest.(list int) in
+  check_int "end time" now_c now_f;
+  Alcotest.(check (list (pair string int))) "counters" counters_c counters_f;
+  Alcotest.check ints "work cycles" work_c work_f;
+  Alcotest.check ints "overhead cycles" over_c over_f;
+  Alcotest.check ints "irq cycles" irq_c irq_f;
+  check_int "all work done" 137_000 (List.fold_left ( + ) 0 work_c);
+  check_bool "ticks fired on both cpus" true
+    (List.nth irq_c 0 > 0 && List.nth irq_c 1 > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Personality differences *)
 
 let measure_spawn_join_cost personality =
@@ -544,6 +624,11 @@ let () =
             test_condvar_broadcast_wakes_all;
           Alcotest.test_case "semaphore" `Quick test_semaphore_counting;
           Alcotest.test_case "sleep" `Quick test_sleep_duration;
+        ] );
+      ( "flat-twin",
+        [
+          Alcotest.test_case "nautilus" `Quick (test_flat_twin Os.nautilus);
+          Alcotest.test_case "linux" `Quick (test_flat_twin Os.linux);
         ] );
       ( "personalities",
         [

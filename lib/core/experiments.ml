@@ -1590,7 +1590,7 @@ let s5_tables () =
           "the arena stops doubling once the in-flight peak is reached.";
           "The minor-heap profile (0 words/steady-state request) is";
           "measured where the process is single-domain and gated by";
-          "`make alloc-smoke`; Gc.quick_stat folds in terminated sibling";
+          "`test/smokes.t`; Gc.quick_stat folds in terminated sibling";
           "domains, so a per-run figure here would be racy under --jobs.";
         ]
       rows;

@@ -15,8 +15,6 @@ let create ?(capacity = 16) ~dummy () =
   let cap = max 1 capacity in
   { dummy; keys = Array.make cap 0; vals = Array.make cap dummy; size = 0 }
 
-let length t = t.size
-
 let is_empty t = t.size = 0
 
 let grow t =
@@ -97,7 +95,3 @@ let pop t =
     (* Sift the last element down from the root. *)
     sift_down keys vals n k v 0;
   res
-
-let clear t =
-  Array.fill t.vals 0 t.size t.dummy;
-  t.size <- 0

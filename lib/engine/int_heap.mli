@@ -8,8 +8,6 @@ val create : ?capacity:int -> dummy:'a -> unit -> 'a t
 (** Pre-allocates both arrays at [capacity] (default 16).  [dummy]
     fills vacated payload slots so popped values are not retained. *)
 
-val length : 'a t -> int
-
 val is_empty : 'a t -> bool
 
 val push : 'a t -> int -> 'a -> unit
@@ -23,5 +21,3 @@ val top : 'a t -> 'a
 val pop : 'a t -> 'a
 (** Removes and returns the payload with the smallest key.
     @raise Invalid_argument when empty. *)
-
-val clear : 'a t -> unit

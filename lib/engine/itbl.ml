@@ -49,8 +49,6 @@ let create ?(capacity = 16) ~dummy () =
     spare_vals = [||];
   }
 
-let length t = t.live
-
 (* Returns the slot holding [k], or (-slot - 1) where the probe ended
    on an empty slot ([k] absent).  The probe loop is a top-level
    function on purpose: without flambda, an inner [let rec] that
@@ -173,9 +171,3 @@ let remove t k =
     t.vals.(i) <- t.dummy;
     t.live <- t.live - 1
   end
-
-let clear t =
-  Array.fill t.keys 0 (Array.length t.keys) empty_key;
-  Array.fill t.vals 0 (Array.length t.vals) t.dummy;
-  t.live <- 0;
-  t.used <- 0

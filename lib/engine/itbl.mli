@@ -16,8 +16,6 @@ val create : ?capacity:int -> dummy:'v -> unit -> 'v t
     callback for absent keys; it must be a value the caller can
     distinguish from real bindings (or callers must use {!mem}). *)
 
-val length : 'v t -> int
-
 val mem : 'v t -> int -> bool
 
 val find : 'v t -> int -> 'v
@@ -34,5 +32,3 @@ val remove : 'v t -> int -> unit
 
 val iter : (int -> 'v -> unit) -> 'v t -> unit
 (** Iteration order is unspecified. *)
-
-val clear : 'v t -> unit

@@ -39,7 +39,6 @@ let c2_lo = 0x133111EB
    before any worker domains spawn — it is a plain shared ref. *)
 let global = ref 0
 let set_global_seed s = global := s
-let global_seed () = !global
 
 let create ~seed =
   let v = Int64.of_int (seed lxor !global) in
@@ -49,8 +48,6 @@ let create ~seed =
     o_hi = 0;
     o_lo = 0;
   }
-
-let copy t = { s_hi = t.s_hi; s_lo = t.s_lo; o_hi = t.o_hi; o_lo = t.o_lo }
 
 (* (a * b) mod 2^32, for 0 <= a, b < 2^32.  The 32x16 partial products
    stay under 2^48, inside OCaml's 63-bit int. *)

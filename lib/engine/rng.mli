@@ -16,13 +16,6 @@ val set_global_seed : int -> unit
     afterwards.  [0] (the default) reproduces the historical streams.
     Set it once, before spawning worker domains. *)
 
-val global_seed : unit -> int
-(** The current global seed offset. *)
-
-val copy : t -> t
-(** [copy t] duplicates the generator state; the copy and the original
-    produce identical streams from this point onward. *)
-
 val split : t -> t
 (** [split t] derives an independent generator from [t], advancing
     [t].  Use it to give subsystems their own streams so that adding

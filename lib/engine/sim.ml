@@ -287,8 +287,6 @@ and fire_wheel t wtm ~horizon =
        true
      end
 
-let step t = fire_one t ~horizon:max_int
-
 let run_until t horizon = while fire_one t ~horizon do () done
 
 let run ?max_events t =

@@ -78,10 +78,6 @@ val pending : t -> int
 (** Number of not-yet-fired, not-cancelled events plus armed timers.
     O(1). *)
 
-val step : t -> bool
-(** Fire the next event or timer.  Returns [false] when nothing is
-    pending. *)
-
 val run : ?max_events:int -> t -> unit
 (** Drain the event queue.  [max_events] bounds the number of fired
     events (guards against accidental non-termination in tests). *)

@@ -134,7 +134,6 @@ let kind_of_string s = List.find_opt (fun k -> kind_name k = s) all_kinds
 type t = {
   enabled : bool;
   rate : float;  (* per-opportunity fault probability, in [0,1] *)
-  seed : int;
   armed : bool array;  (* indexed by kind_index *)
   rng : Rng.t;  (* the plan's own stream; workload RNGs never see it *)
   ipi_delay_cycles : int;
@@ -150,7 +149,6 @@ let disabled =
   {
     enabled = false;
     rate = 0.0;
-    seed = 0;
     armed = Array.make kind_count false;
     rng = Rng.create ~seed:0;
     ipi_delay_cycles = 0;
@@ -173,7 +171,6 @@ let create ?(kinds = all_kinds) ?(ipi_delay_cycles = 4_000)
   {
     enabled = true;
     rate;
-    seed;
     armed;
     (* A fixed salt keeps the fault stream distinct from any workload
        stream that happens to use the same small seed. *)
@@ -189,7 +186,6 @@ let create ?(kinds = all_kinds) ?(ipi_delay_cycles = 4_000)
 
 let enabled t = t.enabled
 let rate t = t.rate
-let seed t = t.seed
 let injected t = t.injected
 let ipi_delay_cycles t = t.ipi_delay_cycles
 let timer_late_cycles t = t.timer_late_cycles

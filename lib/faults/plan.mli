@@ -69,7 +69,6 @@ val create :
 
 val enabled : t -> bool
 val rate : t -> float
-val seed : t -> int
 val injected : t -> int
 val ipi_delay_cycles : t -> int
 val timer_late_cycles : t -> int
@@ -84,13 +83,10 @@ val armed : t -> kind -> bool
 val ambient : unit -> t
 val with_ambient : t -> (unit -> 'a) -> 'a
 
-(* Record [n] injections of [kind]: bumps the [fault_injected] counter
-   on [obs] and, when tracing, emits a "fault:<kind>" instant. *)
-val note : t -> Obs.t -> kind:kind -> cpu:int -> ts:int -> int -> unit
-
 (* One opportunity: does a [kind] fault fire here?  Draws exactly one
-   sample when the kind is armed, none otherwise; a firing draw is
-   noted via [note]. *)
+   sample when the kind is armed, none otherwise.  Each injection bumps
+   the [fault_injected] counter on [obs] and, when tracing, emits a
+   "fault:<kind>" instant; [count] records its faults the same way. *)
 val fire : t -> Obs.t -> kind:kind -> cpu:int -> ts:int -> bool
 
 (* Bulk form for analytic sites: how many of [opportunities] fault?

@@ -49,7 +49,6 @@ type t = {
 }
 
 let id t = t.cpu_id
-let sim t = t.s
 let obs t = t.obs
 let busy t = match t.state with Idle -> false | Granted | In_irq -> true
 let work_cycles t = t.work

@@ -29,7 +29,6 @@ val obs : t -> Iw_obs.Obs.t
 
 val id : t -> int
 val busy : t -> bool
-val sim : t -> Iw_engine.Sim.t
 
 val grant :
   t ->

@@ -14,15 +14,11 @@ type t = {
   target : Cpu.t;
   mutable armed : Sim.timer option;
   mutable generation : int;
-  mutable fired : int;
 }
 
-let create s plat target = { s; plat; target; armed = None; generation = 0; fired = 0 }
-
-let cpu t = t.target
+let create s plat target = { s; plat; target; armed = None; generation = 0 }
 
 let inject t handler after =
-  t.fired <- t.fired + 1;
   let obs = Cpu.obs t.target in
   Iw_obs.Counter.incr obs.Iw_obs.Obs.counters Iw_obs.Counter.Timer_fires;
   if obs.Iw_obs.Obs.trace.Iw_obs.Trace.enabled then
@@ -80,5 +76,3 @@ let stop t =
   t.generation <- t.generation + 1;
   Option.iter (Sim.disarm t.s) t.armed;
   t.armed <- None
-
-let fired t = t.fired

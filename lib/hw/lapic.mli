@@ -9,8 +9,6 @@ type t
 
 val create : Iw_engine.Sim.t -> Platform.t -> Cpu.t -> t
 
-val cpu : t -> Cpu.t
-
 val periodic :
   t ->
   ?phase:int ->
@@ -26,6 +24,3 @@ val periodic :
 
 val stop : t -> unit
 (** Disarm: every periodic stream on this LAPIC stops. *)
-
-val fired : t -> int
-(** Number of interrupts injected so far. *)

@@ -1,7 +1,6 @@
 open Iw_engine
 
 let work n = Coro.consume n
-let yield () = Coro.yield ()
 
 let spawn ?(name = "thread") ?cpu ?(fp = false) ?(rt = false) body =
   Coro.request
@@ -9,7 +8,6 @@ let spawn ?(name = "thread") ?cpu ?(fp = false) ?(rt = false) body =
        ({ sp_name = name; sp_cpu = cpu; sp_fp = fp; sp_rt = rt }, body))
 
 let join th = Coro.request (Sched.R_join th)
-let self () = Coro.request Sched.R_self
 let now () = Coro.request Sched.R_now
 let cpu_id () = Coro.request Sched.R_cpu
 let kernel () = Coro.request Sched.R_kernel
@@ -29,9 +27,6 @@ let with_lock m f =
       unlock m;
       raise e
 
-let wait c m = Coro.request (Sched.R_cond_wait (c, m))
-let signal c = Coro.request (Sched.R_cond_signal c)
-let broadcast c = Coro.request (Sched.R_cond_broadcast c)
 let sem_wait s = Coro.request (Sched.R_sem_wait s)
 let sem_post s = Coro.request (Sched.R_sem_post s)
 

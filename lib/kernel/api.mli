@@ -1,15 +1,14 @@
 (** Thread-side kernel API.
 
     These wrappers are what workload and runtime code call from inside
-    a simulated thread.  They perform {!Sched} requests; each costs
-    what the booted personality says it costs.  [work n] is the
-    fundamental "run n cycles of computation" primitive. *)
+    a simulated coroutine thread.  They perform {!Sched} requests,
+    which the kernel serves through the same entry points a flat
+    thread calls; each costs what the booted personality says it
+    costs.  [work n] is the fundamental "run n cycles of computation"
+    primitive. *)
 
 val work : int -> unit
 (** Burn [n] cycles of useful work (preemptible). *)
-
-val yield : unit -> unit
-(** Offer the scheduler a switch point. *)
 
 val spawn :
   ?name:string ->
@@ -20,10 +19,8 @@ val spawn :
   Sched.thread
 
 val join : Sched.thread -> unit
-val self : unit -> Sched.thread
 val now : unit -> int
 val cpu_id : unit -> int
-val kernel : unit -> Sched.t
 val sleep : int -> unit
 (** Sleep for [n] cycles (arms a software timer). *)
 
@@ -33,12 +30,8 @@ val rand : int -> int
 val overhead : int -> unit
 (** Burn [n] cycles accounted as runtime overhead rather than work. *)
 
-val lock : Sched.mutex -> unit
 val unlock : Sched.mutex -> unit
 val with_lock : Sched.mutex -> (unit -> 'a) -> 'a
-val wait : Sched.cond -> Sched.mutex -> unit
-val signal : Sched.cond -> unit
-val broadcast : Sched.cond -> unit
 val sem_wait : Sched.semaphore -> unit
 val sem_post : Sched.semaphore -> unit
 

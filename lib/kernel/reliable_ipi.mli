@@ -7,15 +7,6 @@
     instant.  Handlers may run more than once (a duplicated wire or a
     resend racing a slow delivery); callers must be idempotent. *)
 
-val send :
-  ?timeout:int ->
-  Iw_engine.Sim.t ->
-  Iw_hw.Platform.t ->
-  target:Iw_hw.Cpu.t ->
-  handler:(preempted:int -> int) ->
-  after:(unit -> unit) ->
-  unit
-
 val broadcast :
   ?timeout:int ->
   Iw_engine.Sim.t ->

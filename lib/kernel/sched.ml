@@ -14,6 +14,9 @@ let default_spec = { sp_name = "thread"; sp_cpu = None; sp_fp = false; sp_rt = f
 
 let nop () = ()
 
+(* The continuation of a thread with no coroutine to resume. *)
+let finished () = Coro.Done
+
 type thread = {
   tid : int;
   tname : string;
@@ -21,7 +24,15 @@ type thread = {
   fp : bool;
   rt : bool;
   mutable state : tstate;
-  mutable pending : pending;
+  (* What the thread does next time its CPU runs it: be granted [rem]
+     cycles charged as [kind], then call [step].  [rem] is 0 whenever
+     [step] runs, and stays set during the grant so a preemption can
+     rewrite it.  A coroutine thread's [step] resumes [next], its
+     continuation, up to the coroutine's next pause. *)
+  mutable rem : int;
+  mutable kind : Cpu.kind;
+  mutable step : unit -> unit;
+  mutable next : unit -> Coro.status;
   joiners : thread Queue.t;
   (* Intrusive link for run queues and semaphore wait queues: a thread
      sits on at most one of those at a time, so one field suffices and
@@ -31,34 +42,11 @@ type thread = {
      is always dispatched and resumed on its bound CPU, so these can
      be built once at spawn instead of once per grant. *)
   mutable resume_cb : unit -> unit;
-  mutable owe_cb : unit -> unit;
+  mutable paid_cb : unit -> unit;
   mutable wake_cb : unit -> unit;
 }
 
-(* What a thread will do next time a CPU runs it: begin its body, be
-   owed [rem] cycles before its coroutine continuation resumes, or —
-   for flat threads — be owed [f_rem] cycles before its preallocated
-   step function advances its state machine. *)
-and pending =
-  | Start of (unit -> unit)
-  | Owe of owed
-  | Flat of flat
-  | Nothing
-
-and owed = { mutable rem : int; okind : Cpu.kind; thunk : unit -> Coro.status }
-
-(* A flat thread: the closureiters-style compilation of a coroutine
-   into an explicit state struct.  The thread never performs effects;
-   [f_step] reads its own state, calls the [flat_*] kernel entry
-   points, and returns.  Everything here is allocated once at spawn,
-   so steady-state scheduling of a flat thread allocates nothing. *)
-and flat = {
-  f_th : thread;
-  mutable f_rem : int;
-  mutable f_kind : Cpu.kind;
-  mutable f_step : unit -> unit;
-  mutable f_done : unit -> unit;
-}
+type flat = thread
 
 let nil_joiners : thread Queue.t = Queue.create ()
 
@@ -70,11 +58,14 @@ let rec nil_thread =
     fp = false;
     rt = false;
     state = Dead;
-    pending = Nothing;
+    rem = 0;
+    kind = Cpu.Overhead;
+    step = nop;
+    next = finished;
     joiners = nil_joiners;
     wq_next = nil_thread;
     resume_cb = nop;
-    owe_cb = nop;
+    paid_cb = nop;
     wake_cb = nop;
   }
 
@@ -110,7 +101,6 @@ let tq_pop q =
 let tq_is_empty q = q.qn = 0
 
 type mutex = { mutable owner : thread option; mwaiters : thread Queue.t }
-type cond = { cwaiters : (thread * mutex) Queue.t }
 type semaphore = { mutable count : int; swaiters : tq }
 
 type t = {
@@ -137,14 +127,10 @@ type _ Coro.Request.t +=
   | R_spawn : spawn_spec * (unit -> unit) -> thread Coro.Request.t
   | R_join : thread -> unit Coro.Request.t
   | R_now : int Coro.Request.t
-  | R_self : thread Coro.Request.t
   | R_cpu : int Coro.Request.t
   | R_sleep : int -> unit Coro.Request.t
   | R_lock : mutex -> unit Coro.Request.t
   | R_unlock : mutex -> unit Coro.Request.t
-  | R_cond_wait : cond * mutex -> unit Coro.Request.t
-  | R_cond_signal : cond -> unit Coro.Request.t
-  | R_cond_broadcast : cond -> unit Coro.Request.t
   | R_sem_wait : semaphore -> unit Coro.Request.t
   | R_sem_post : semaphore -> unit Coro.Request.t
   | R_rand : int -> int Coro.Request.t
@@ -152,7 +138,6 @@ type _ Coro.Request.t +=
   | R_kernel : t Coro.Request.t
 
 let mutex () = { owner = None; mwaiters = Queue.create () }
-let cond () = { cwaiters = Queue.create () }
 
 let semaphore ~init =
   if init < 0 then invalid_arg "Sched.semaphore: negative count";
@@ -164,7 +149,6 @@ let personality t = t.p
 let cpu t i = t.cpus.(i)
 let lapic t i = t.lapics.(i)
 let cpu_count t = Array.length t.cpus
-let rng t = t.krng
 let counters t = t.obs.Iw_obs.Obs.counters
 let obs t = t.obs
 let now t = Sim.now t.s
@@ -178,6 +162,11 @@ let total_overhead_cycles t =
     0 t.cpus
 
 let thread_id th = th.tid
+
+(* A pause this kernel does not serve, from coroutine thread [th]. *)
+let refuse th what =
+  invalid_arg
+    (Printf.sprintf "Sched: %s from thread %d (%s)" what th.tid th.tname)
 
 (* ------------------------------------------------------------------ *)
 (* Run queues and dispatch                                             *)
@@ -226,64 +215,27 @@ and dispatch t cid =
       ~uninterruptible:true ~on_complete:th.resume_cb
   end
 
-and resume_thread t cid th =
-  match th.pending with
-  | Start f ->
-      th.pending <- Nothing;
-      step t cid th (Coro.start f)
-  | Owe o when o.rem = 0 ->
-      th.pending <- Nothing;
-      step t cid th (o.thunk ())
-  | Owe o ->
-      (* Leave [pending] as Owe so a preemption can rewrite o.rem. *)
-      Cpu.grant t.cpus.(cid) ~cycles:o.rem ~kind:o.okind
-        ~uninterruptible:false ~on_complete:th.owe_cb
-  | Flat f ->
-      if f.f_rem = 0 then f.f_step ()
-      else
-        (* Leave [f_rem] so a preemption can rewrite it. *)
-        Cpu.grant t.cpus.(cid) ~cycles:f.f_rem ~kind:f.f_kind
-          ~uninterruptible:false ~on_complete:f.f_done
-  | Nothing -> assert false
+and resume_thread t th =
+  if th.rem = 0 then th.step ()
+  else
+    Cpu.grant t.cpus.(th.bound) ~cycles:th.rem ~kind:th.kind
+      ~uninterruptible:false ~on_complete:th.paid_cb
 
-and step t cid th (status : Coro.status) =
+(* A coroutine thread's step, given where its coroutine paused. *)
+and run_coroutine t th (status : Coro.status) =
   match status with
-  | Coro.Done -> finish t cid th
+  | Coro.Done -> finish t th
   | Coro.Failed e -> raise e
   | Coro.Paused (Coro.Consumed (n, k)) ->
-      th.pending <- Owe { rem = n; okind = Work; thunk = k };
-      resume_thread t cid th
-  | Coro.Paused (Coro.Yielded k) ->
-      th.pending <- Owe { rem = 0; okind = Work; thunk = k };
-      if queue_nonempty t cid then begin
-        enqueue t th;
-        t.current.(cid) <- nil_thread;
-        dispatch t cid
-      end
-      else begin
-        (* Nothing else to run: keep going, paying the re-check cost so
-           a yield spin-loop still advances virtual time. *)
-        th.state <- Running;
-        th.pending <-
-          Owe { rem = max 1 t.p.pick; okind = Overhead; thunk = k };
-        resume_thread t cid th
-      end
-  | Coro.Paused (Coro.Requested (req, k)) -> handle_request t cid th req k
+      th.next <- k;
+      flat_continue t th ~cost:n ~kind:Cpu.Work
+  | Coro.Paused (Coro.Requested (req, k)) -> handle_request t th req k
+  | Coro.Paused (Coro.Yielded _) -> refuse th "Coro.yield"
 
-(* Continue [th] on [cid] after paying [cost] cycles of overhead and
-   delivering [v] to the coroutine. *)
-and reply : 'v. t -> int -> thread -> int -> 'v -> ('v -> Coro.status) -> unit
-    =
- fun t cid th cost v k ->
-  if cost = 0 then step t cid th (k v)
-  else begin
-    th.pending <- Owe { rem = cost; okind = Overhead; thunk = (fun () -> k v) };
-    resume_thread t cid th
-  end
-
-(* Park [th] (currently on [cid]); its continuation is already stored
-   in [th.pending].  The CPU moves on. *)
-and block_current t cid th =
+(* Park [th] (running on its CPU); what it does when woken is already
+   in its [step].  The CPU moves on. *)
+and block_current t th =
+  let cid = th.bound in
   th.state <- Blocked;
   t.current.(cid) <- nil_thread;
   if t.p.block = 0 then dispatch t cid
@@ -298,7 +250,8 @@ and make_runnable t th =
       kick ~delay:t.p.wake_latency t th.bound
   | Runnable | Running | Dead -> ()
 
-and finish t cid th =
+and finish t th =
+  let cid = th.bound in
   th.state <- Dead;
   t.current.(cid) <- nil_thread;
   Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters Iw_obs.Counter.Thread_exits;
@@ -311,7 +264,8 @@ and finish t cid th =
       if t.live = 0 then stop_ticks t;
       dispatch t cid)
 
-and create_thread t spec body =
+(* A runnable thread whose [step] does nothing yet. *)
+and create_thread t spec =
   let cpu_of_spec () =
     match spec.sp_cpu with
     | Some c ->
@@ -341,136 +295,145 @@ and create_thread t spec body =
       fp = spec.sp_fp;
       rt = spec.sp_rt;
       state = New;
-      pending = Start body;
+      rem = 0;
+      kind = Cpu.Overhead;
+      step = nop;
+      next = finished;
       joiners = Queue.create ();
       wq_next = nil_thread;
       resume_cb = nop;
-      owe_cb = nop;
+      paid_cb = nop;
       wake_cb = nop;
     }
   in
-  th.resume_cb <- (fun () -> resume_thread t th.bound th);
-  th.owe_cb <-
+  th.resume_cb <- (fun () -> resume_thread t th);
+  th.paid_cb <-
     (fun () ->
-      match th.pending with
-      | Owe o ->
-          th.pending <- Nothing;
-          step t th.bound th (o.thunk ())
-      | Start _ | Flat _ | Nothing -> assert false);
+      th.rem <- 0;
+      th.step ());
   th.wake_cb <- (fun () -> make_runnable t th);
   t.next_tid <- t.next_tid + 1;
   t.live <- t.live + 1;
   Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters Iw_obs.Counter.Spawns;
+  make_runnable t th;
   th
 
+and spawn_coroutine t spec body =
+  let th = create_thread t spec in
+  th.next <- (fun () -> Coro.start body);
+  th.step <- (fun () -> run_coroutine t th (th.next ()));
+  th
+
+(* Serve a coroutine request through the flat entry points below.  A
+   unit-valued request stores its continuation as [next] as it is. *)
 and handle_request : type a.
-    t -> int -> thread -> a Coro.Request.t -> (a -> Coro.status) -> unit =
- fun t cid th req k ->
+    t -> thread -> a Coro.Request.t -> (a -> Coro.status) -> unit =
+ fun t th req k ->
   match req with
   | R_spawn (spec, body) ->
-      let child = create_thread t spec body in
-      make_runnable t child;
-      reply t cid th t.p.spawn child k
+      let child = spawn_coroutine t spec body in
+      th.next <- (fun () -> k child);
+      flat_continue t th ~cost:t.p.spawn ~kind:Cpu.Overhead
   | R_join target ->
       if target.tid = th.tid then invalid_arg "Sched: join on self";
-      if target.state = Dead then reply t cid th t.p.uncontended_sync () k
+      th.next <- k;
+      if target.state = Dead then
+        flat_continue t th ~cost:t.p.uncontended_sync ~kind:Cpu.Overhead
       else begin
-        th.pending <- Owe { rem = 0; okind = Overhead; thunk = (fun () -> k ()) };
         Queue.push th target.joiners;
-        block_current t cid th
+        block_current t th
       end
-  | R_now -> step t cid th (k (Sim.now t.s))
-  | R_self -> step t cid th (k th)
-  | R_cpu -> step t cid th (k cid)
-  | R_kernel -> step t cid th (k t)
-  | R_rand bound -> step t cid th (k (Rng.int t.krng bound))
-  | R_overhead n -> reply t cid th n () k
+  | R_now -> run_coroutine t th (k (Sim.now t.s))
+  | R_cpu -> run_coroutine t th (k th.bound)
+  | R_kernel -> run_coroutine t th (k t)
+  | R_rand bound -> run_coroutine t th (k (Rng.int t.krng bound))
+  | R_overhead n ->
+      th.next <- k;
+      flat_continue t th ~cost:n ~kind:Cpu.Overhead
   | R_sleep dt ->
-      th.pending <- Owe { rem = 0; okind = Overhead; thunk = (fun () -> k ()) };
-      th.state <- Blocked;
-      t.current.(cid) <- nil_thread;
-      Sim.schedule_after_unit t.s dt th.wake_cb;
-      Cpu.grant t.cpus.(cid) ~cycles:t.p.sleep_arm ~kind:Overhead
-        ~uninterruptible:true ~on_complete:t.dispatch_cbs.(cid)
+      th.next <- k;
+      flat_sleep t th dt
   | R_lock m -> (
+      th.next <- k;
       match m.owner with
       | None ->
           m.owner <- Some th;
-          reply t cid th t.p.uncontended_sync () k
+          flat_continue t th ~cost:t.p.uncontended_sync ~kind:Cpu.Overhead
       | Some _ ->
           Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters Iw_obs.Counter.Lock_contended;
-          th.pending <-
-            Owe { rem = 0; okind = Overhead; thunk = (fun () -> k ()) };
           Queue.push th m.mwaiters;
-          block_current t cid th)
+          block_current t th)
   | R_unlock m -> (
       (match m.owner with
       | Some o when o.tid = th.tid -> ()
       | _ -> invalid_arg "Sched: unlock by non-owner");
+      th.next <- k;
       match Queue.take_opt m.mwaiters with
       | None ->
           m.owner <- None;
-          reply t cid th t.p.uncontended_sync () k
+          flat_continue t th ~cost:t.p.uncontended_sync ~kind:Cpu.Overhead
       | Some w ->
           m.owner <- Some w;
           make_runnable t w;
-          reply t cid th t.p.wake () k)
-  | R_cond_wait (c, m) ->
-      (match m.owner with
-      | Some o when o.tid = th.tid -> ()
-      | _ -> invalid_arg "Sched: cond_wait without holding the mutex");
-      th.pending <- Owe { rem = 0; okind = Overhead; thunk = (fun () -> k ()) };
-      Queue.push (th, m) c.cwaiters;
-      (* Release the mutex, handing it over if contended. *)
-      (match Queue.take_opt m.mwaiters with
-      | None -> m.owner <- None
-      | Some w ->
-          m.owner <- Some w;
-          make_runnable t w);
-      block_current t cid th
-  | R_cond_signal c -> (
-      match Queue.take_opt c.cwaiters with
-      | None -> reply t cid th t.p.uncontended_sync () k
-      | Some (w, m) ->
-          wake_into_mutex t w m;
-          reply t cid th t.p.wake () k)
-  | R_cond_broadcast c ->
-      let n = Queue.length c.cwaiters in
-      Queue.iter (fun (w, m) -> wake_into_mutex t w m) c.cwaiters;
-      Queue.clear c.cwaiters;
-      reply t cid th (t.p.uncontended_sync + (n * t.p.wake)) () k
+          flat_continue t th ~cost:t.p.wake ~kind:Cpu.Overhead)
   | R_sem_wait sem ->
-      if sem.count > 0 then begin
-        sem.count <- sem.count - 1;
-        reply t cid th t.p.uncontended_sync () k
-      end
-      else begin
-        th.pending <- Owe { rem = 0; okind = Overhead; thunk = (fun () -> k ()) };
-        tq_push sem.swaiters th;
-        block_current t cid th
-      end
+      th.next <- k;
+      flat_sem_wait t th sem
   | R_sem_post sem ->
-      let w = tq_pop sem.swaiters in
-      if w == nil_thread then begin
-        sem.count <- sem.count + 1;
-        reply t cid th t.p.uncontended_sync () k
-      end
-      else begin
-        make_runnable t w;
-        reply t cid th t.p.wake () k
-      end
-  | _ ->
-      invalid_arg
-        (Printf.sprintf "Sched: unknown request from thread %d (%s)" th.tid
-           th.tname)
+      th.next <- k;
+      flat_sem_post t th sem
+  | _ -> refuse th "unknown request"
 
-(* A cond-waiter must re-acquire the mutex before it can run. *)
-and wake_into_mutex t w m =
-  match m.owner with
-  | None ->
-      m.owner <- Some w;
-      make_runnable t w
-  | Some _ -> Queue.push w m.mwaiters
+(* ------------------------------------------------------------------ *)
+(* Thread entry points                                                 *)
+
+(* What every thread calls from its [step], while Running on its bound
+   CPU: a coroutine thread through [handle_request], a flat thread
+   directly.  None of them allocate. *)
+
+(* Continue after [cost] cycles of [kind]; [cost = 0] steps again at
+   once. *)
+and flat_continue t th ~cost ~kind =
+  th.rem <- cost;
+  th.kind <- kind;
+  resume_thread t th
+
+(* Park, arm the wake event, pay sleep_arm, move on. *)
+and flat_sleep t th dt =
+  let cid = th.bound in
+  th.state <- Blocked;
+  t.current.(cid) <- nil_thread;
+  Sim.schedule_after_unit t.s dt th.wake_cb;
+  Cpu.grant t.cpus.(cid) ~cycles:t.p.sleep_arm ~kind:Overhead
+    ~uninterruptible:true ~on_complete:t.dispatch_cbs.(cid)
+
+and flat_sem_wait t th sem =
+  if sem.count > 0 then begin
+    sem.count <- sem.count - 1;
+    flat_continue t th ~cost:t.p.uncontended_sync ~kind:Cpu.Overhead
+  end
+  else begin
+    tq_push sem.swaiters th;
+    block_current t th
+  end
+
+and flat_sem_post t th sem =
+  let cost = if post t sem then t.p.wake else t.p.uncontended_sync in
+  flat_continue t th ~cost ~kind:Cpu.Overhead
+
+(* Wake [sem]'s first waiter, or bank the count when none waits; true
+   when a waiter woke.  The waiter pays its own wake latency through
+   [make_runnable]. *)
+and post t sem =
+  let w = tq_pop sem.swaiters in
+  if w == nil_thread then begin
+    sem.count <- sem.count + 1;
+    false
+  end
+  else begin
+    make_runnable t w;
+    true
+  end
 
 and stop_ticks t =
   if t.ticking then begin
@@ -512,109 +475,30 @@ let boot ?obs ?(seed = 42) ?(quantum_us = 1000.0) ~personality plat =
     Array.init plat.Platform.cores (fun cid () -> dispatch t cid);
   t
 
+let spawn t ?(spec = default_spec) body = spawn_coroutine t spec body
+
 (* ------------------------------------------------------------------ *)
 (* Flat threads                                                        *)
 
-(* Kernel entry points for flat threads.  Each mirrors — cost for
-   cost, event for event — the corresponding coroutine request path in
-   [handle_request], so replacing a coroutine thread with a flat one
-   is invisible to the simulation (byte-identical schedules, counters
-   and latency tables).  All of them must be called from inside the
-   thread's own [f_step], i.e. while it is Running on its bound CPU,
-   and none of them allocate. *)
+let spawn_flat t ?(spec = default_spec) () = create_thread t spec
+let set_flat_step th step = th.step <- step
+let flat_work t th n = flat_continue t th ~cost:(max 0 n) ~kind:Cpu.Work
+let flat_overhead t th n = flat_continue t th ~cost:(max 0 n) ~kind:Cpu.Overhead
 
-let set_flat_step f step = f.f_step <- step
-
-let spawn_flat t ?(spec = default_spec) () =
-  let th = create_thread t spec nop in
-  let f =
-    { f_th = th; f_rem = 0; f_kind = Cpu.Overhead; f_step = nop; f_done = nop }
-  in
-  f.f_done <-
-    (fun () ->
-      f.f_rem <- 0;
-      f.f_step ());
-  th.pending <- Flat f;
-  make_runnable t th;
-  f
-
-(* Continue the state machine after [cost] cycles of [kind] — the flat
-   analogue of [reply] / a Consumed pause.  [cost = 0] re-enters
-   [f_step] immediately, exactly as a zero-cost reply steps the
-   coroutine inline. *)
-let flat_continue t f ~cost ~kind =
-  f.f_rem <- cost;
-  f.f_kind <- kind;
-  resume_thread t f.f_th.bound f.f_th
-
-(* Api.work: a Consumed pause of [n] work cycles ([n <= 0]: nothing). *)
-let flat_work t f n = flat_continue t f ~cost:(max 0 n) ~kind:Cpu.Work
-
-(* Api.overhead: R_overhead's reply ([n <= 0]: no request at all). *)
-let flat_overhead t f n = flat_continue t f ~cost:(max 0 n) ~kind:Cpu.Overhead
-
-(* R_sleep: park, arm the wake event, pay sleep_arm, move on. *)
-let flat_sleep t f dt =
-  let th = f.f_th in
-  let cid = th.bound in
-  f.f_rem <- 0;
-  th.state <- Blocked;
-  t.current.(cid) <- nil_thread;
-  Sim.schedule_after_unit t.s dt th.wake_cb;
-  Cpu.grant t.cpus.(cid) ~cycles:t.p.sleep_arm ~kind:Cpu.Overhead
-    ~uninterruptible:true ~on_complete:t.dispatch_cbs.(cid)
-
-(* R_sem_wait. *)
-let flat_sem_wait t f sem =
-  let th = f.f_th in
-  if sem.count > 0 then begin
-    sem.count <- sem.count - 1;
-    flat_continue t f ~cost:t.p.uncontended_sync ~kind:Cpu.Overhead
-  end
-  else begin
-    f.f_rem <- 0;
-    tq_push sem.swaiters th;
-    block_current t th.bound th
-  end
-
-(* The fast half of R_sem_wait on its own: consume an available count
-   and pay the uncontended-sync cost, without ever blocking.  The
-   caller must have checked [sem_value sem > 0]. *)
-let flat_sem_take t f sem =
+let flat_sem_take t th sem =
   assert (sem.count > 0);
-  sem.count <- sem.count - 1;
-  flat_continue t f ~cost:t.p.uncontended_sync ~kind:Cpu.Overhead
+  flat_sem_wait t th sem
 
-(* R_sem_post. *)
-let flat_sem_post t f sem =
-  let w = tq_pop sem.swaiters in
-  if w == nil_thread then begin
-    sem.count <- sem.count + 1;
-    flat_continue t f ~cost:t.p.uncontended_sync ~kind:Cpu.Overhead
-  end
-  else begin
-    make_runnable t w;
-    flat_continue t f ~cost:t.p.wake ~kind:Cpu.Overhead
-  end
-
-(* Semaphore post from outside any thread (host context): no cost to
-   charge anywhere, just the state transition. *)
 let sem_value sem = sem.count
-
-(* Thread body completed: the flat analogue of [step .. Coro.Done]. *)
-let flat_exit t f = finish t f.f_th.bound f.f_th
+let flat_exit = finish
 
 (* ------------------------------------------------------------------ *)
 (* Interrupt-context services                                          *)
 
 (* Semaphore post from outside any thread (a device RX event, the
    fleet's network delivery path): no requester to charge, so the
-   state transition is free — the woken waiter still pays its own
-   wake latency through [make_runnable]. *)
-let sem_signal t sem =
-  let w = tq_pop sem.swaiters in
-  if w == nil_thread then sem.count <- sem.count + 1
-  else make_runnable t w
+   state transition is free. *)
+let sem_signal t sem = ignore (post t sem)
 
 let current_thread t cid =
   let th = t.current.(cid) in
@@ -622,13 +506,7 @@ let current_thread t cid =
 
 let stash_preempted t cid remaining =
   let th = t.current.(cid) in
-  if th != nil_thread then
-    match th.pending with
-    | Owe o -> o.rem <- remaining
-    | Flat f -> f.f_rem <- remaining
-    | Start _ | Nothing ->
-        (* Preempted before the first consume: nothing owed. *)
-        ()
+  if th != nil_thread then th.rem <- remaining
 
 let resched_or_resume t cid =
   let th = t.current.(cid) in
@@ -643,7 +521,7 @@ let resched_or_resume t cid =
     t.current.(cid) <- nil_thread;
     dispatch t cid
   end
-  else resume_thread t cid th
+  else resume_thread t th
 
 (* ------------------------------------------------------------------ *)
 (* Ticks and the run loop                                              *)
@@ -666,11 +544,6 @@ let start_ticks t =
           ())
       t.lapics
   end
-
-let spawn t ?(spec = default_spec) body =
-  let th = create_thread t spec body in
-  make_runnable t th;
-  th
 
 let run_until t horizon =
   start_ticks t;

@@ -1,14 +1,15 @@
 (** The shared scheduler engine.
 
     A kernel instance owns the simulated CPUs of a platform and runs
-    simulated threads (coroutines) on them under a given OS
-    personality.  Threads are bound to a CPU at spawn (Nautilus
-    style; benchmarks pin threads in the Linux configurations too),
-    scheduled round-robin within two classes (real-time first), and
-    preempted by a per-CPU scheduler tick.
+    simulated threads on them under a given OS personality.  Threads
+    are bound to a CPU at spawn (Nautilus style; benchmarks pin
+    threads in the Linux configurations too), scheduled round-robin
+    within two classes (real-time first), and preempted by a per-CPU
+    scheduler tick.
 
-    Thread code runs inside {!Iw_engine.Coro} coroutines and talks to
-    the kernel through the request wrappers in {!Api}. *)
+    Thread code is either a {!Iw_engine.Coro} coroutine that talks to
+    the kernel through the request wrappers in {!Api}, or a flat
+    thread (below) that calls the kernel's entry points itself. *)
 
 type t
 type thread
@@ -38,8 +39,8 @@ val boot :
     CPUs. *)
 
 val spawn : t -> ?spec:spawn_spec -> (unit -> unit) -> thread
-(** Create a thread from outside the simulation (initial threads).
-    Inside thread code, use {!Api.spawn}. *)
+(** Create a coroutine thread from outside the simulation (initial
+    threads).  Inside thread code, use {!Api.spawn}. *)
 
 val run : t -> unit
 (** Start scheduler ticks and drive the simulation until every thread
@@ -56,7 +57,6 @@ val personality : t -> Os.t
 val cpu : t -> int -> Iw_hw.Cpu.t
 val lapic : t -> int -> Iw_hw.Lapic.t
 val cpu_count : t -> int
-val rng : t -> Iw_engine.Rng.t
 
 val counters : t -> Iw_obs.Counter.set
 (** The kernel's typed counter cells (shared with its [obs]). *)
@@ -79,34 +79,29 @@ val thread_id : thread -> int
 (** {1 Synchronization objects}
 
     Created freely; their blocking operations are requests (see
-    {!Api}). *)
+    {!Api}) or flat entry points. *)
 
 type mutex
-type cond
 type semaphore
 
 val mutex : unit -> mutex
-val cond : unit -> cond
 val semaphore : init:int -> semaphore
 
 (** {1 Requests}
 
-    The request constructors interpreted by this engine.  Thread code
+    The request constructors a coroutine thread performs; thread code
     normally uses {!Api}'s wrappers rather than performing these
-    directly. *)
+    directly.  Any other request, or a [Coro.yield], raises
+    [Invalid_argument] naming the thread. *)
 
 type _ Iw_engine.Coro.Request.t +=
   | R_spawn : spawn_spec * (unit -> unit) -> thread Iw_engine.Coro.Request.t
   | R_join : thread -> unit Iw_engine.Coro.Request.t
   | R_now : int Iw_engine.Coro.Request.t
-  | R_self : thread Iw_engine.Coro.Request.t
   | R_cpu : int Iw_engine.Coro.Request.t
   | R_sleep : int -> unit Iw_engine.Coro.Request.t
   | R_lock : mutex -> unit Iw_engine.Coro.Request.t
   | R_unlock : mutex -> unit Iw_engine.Coro.Request.t
-  | R_cond_wait : cond * mutex -> unit Iw_engine.Coro.Request.t
-  | R_cond_signal : cond -> unit Iw_engine.Coro.Request.t
-  | R_cond_broadcast : cond -> unit Iw_engine.Coro.Request.t
   | R_sem_wait : semaphore -> unit Iw_engine.Coro.Request.t
   | R_sem_post : semaphore -> unit Iw_engine.Coro.Request.t
   | R_rand : int -> int Iw_engine.Coro.Request.t
@@ -115,25 +110,27 @@ type _ Iw_engine.Coro.Request.t +=
 
 (** {1 Flat threads}
 
-    A flat thread is a thread compiled by hand into an explicit state
-    struct — the closureiters transform applied to this engine.  Its
-    step function never performs effects; instead it calls the
-    [flat_*] kernel entry points below, each of which mirrors the
-    corresponding coroutine request cost-for-cost and event-for-event.
-    Swapping a coroutine thread for an equivalent flat thread is
-    invisible to the simulation (schedules, counters and latency
-    distributions are byte-identical); what changes is the allocation
-    profile: everything a flat thread needs is allocated at spawn, so
-    steady-state scheduling allocates nothing on the minor heap.
+    Every thread is a state machine: a count of cycles it is owed, the
+    kind they are charged as, and a step function that runs once they
+    are paid.  A flat thread's step is written by hand — a coroutine
+    compiled into an explicit state struct, as closureiters does — and
+    calls the [flat_*] entry points below.  A coroutine thread's step
+    resumes its continuation to the next pause, and serves each request
+    through the same entry points, so a coroutine thread and its
+    hand-written flat twin give the same schedule, counters and latency
+    tables.  What the flat thread saves is allocation: everything it
+    needs is allocated at spawn, so steady-state scheduling allocates
+    nothing on the minor heap.
 
     Contract: every [flat_*] call must be made from inside the
     thread's own step function (i.e. while it is Running), and the
     step function must end each activation with exactly one of them —
-    continue ([flat_work] / [flat_overhead] / [flat_continue]), park
+    continue ([flat_work] / [flat_overhead] / a non-blocking
+    [flat_sem_wait] / [flat_sem_take] / [flat_sem_post]), park
     ([flat_sleep] / a blocking [flat_sem_wait]), or die
     ([flat_exit]). *)
 
-type flat
+type flat = thread
 
 val spawn_flat : t -> ?spec:spawn_spec -> unit -> flat
 (** Create a flat thread (from outside the simulation).  Set its step
@@ -148,9 +145,8 @@ val flat_overhead : t -> flat -> int -> unit
 (** {!Api.overhead}: owe [n] overhead cycles, then step again. *)
 
 val flat_sleep : t -> flat -> int -> unit
-(** {!Api.sleep}: park for [dt] cycles; the next step activation runs
-    after the wake (wake latency and sleep-arm cost included, as for
-    coroutines). *)
+(** {!Api.sleep}: park for [dt] cycles; the next step runs after the
+    wake, the wake latency and the sleep-arm cost. *)
 
 val flat_sem_wait : t -> flat -> semaphore -> unit
 (** {!Api.sem_wait}: take a count (paying the uncontended-sync cost)
@@ -168,8 +164,8 @@ val sem_value : semaphore -> int
 (** Current count (no waiters implied when positive). *)
 
 val flat_exit : t -> flat -> unit
-(** The thread's body is done: exit exactly as a finished coroutine
-    (exit cost, joiner wakeups, live-count bookkeeping). *)
+(** The thread's body is done: exit cost, joiner wakeups, live-count
+    bookkeeping. *)
 
 (** {1 Interrupt-context services}
 

@@ -16,8 +16,6 @@ val create : ?trace:Trace.t -> ?collect:bool -> unit -> t
 (** Fresh counters; [trace] defaults to the null sink, [collect] to
     [false]. *)
 
-val null : unit -> t
-
 val ambient : unit -> t
 (** The current domain's ambient context.  Each domain starts with its
     own null context, so parallel experiment runs stay independent. *)

@@ -132,7 +132,3 @@ let events t =
   else
     Array.to_list (Array.sub t.buf t.pos (t.cap - t.pos))
     @ Array.to_list (Array.sub t.buf 0 t.pos)
-
-let clear t =
-  t.pos <- 0;
-  t.emitted <- 0

@@ -96,5 +96,3 @@ val length : t -> int
 
 val events : t -> event list
 (** Current contents, oldest first. *)
-
-val clear : t -> unit

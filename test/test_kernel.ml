@@ -164,50 +164,18 @@ let test_unlock_by_non_owner_rejected () =
        false
      with Invalid_argument _ -> true)
 
-let test_condvar_signal () =
+(* A kernel thread has no yield: [Coro.yield] is for the fibers a
+   thread runs itself (see Fiber). *)
+let test_yield_refused () =
   let k = nk () in
-  let m = Sched.mutex () in
-  let c = Sched.cond () in
-  let ready = ref false and got = ref false in
   ignore
-    (Sched.spawn k ~spec:{ Sched.default_spec with sp_cpu = Some 0 } (fun () ->
-         Api.lock m;
-         while not !ready do
-           Api.wait c m
-         done;
-         got := true;
-         Api.unlock m));
-  ignore
-    (Sched.spawn k ~spec:{ Sched.default_spec with sp_cpu = Some 1 } (fun () ->
-         Api.work 50_000;
-         Api.with_lock m (fun () -> ready := true);
-         Api.signal c));
-  Sched.run k;
-  check_bool "woken with predicate" true !got
-
-let test_condvar_broadcast_wakes_all () =
-  let k = nk () in
-  let m = Sched.mutex () in
-  let c = Sched.cond () in
-  let released = ref false and woken = ref 0 in
-  for i = 0 to 2 do
-    ignore
-      (Sched.spawn k ~spec:{ Sched.default_spec with sp_cpu = Some i }
-         (fun () ->
-           Api.lock m;
-           while not !released do
-             Api.wait c m
-           done;
-           incr woken;
-           Api.unlock m))
-  done;
-  ignore
-    (Sched.spawn k ~spec:{ Sched.default_spec with sp_cpu = Some 3 } (fun () ->
-         Api.work 100_000;
-         Api.with_lock m (fun () -> released := true);
-         Api.broadcast c));
-  Sched.run k;
-  check_int "all woken" 3 !woken
+    (Sched.spawn k ~spec:{ Sched.default_spec with sp_name = "spinner" }
+       (fun () ->
+         Api.work 100;
+         Coro.yield ()));
+  Alcotest.check_raises "names the thread"
+    (Invalid_argument "Sched: Coro.yield from thread 0 (spinner)") (fun () ->
+      Sched.run k)
 
 let test_semaphore_counting () =
   let k = nk () in
@@ -318,6 +286,36 @@ let test_flat_twin personality () =
   check_int "all work done" 137_000 (List.fold_left ( + ) 0 work_c);
   check_bool "ticks fired on both cpus" true
     (List.nth irq_c 0 > 0 && List.nth irq_c 1 > 0)
+
+(* Minor words one coroutine suspension allocates: the marginal cost of
+   [n] more calls of [op], from one thread on a 1-CPU Nautilus kernel
+   run [n] and then [2n] times.  The quantum is longer than either run,
+   so no tick adds words.  [Gc.minor_words] counts this domain only. *)
+let words_per_suspension op =
+  let words n =
+    let w0 = Gc.minor_words () in
+    let k = Nautilus.boot ~quantum_us:1e6 (Platform.with_cores plat 1) in
+    let sem = Sched.semaphore ~init:0 in
+    ignore
+      (Sched.spawn k (fun () ->
+           for _ = 1 to n do
+             op sem
+           done));
+    Sched.run k;
+    Gc.minor_words () -. w0
+  in
+  let n = 20_000 in
+  let w1 = words n in
+  (words (2 * n) -. w1) /. float_of_int n
+
+let test_suspension_words () =
+  let cap name limit op =
+    let w = words_per_suspension op in
+    check_bool (Printf.sprintf "%s: %.2f words <= %d" name w limit) true
+      (w <= float_of_int limit)
+  in
+  cap "Api.work" 21 (fun _ -> Api.work 10);
+  cap "Api.sem_post" 24 Api.sem_post
 
 (* ------------------------------------------------------------------ *)
 (* Personality differences *)
@@ -612,6 +610,8 @@ let () =
             test_two_threads_share_one_cpu;
           Alcotest.test_case "timeslicing" `Quick test_preemptive_timeslicing;
           Alcotest.test_case "rt priority" `Quick test_rt_beats_normal;
+          Alcotest.test_case "words per suspension" `Quick
+            test_suspension_words;
         ] );
       ( "sync",
         [
@@ -619,9 +619,7 @@ let () =
             test_mutex_mutual_exclusion;
           Alcotest.test_case "unlock non-owner" `Quick
             test_unlock_by_non_owner_rejected;
-          Alcotest.test_case "condvar signal" `Quick test_condvar_signal;
-          Alcotest.test_case "condvar broadcast" `Quick
-            test_condvar_broadcast_wakes_all;
+          Alcotest.test_case "yield refused" `Quick test_yield_refused;
           Alcotest.test_case "semaphore" `Quick test_semaphore_counting;
           Alcotest.test_case "sleep" `Quick test_sleep_duration;
         ] );

@@ -14,30 +14,23 @@ type t = {
   mutable regions : region IntMap.t;  (* keyed by logical base *)
   mutable next_logical : int;
   mutable ctx : Interp.ctx option;
-  mutable checks : int;
-  mutable faults : int;
   mutable n_moves : int;
   mutable n_moved_words : int;
-  mutable n_rollbacks : int;
   mutable vclock : int;  (* span clock; words moved stand in for cycles *)
 }
 
-let create ?obs ?(heap_size = 1 lsl 22) () =
-  let obs = match obs with Some o -> o | None -> Iw_obs.Obs.inherit_trace () in
+let create ?(heap_size = 1 lsl 22) () =
   {
     (* Physical heap sits at [heap_size, 2*heap_size); logical bases
        start far above it and are never reused, so the two spaces
        cannot collide. *)
     heap = Iw_mem.Buddy.create ~base:heap_size ~size:heap_size ~min_block:16;
-    obs;
+    obs = Iw_obs.Obs.inherit_trace ();
     regions = IntMap.empty;
     next_logical = 16 * heap_size;
     ctx = None;
-    checks = 0;
-    faults = 0;
     n_moves = 0;
     n_moved_words = 0;
-    n_rollbacks = 0;
     vclock = 0;
   }
 
@@ -52,11 +45,12 @@ let regions t =
 
 let region_count t = IntMap.cardinal t.regions
 let live_words t = IntMap.fold (fun _ r acc -> acc + r.size) t.regions 0
-let guard_checks t = t.checks
-let guard_faults t = t.faults
+let count t id = Iw_obs.Counter.get t.obs.Iw_obs.Obs.counters id
+let guard_checks t = count t Iw_obs.Counter.Guard_checks
+let guard_faults t = count t Iw_obs.Counter.Guard_faults
 let moves t = t.n_moves
 let moved_words t = t.n_moved_words
-let rollbacks t = t.n_rollbacks
+let rollbacks t = count t Iw_obs.Counter.Move_rollback
 let fragmentation t = Iw_mem.Buddy.external_fragmentation t.heap
 
 let alloc t size =
@@ -82,13 +76,11 @@ let translate t addr =
   | None -> addr
 
 let guard t ~base ~offset ~length =
-  t.checks <- t.checks + 1;
   Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters Iw_obs.Counter.Guard_checks;
   let target = match length with None -> base + offset | Some _ -> base in
   match region_containing t target with
   | Some _ -> ()
   | None ->
-      t.faults <- t.faults + 1;
       Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters Iw_obs.Counter.Guard_faults;
       Iw_obs.Trace.instant t.obs.Iw_obs.Obs.trace ~name:"guard_fault"
         ~cat:"carat" ~cpu:(-1) ~ts:t.vclock ();
@@ -132,7 +124,6 @@ let move_region t ~base =
              points at its intact source, so the address space never
              sees the tear — the move just didn't happen. *)
           Iw_mem.Buddy.free t.heap new_phys;
-          t.n_rollbacks <- t.n_rollbacks + 1;
           Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters
             Iw_obs.Counter.Move_rollback;
           (let tr = t.obs.Iw_obs.Obs.trace in

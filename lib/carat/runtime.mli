@@ -13,9 +13,13 @@ open Iw_ir
 
 type t
 
-val create : ?obs:Iw_obs.Obs.t -> ?heap_size:int -> unit -> t
+val create : ?heap_size:int -> unit -> t
 (** [heap_size] (bytes/words, default [1 lsl 22]) sizes the physical
-    heap.  [obs] (default: ambient) counts guard checks and faults. *)
+    heap.  The runtime counts guard checks, guard faults and rolled-back
+    moves ([guard_checks], [guard_faults], [move_rollback]) on a
+    counter set of its own that shares the ambient trace
+    ({!Iw_obs.Obs.inherit_trace}); {!guard_checks}, {!guard_faults}
+    and {!rollbacks} read it. *)
 
 val hooks : t -> Interp.hooks
 (** Interpreter hooks wiring this runtime into compiled code:

@@ -129,8 +129,6 @@ let invalidate t addr =
 
 let resident t addr = find t (line_of_addr t addr) >= 0
 
-let lines t = Array.length t.data
-
 let fold t ~init ~f =
   let acc = ref init in
   Array.iter

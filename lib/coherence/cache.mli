@@ -39,8 +39,5 @@ val invalidate : t -> int -> unit
 
 val resident : t -> int -> bool
 
-val lines : t -> int
-(** Total capacity in lines. *)
-
 val fold : t -> init:'a -> f:('a -> int -> state -> 'a) -> 'a
 (** Fold over resident (non-invalid) lines as (line, state). *)

@@ -21,8 +21,6 @@ type params = {
   buffer_slots : int;  (** Capacity; a full buffer stalls stores too. *)
 }
 
-val default_params : params
-
 type result = {
   model : model;
   iterations : int;

@@ -119,8 +119,6 @@ let write ctx o idx v =
 
 let freeze _ctx o = o.e.frozen <- true
 
-let length o = Array.length o.data
-
 let fork st parent =
   let core = st.next_core mod (Machine.params st.machine).Machine.cores in
   st.next_core <- st.next_core + 1;

@@ -64,5 +64,3 @@ val write : ctx -> 'a obj -> int -> 'a -> unit
 val freeze : ctx -> 'a obj -> unit
 (** Make the object immutable: subsequent reads classify read-only;
     writes raise [Invalid_argument]. *)
-
-val length : 'a obj -> int

@@ -1,44 +1,13 @@
-(* The one machine context the paper argues for (§II–III): instead of
-   each layer privately carrying a platform, a simulator, and its own
-   ad-hoc counters, a [Machine.t] bundles the stack configuration, the
-   observability context (typed counters + trace bus), and the booted
-   kernel.  Everything below this layer receives the same [Obs.t]
-   (explicitly or ambiently), so one trace shows hardware irq spans,
-   kernel switches, and runtime promotions on a shared virtual-cycle
-   axis, and one counter table spans every layer. *)
+(* Machine-level views over the layers: a fleet's per-machine counter
+   tables and the sweepable cost model.  The one context every layer
+   shares is [Iw_obs.Obs.t] (typed counters + trace bus): a kernel
+   booted with [Sched.boot ~obs] hands it to its CPUs, and components
+   created under [Obs.with_ambient] report into its trace, so one
+   trace shows hardware irq spans, kernel switches and runtime
+   promotions on a shared virtual-cycle axis. *)
 
 open Iw_hw
 open Iw_kernel
-
-type t = {
-  stack : Stack.t;
-  obs : Iw_obs.Obs.t;
-  kernel : Sched.t;
-}
-
-let boot ?seed ?quantum_us ?trace stack =
-  let obs = Iw_obs.Obs.create ?trace () in
-  let kernel =
-    Sched.boot ~obs ?seed ?quantum_us
-      ~personality:(Stack.personality stack)
-      stack.Stack.platform
-  in
-  { stack; obs; kernel }
-
-let stack t = t.stack
-let obs t = t.obs
-let kernel t = t.kernel
-let platform t = t.stack.Stack.platform
-let sim t = Sched.sim t.kernel
-let trace t = t.obs.Iw_obs.Obs.trace
-let counters t = t.obs.Iw_obs.Obs.counters
-let run t = Sched.run t.kernel
-
-let counter_table t =
-  Table.make ~title:"machine counters" ~headers:[ "counter"; "events" ]
-    (List.map
-       (fun (name, v) -> [ name; string_of_int v ])
-       (Iw_obs.Counter.to_list (counters t)))
 
 (* ------------------------------------------------------------------ *)
 (* Fleet container: per-machine identity over the same typed

@@ -1,36 +1,7 @@
-(** The single machine context threaded through every layer (§II–III).
-
-    A [Machine.t] bundles the stack configuration ({!Stack.t}: platform
-    + OS personality + memory/timing/event choices), the observability
-    context ({!Iw_obs.Obs.t}: typed counters + trace bus), and the
-    booted kernel.  Hardware, kernel, and runtime components created
-    under this machine report into the same counters and trace, so a
-    single Perfetto track set shows irq spans, context switches, and
-    runtime promotions against one virtual-cycle axis. *)
-
-type t = {
-  stack : Stack.t;
-  obs : Iw_obs.Obs.t;
-  kernel : Iw_kernel.Sched.t;
-}
-
-val boot :
-  ?seed:int -> ?quantum_us:float -> ?trace:Iw_obs.Trace.t -> Stack.t -> t
-(** Boot a kernel for the stack with a fresh observability context.
-    [trace] defaults to the null sink (probes cost a predictable
-    branch); pass {!Iw_obs.Trace.ring} to record. *)
-
-val stack : t -> Stack.t
-val obs : t -> Iw_obs.Obs.t
-val kernel : t -> Iw_kernel.Sched.t
-val platform : t -> Iw_hw.Platform.t
-val sim : t -> Iw_engine.Sim.t
-val trace : t -> Iw_obs.Trace.t
-val counters : t -> Iw_obs.Counter.set
-val run : t -> unit
-
-val counter_table : t -> Table.t
-(** Every counter that fired, rendered like the experiment tables. *)
+(** Machine-level views over the layers: a fleet's per-machine counter
+    tables and the sweepable cost model.  The one context every layer
+    shares is {!Iw_obs.Obs.t}: pass it to [Sched.boot ~obs], or scope
+    it with {!Iw_obs.Obs.with_ambient}. *)
 
 (** Per-machine identity over shared counter vocabulary: fold the
     per-machine counter lists of a fleet run into one table (machine,

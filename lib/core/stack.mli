@@ -41,8 +41,6 @@ val interwoven : Iw_hw.Platform.t -> t
 
 val describe : t -> string
 
-val personality : t -> Iw_kernel.Os.t
-
 val boot : ?seed:int -> ?quantum_us:float -> t -> Iw_kernel.Sched.t
 
 val address_space : t -> Iw_mem.Address_space.t

@@ -56,7 +56,3 @@ val exponential : t -> mean:float -> float
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array.  @raise Invalid_argument on
-    an empty array. *)

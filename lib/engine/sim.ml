@@ -6,39 +6,26 @@
    exact schedule order.  The queue is a monomorphic {!Int_heap}
    (plain [<] on keys, no tuples, no polymorphic compare); periodic
    and cancellable timers live in a {!Timer_wheel} so per-tick cost is
-   O(1) instead of O(log n); events scheduled through the [_unit]
-   variants (no handle escapes) are recycled through a free list, so
-   steady-state firing allocates nothing. *)
+   O(1) instead of O(log n); no handle to a heap event escapes, so
+   every event record is recycled through a free list and steady-state
+   firing allocates nothing. *)
 
 type event = {
-  mutable etime : int;
-  mutable estate : int; (* 0 = pending, 1 = fired, 2 = cancelled *)
+  mutable cancelled : bool;
   mutable action : unit -> unit;
-  elive : int ref; (* owning simulator's live-event count *)
-  recycle : bool; (* no handle escaped: safe to reuse after pop *)
   mutable fnext : event; (* free-list link *)
 }
 
 let nop () = ()
 
-let null_live = ref 0
-
 (* Shared inert record: free-list nil and Int_heap dummy. *)
-let rec null_event =
-  {
-    etime = 0;
-    estate = 1;
-    action = nop;
-    elive = null_live;
-    recycle = false;
-    fnext = null_event;
-  }
+let rec null_event = { cancelled = false; action = nop; fnext = null_event }
 
 type t = {
   mutable now : int;
   queue : event Int_heap.t;
   seqs : int Itbl.t; (* time -> next sequence number at that time *)
-  live : int ref; (* pending (uncancelled) heap events *)
+  mutable live : int; (* pending (uncancelled) heap events *)
   wheel : Timer_wheel.t;
   mutable free : event;
   root_rng : Rng.t;
@@ -68,7 +55,7 @@ let create ?(seed = 42) () =
     now = 0;
     queue = Int_heap.create ~capacity:256 ~dummy:null_event ();
     seqs = Itbl.create ~capacity:64 ~dummy:0 ();
-    live = ref 0;
+    live = 0;
     wheel = Timer_wheel.create ();
     free = null_event;
     root_rng = Rng.create ~seed;
@@ -98,74 +85,47 @@ let stats (t : t) =
    literal [fun] argument would allocate on every scheduled event). *)
 let succ1 s = s + 1
 
-let alloc_key t at =
+let alloc_key t ~caller at =
   if at < t.now then
     invalid_arg
-      (Printf.sprintf "Sim.schedule: time %d is in the past (now=%d)" at t.now);
+      (Printf.sprintf "%s: time %d is in the past (now=%d)" caller at t.now);
   let seq = Itbl.mutate t.seqs at succ1 in
   Ekey.pack ~time:at ~seq
 
-let push_fresh t key at action =
-  let ev =
-    {
-      etime = at;
-      estate = 0;
-      action;
-      elive = t.live;
-      recycle = false;
-      fnext = null_event;
-    }
-  in
-  incr t.live;
-  t.heap_pushes <- t.heap_pushes + 1;
-  Int_heap.push t.queue key ev;
-  ev
-
-let push_recycled t key at action =
+let push t key action =
   let ev =
     if t.free != null_event then begin
       let ev = t.free in
       t.free <- ev.fnext;
       ev.fnext <- null_event;
-      ev.etime <- at;
-      ev.estate <- 0;
+      ev.cancelled <- false;
       ev.action <- action;
       ev
     end
-    else
-      {
-        etime = at;
-        estate = 0;
-        action;
-        elive = t.live;
-        recycle = true;
-        fnext = null_event;
-      }
+    else { cancelled = false; action; fnext = null_event }
   in
-  incr t.live;
+  t.live <- t.live + 1;
   t.heap_pushes <- t.heap_pushes + 1;
   Int_heap.push t.queue key ev;
   ev
 
-let schedule t ~at action = push_fresh t (alloc_key t at) at action
-
-let schedule_unit t ~at action = ignore (push_recycled t (alloc_key t at) at action)
+let schedule_unit t ~at action =
+  ignore (push t (alloc_key t ~caller:"Sim.schedule_unit" at) action)
 
 let schedule_after_unit t dt action =
   if dt < 0 then invalid_arg "Sim.schedule_after_unit: negative delay";
   schedule_unit t ~at:(t.now + dt) action
 
-let cancel ev =
-  if ev.estate = 0 then begin
-    ev.estate <- 2;
-    decr ev.elive
-  end
+(* Only [disarm] cancels, and only the still-pending heap event of a
+   timer that had to ride the heap: the entry stays there, skipped,
+   until [purge] pops it. *)
+let cancel t ev =
+  ev.cancelled <- true;
+  t.live <- t.live - 1
 
-let cancelled ev = ev.estate = 2
+let pending t = t.live + Timer_wheel.live t.wheel
 
-let pending t = !(t.live) + Timer_wheel.live t.wheel
-
-let exhausted t = !(t.live) = 0 && Timer_wheel.live t.wheel = 0
+let exhausted t = t.live = 0 && Timer_wheel.live t.wheel = 0
 
 (* Timers. *)
 
@@ -175,14 +135,14 @@ let timer_armed tt = Timer_wheel.armed tt.wtm || tt.fallback <> None
 
 let arm t tt ~at cb =
   if timer_armed tt then invalid_arg "Sim.arm: timer already armed";
-  let key = alloc_key t at in
+  let key = alloc_key t ~caller:"Sim.arm" at in
   t.timer_arms <- t.timer_arms + 1;
   if at < Timer_wheel.clock t.wheel then begin
     (* The wheel clock may sit ahead of [now] when a bounded [run]
        stopped just after cascading toward a then-due timer.  Ride the
        heap for this (rare) arm; the wheel never runs backwards. *)
     let ev =
-      push_recycled t key at (fun () ->
+      push t key (fun () ->
           tt.fallback <- None;
           t.timer_fires <- t.timer_fires + 1;
           cb ())
@@ -200,25 +160,23 @@ let disarm t tt =
   else
     match tt.fallback with
     | Some ev ->
-        cancel ev;
+        cancel t ev;
         tt.fallback <- None
     | None -> ()
 
 (* Firing. *)
 
 let release t ev =
-  if ev.recycle then begin
-    ev.action <- nop;
-    ev.fnext <- t.free;
-    t.free <- ev
-  end
+  ev.action <- nop;
+  ev.fnext <- t.free;
+  t.free <- ev
 
 (* Drop cancelled events off the heap top so horizon checks see the
    next event that will actually fire. *)
 let rec purge t =
   if not (Int_heap.is_empty t.queue) then begin
     let ev = Int_heap.top t.queue in
-    if ev.estate <> 0 then begin
+    if ev.cancelled then begin
       ignore (Int_heap.pop t.queue);
       t.heap_pops <- t.heap_pops + 1;
       release t ev;
@@ -266,8 +224,7 @@ and fire_heap t ~horizon =
   && begin
        let ev = Int_heap.pop t.queue in
        t.heap_pops <- t.heap_pops + 1;
-       ev.estate <- 1;
-       decr t.live;
+       t.live <- t.live - 1;
        advance_now t time;
        let action = ev.action in
        release t ev;

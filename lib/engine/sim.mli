@@ -3,19 +3,16 @@
     Virtual time is an integer count of cycles.  Events are totally
     ordered by [(time, sequence-number)] — packed into one int key
     ({!Ekey}) — so two runs of the same program with the same seed
-    produce identical schedules.  Events may be cancelled after being
-    scheduled (cancellation is lazy: the entry stays in the queue but
-    its action is skipped).
+    produce identical schedules.
 
-    High-frequency periodic work should use the {!timer} API, backed
-    by a hierarchical {!Timer_wheel}: arming, firing and disarming a
-    timer is O(1) and reuses one record, where a heap event costs
-    O(log n) and (for the handle-returning [schedule]) an allocation. *)
+    There are two ways to put work on the clock.  {!schedule_unit}
+    queues a one-shot event on a binary heap: O(log n), no handle, and
+    its record is recycled once it fires.  A {!timer}, backed by a
+    hierarchical {!Timer_wheel}, is armed, fired and disarmed in O(1)
+    on one reusable record.  Work that may be called off is a timer:
+    a heap event cannot be cancelled. *)
 
 type t
-
-type event
-(** Handle to a scheduled event, usable for cancellation. *)
 
 type timer
 (** Reusable timer: repeatedly armed/disarmed without allocation. *)
@@ -41,23 +38,14 @@ val rng : t -> Rng.t
 val stats : t -> stats
 (** Cumulative event-queue traffic counters. *)
 
-val schedule : t -> at:int -> (unit -> unit) -> event
-(** [schedule t ~at f] runs [f] at virtual time [at].  @raise
-    Invalid_argument if [at] is in the past. *)
-
 val schedule_unit : t -> at:int -> (unit -> unit) -> unit
-(** Like {!schedule} but returns no handle; the event record is
-    recycled through a free list after it fires, so fire-and-forget
-    scheduling does not allocate in steady state. *)
+(** [schedule_unit t ~at f] runs [f] at virtual time [at].  The event
+    record is recycled through a free list after it fires, so
+    scheduling does not allocate in steady state.  @raise
+    Invalid_argument if [at] is in the past. *)
 
 val schedule_after_unit : t -> int -> (unit -> unit) -> unit
 (** [schedule_after_unit t dt f] = [schedule_unit t ~at:(now t + dt) f]. *)
-
-val cancel : event -> unit
-(** Cancel a pending event.  Cancelling an already-fired or
-    already-cancelled event is a no-op. *)
-
-val cancelled : event -> bool
 
 val timer : t -> timer
 (** Fresh idle timer. *)
@@ -72,11 +60,13 @@ val arm_after : t -> timer -> int -> (unit -> unit) -> unit
 (** [arm_after t tm dt f] = [arm t tm ~at:(now t + dt) f]. *)
 
 val disarm : t -> timer -> unit
-(** O(1) cancel; no-op on an idle timer. *)
+(** O(1) cancel; no-op on an idle timer.  A timer armed behind the
+    wheel's clock (a bounded run can leave it cascaded ahead of
+    {!now}) rides the heap instead; disarming it leaves a skipped
+    entry there. *)
 
 val pending : t -> int
-(** Number of not-yet-fired, not-cancelled events plus armed timers.
-    O(1). *)
+(** Number of not-yet-fired events plus armed timers.  O(1). *)
 
 val run : ?max_events:int -> t -> unit
 (** Drain the event queue.  [max_events] bounds the number of fired

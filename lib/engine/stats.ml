@@ -100,33 +100,3 @@ let summary t =
 let coefficient_of_variation t =
   let m = mean t in
   if m = 0.0 then 0.0 else stddev t /. m
-
-let samples t = Array.sub t.data 0 t.size
-
-module Counters = struct
-  type nonrec t = (string, int ref) Hashtbl.t
-
-  let create () : t = Hashtbl.create 32
-
-  let cell t name =
-    match Hashtbl.find_opt t name with
-    | Some c -> c
-    | None ->
-        let c = ref 0 in
-        Hashtbl.add t name c;
-        c
-
-  let add t name k =
-    let c = cell t name in
-    c := !c + k
-
-  let incr t name = add t name 1
-
-  let get t name = match Hashtbl.find_opt t name with Some c -> !c | None -> 0
-
-  let to_list t =
-    Hashtbl.fold (fun name c acc -> (name, !c) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-  let reset t = Hashtbl.reset t
-end

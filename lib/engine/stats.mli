@@ -22,8 +22,6 @@ val add_int : t -> int -> unit
 
 val count : t -> int
 
-val total : t -> float
-
 val mean : t -> float
 (** 0 when empty. *)
 
@@ -42,20 +40,3 @@ val summary : t -> summary
 
 val coefficient_of_variation : t -> float
 (** stddev / mean; 0 when the mean is 0. *)
-
-val samples : t -> float array
-(** Copy of the raw samples, in insertion order. *)
-
-(** Named integer counters, for event/message accounting. *)
-module Counters : sig
-  type nonrec t
-
-  val create : unit -> t
-  val incr : t -> string -> unit
-  val add : t -> string -> int -> unit
-  val get : t -> string -> int
-  val to_list : t -> (string * int) list
-  (** Sorted by name. *)
-
-  val reset : t -> unit
-end

@@ -192,7 +192,6 @@ let timer_late_cycles t = t.timer_late_cycles
 let stall_cycles t = t.stall_cycles
 let net_delay_cycles t = t.net_delay_cycles
 let hang_cycles t = t.hang_cycles
-let brownout_cycles t = t.brownout_cycles
 let armed t k = t.enabled && t.armed.(kind_index k)
 
 (* ------------------------------------------------------------------ *)

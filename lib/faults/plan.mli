@@ -75,7 +75,6 @@ val timer_late_cycles : t -> int
 val stall_cycles : t -> int
 val net_delay_cycles : t -> int
 val hang_cycles : t -> int
-val brownout_cycles : t -> int
 val armed : t -> kind -> bool
 
 (* Ambient scoping, mirroring Obs: a domain-local plan that defaults

@@ -18,4 +18,3 @@ let steal_top t =
       Some x
 
 let length t = List.length t.items
-let is_empty t = t.items = []

@@ -12,4 +12,3 @@ val push_bottom : 'a t -> 'a -> unit
 val pop_bottom : 'a t -> 'a option
 val steal_top : 'a t -> 'a option
 val length : 'a t -> int
-val is_empty : 'a t -> bool

@@ -64,6 +64,3 @@ val run : ?promote_div:int -> Iw_hw.Platform.t -> config -> bench -> report
     [promote_div] (default 2, the TPAL policy) controls promotion
     aggressiveness: a heartbeat splits off 1/div of the remaining
     range. *)
-
-val serial_cycles : bench -> int
-(** The sequential-elision baseline: pure work, no scheduling. *)

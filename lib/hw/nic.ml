@@ -99,11 +99,7 @@ type t = {
   tx_timer : Sim.timer;
   mutable tx_busy : bool;  (* drain timer armed *)
   mutable tx_cb : unit -> unit;
-  mutable rx_pkts : int;
-  mutable rx_drops : int;
-  mutable irqs : int;
   mutable irqs_lost : int;
-  mutable tx_pkts : int;
 }
 
 let assert_now t =
@@ -118,7 +114,6 @@ let assert_now t =
        stranded state is exactly observable. *)
     t.irqs_lost <- t.irqs_lost + 1
   else begin
-    t.irqs <- t.irqs + 1;
     Counter.incr t.obs.Obs.counters Counter.Nic_irqs;
     if t.obs.Obs.trace.Trace.enabled then
       Trace.instant t.obs.Obs.trace ~name:"nic:irq" ~cat:"nic" ~cpu:0 ~ts:now
@@ -141,9 +136,8 @@ let maybe_assert t =
     end
   end
 
-let create ?obs ~sim itr_cycles =
+let create ~obs ~sim itr_cycles =
   if itr_cycles < 0 then invalid_arg "Nic.create: itr < 0";
-  let obs = match obs with Some o -> o | None -> Obs.ambient () in
   let t =
     {
       sim;
@@ -165,11 +159,7 @@ let create ?obs ~sim itr_cycles =
       tx_timer = Sim.timer sim;
       tx_busy = false;
       tx_cb = ignore;
-      rx_pkts = 0;
-      rx_drops = 0;
-      irqs = 0;
       irqs_lost = 0;
-      tx_pkts = 0;
     }
   in
   t.itr_cb <-
@@ -180,7 +170,6 @@ let create ?obs ~sim itr_cycles =
     (fun () ->
       let a = Ring.peek_a t.tx and b = Ring.peek_b t.tx in
       Ring.pop t.tx;
-      t.tx_pkts <- t.tx_pkts + 1;
       Counter.incr t.obs.Obs.counters Counter.Nic_tx_pkts;
       t.on_tx ~a ~b;
       if Ring.length t.tx > 0 then
@@ -190,10 +179,8 @@ let create ?obs ~sim itr_cycles =
 
 let set_on_irq t f = t.on_irq <- f
 let set_on_tx t f = t.on_tx <- f
-let itr t = t.itr_cycles
 
 let drop t =
-  t.rx_drops <- t.rx_drops + 1;
   Counter.incr t.obs.Obs.counters Counter.Nic_rx_drops;
   false
 
@@ -207,7 +194,6 @@ let rx_push t ~a ~b =
     || not (Ring.push t.rx ~a ~b ~ts:now)
   then drop t
   else begin
-    t.rx_pkts <- t.rx_pkts + 1;
     Counter.incr t.obs.Obs.counters Counter.Nic_rx_pkts;
     maybe_assert t;
     true
@@ -246,8 +232,4 @@ let stop t =
   t.itr_pending <- false;
   t.tx_busy <- false
 
-let rx_pkts t = t.rx_pkts
-let rx_drops t = t.rx_drops
-let irqs t = t.irqs
 let irqs_lost t = t.irqs_lost
-let tx_pkts t = t.tx_pkts

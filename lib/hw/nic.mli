@@ -55,13 +55,15 @@ end
 
 type t
 
-val create : ?obs:Iw_obs.Obs.t -> sim:Iw_engine.Sim.t -> int -> t
-(** [create ~sim itr_cycles] is a device with 256-slot RX and TX
+val create : obs:Iw_obs.Obs.t -> sim:Iw_engine.Sim.t -> int -> t
+(** [create ~obs ~sim itr_cycles] is a device with 256-slot RX and TX
     rings.  [itr_cycles] is the ITR register: the minimum gap between
     interrupt assertions, in cycles; 0 asserts on every
-    enabled-with-work edge.  [obs] defaults to the ambient context;
-    the ambient fault plan is captured here, like [Exec].
-    @raise Invalid_argument if [itr_cycles < 0]. *)
+    enabled-with-work edge.  The device counts received, dropped and
+    sent frames and delivered interrupts ([nic_rx_pkts],
+    [nic_rx_drops], [nic_tx_pkts], [nic_irqs]) on [obs]'s counter set
+    and nowhere else; the ambient fault plan is captured here, like
+    [Exec].  @raise Invalid_argument if [itr_cycles < 0]. *)
 
 val set_on_irq : t -> (unit -> unit) -> unit
 (** Driver hook: called from event context when the device asserts its
@@ -69,8 +71,6 @@ val set_on_irq : t -> (unit -> unit) -> unit
 
 val set_on_tx : t -> (a:int -> b:int -> unit) -> unit
 (** Wire hook: called as each TX descriptor finishes serializing. *)
-
-val itr : t -> int
 
 val rx_push : t -> a:int -> b:int -> bool
 (** A frame arrives from the wire.  Draws the RX fault kinds, then
@@ -107,9 +107,6 @@ val tx_push : t -> a:int -> b:int -> bool
 val stop : t -> unit
 (** Disarm the ITR and TX timers so a drained simulator terminates. *)
 
-(* Per-device stats (also mirrored on the obs counter set). *)
-val rx_pkts : t -> int
-val rx_drops : t -> int
-val irqs : t -> int
 val irqs_lost : t -> int
-val tx_pkts : t -> int
+(** Assertions the [Nic_irq_lost] fault swallowed.  No typed counter
+    holds this count alone: [fault_injected] sums every kind. *)

@@ -7,8 +7,6 @@ val term : Ir.terminator -> int
 val block : Ir.block -> int
 (** Instructions + terminator. *)
 
-val track : int
-
 val callback : int
 (** Cost of an injected timing *check* (counter + compare); the
     framework call it guards fires only when the period elapses and

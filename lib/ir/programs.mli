@@ -32,9 +32,6 @@ val mat_mul : int -> program
 val stencil_1d : int -> program
 (** 3-point stencil sweep (Mantevo miniFE flavor). *)
 
-val spmv : int -> program
-(** CSR sparse matrix-vector product (NAS CG flavor). *)
-
 val pointer_chase : int -> program
 (** Linked-list traversal: bases reloaded each step, nothing to
     hoist (PARSEC dedup flavor). *)

@@ -18,13 +18,10 @@ type t = {
   q : fiber Queue.t;
   mutable since_check : int;  (* work cycles since last timing call *)
   mutable last_switch : int;  (* virtual time of the last switch *)
-  mutable switches : int;
-  mutable checks : int;
   mutable overhead : int;
 }
 
-let create ?obs plat ~mode ~fp =
-  let obs = match obs with Some o -> o | None -> Iw_obs.Obs.inherit_trace () in
+let create plat ~mode ~fp =
   let c = plat.Iw_hw.Platform.costs in
   let switch_cycles =
     c.fiber_switch_base + if fp then c.fiber_fp_save + c.fiber_fp_restore else 0
@@ -36,13 +33,11 @@ let create ?obs plat ~mode ~fp =
         invalid_arg "Fiber.create: bad compiler-timed parameters");
   {
     mode;
-    obs;
+    obs = Iw_obs.Obs.inherit_trace ();
     switch_cycles;
     q = Queue.create ();
     since_check = 0;
     last_switch = 0;
-    switches = 0;
-    checks = 0;
     overhead = 0;
   }
 
@@ -54,12 +49,12 @@ let spawn t ?(name = "fiber") body =
 let yield () = Coro.yield ()
 
 let switch_cost t = t.switch_cycles
-let switches t = t.switches
-let timing_checks t = t.checks
+let count t id = Iw_obs.Counter.get t.obs.Iw_obs.Obs.counters id
+let switches t = count t Iw_obs.Counter.Fiber_switches
+let timing_checks t = count t Iw_obs.Counter.Timing_checks
 let overhead_cycles t = t.overhead
 
 let pay_switch t =
-  t.switches <- t.switches + 1;
   t.overhead <- t.overhead + t.switch_cycles;
   Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters Iw_obs.Counter.Fiber_switches;
   Coro.consume t.switch_cycles;
@@ -92,7 +87,6 @@ let burn t n =
           else begin
             Coro.consume until_check;
             t.since_check <- 0;
-            t.checks <- t.checks + 1;
             Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters
               Iw_obs.Counter.Timing_checks;
             t.overhead <- t.overhead + check_cost;

@@ -23,8 +23,11 @@ type mode =
   | Cooperative
   | Compiler_timed of { period : int; check_interval : int; check_cost : int }
 
-val create : ?obs:Iw_obs.Obs.t -> Iw_hw.Platform.t -> mode:mode -> fp:bool -> t
-(** [obs] (default: ambient) counts fiber switches and timing checks. *)
+val create : Iw_hw.Platform.t -> mode:mode -> fp:bool -> t
+(** The scheduler counts its switches and timing checks
+    ([fiber_switches], [timing_checks]) on a counter set of its own
+    that shares the ambient trace ({!Iw_obs.Obs.inherit_trace});
+    {!switches} and {!timing_checks} read it. *)
 
 val spawn : t -> ?name:string -> (unit -> unit) -> fiber
 (** Queue a fiber; it runs once {!run} reaches it. *)

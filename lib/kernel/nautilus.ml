@@ -3,9 +3,6 @@ open Iw_hw
 let boot ?seed ?quantum_us plat =
   Sched.boot ?seed ?quantum_us ~personality:(Os.nautilus plat) plat
 
-let address_space plat =
-  Iw_mem.Address_space.create plat Iw_mem.Address_space.Identity_large
-
 module Nemo = struct
   let signal k ~target_cpu ~handler =
     let plat = Sched.platform k in

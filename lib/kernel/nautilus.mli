@@ -9,10 +9,6 @@
 val boot :
   ?seed:int -> ?quantum_us:float -> Iw_hw.Platform.t -> Sched.t
 
-val address_space : Iw_hw.Platform.t -> Iw_mem.Address_space.t
-(** The identity-mapped, largest-page-size address space Nautilus sets
-    up at boot. *)
-
 (** Nemo-style remote events: signal a handler on another CPU via
     IPI, the mechanism that makes NK event signaling orders of
     magnitude faster than Linux user-space mechanisms (§III, §IV-B). *)

@@ -64,12 +64,8 @@ type t = {
   mutable short_streak : int;  (* consecutive inter-IRQ gaps below threshold *)
   mutable empty_streak : int;  (* consecutive empty polls while polling *)
   mutable stopped : bool;
-  mutable polls : int;
-  mutable empty_polls : int;
-  mutable wasted_cycles : int;
   mutable irq_bursts : int;
   mutable switches : int;
-  mutable slack_recovers : int;
 }
 
 (* Batched receive: deliver at most [budget] frames to the handler. *)
@@ -128,12 +124,8 @@ let create ~k ~nic mode ~handler =
       short_streak = 0;
       empty_streak = 0;
       stopped = false;
-      polls = 0;
-      empty_polls = 0;
-      wasted_cycles = 0;
       irq_bursts = 0;
       switches = 0;
-      slack_recovers = 0;
     }
   in
   let ctr = Sched.counters k in
@@ -167,13 +159,10 @@ let create ~k ~nic mode ~handler =
   t.poll_cb <-
     (fun () ->
       if (not t.stopped) && t.polling then begin
-        t.polls <- t.polls + 1;
         Counter.incr ctr Counter.Nic_polls;
         let n = drain t in
         if n = 0 then begin
-          t.empty_polls <- t.empty_polls + 1;
           Counter.incr ctr Counter.Nic_poll_empty;
-          t.wasted_cycles <- t.wasted_cycles + poll_cost;
           match t.mode with
           | Poll -> arm_poll t
           | Hybrid ->
@@ -205,7 +194,6 @@ let create ~k ~nic mode ~handler =
         then begin
           (* The device masked itself and the assertion never arrived:
              recover by re-injecting the delivery from up here. *)
-          t.slack_recovers <- t.slack_recovers + 1;
           Counter.incr ctr Counter.Nic_irq_recover;
           let obs = Sched.obs t.k in
           if obs.Obs.trace.Trace.enabled then
@@ -245,9 +233,5 @@ let stop t =
   end
 
 let mode t = t.mode
-let polls t = t.polls
-let empty_polls t = t.empty_polls
-let wasted_cycles t = t.wasted_cycles
 let irq_bursts t = t.irq_bursts
 let switches t = t.switches
-let slack_recovers t = t.slack_recovers

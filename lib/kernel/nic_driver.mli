@@ -23,7 +23,10 @@
       polls re-enable interrupts and stop polling.
 
     Times are in the driver's own kernel clock
-    ({!Sched.platform}'s [ghz]).
+    ({!Sched.platform}'s [ghz]).  Poll checks, empty checks and
+    recoveries are counted ([nic_polls], [nic_poll_empty],
+    [nic_irq_recover]) on the kernel's counter set ({!Sched.counters})
+    and nowhere else.
 
     Lost-interrupt recovery lives here, one layer above the fault:
     when the ambient plan arms [Nic_irq_lost] (and the mode can take
@@ -43,6 +46,10 @@ val mode_of_string : string -> mode option
 val budget : int
 (** Max frames per IRQ burst or poll check: 16. *)
 
+val poll_cost : int
+(** Cycles one poll check burns: 80.  An empty check's cycles are
+    wasted, so [poll_cost] × [nic_poll_empty] is the power proxy. *)
+
 type t
 
 val create :
@@ -57,14 +64,9 @@ val stop : t -> unit
     watchdog, a drained simulator must not be kept alive by them. *)
 
 val mode : t -> mode
-val polls : t -> int
-val empty_polls : t -> int
-
-val wasted_cycles : t -> int
-(** Poll-engine cycles burned by empty checks — the power proxy. *)
 
 val irq_bursts : t -> int
+(** Handler runs, device-asserted or re-injected. *)
+
 val switches : t -> int
 (** Hybrid IRQ→poll transitions. *)
-
-val slack_recovers : t -> int

@@ -8,6 +8,3 @@
 
 val boot :
   ?seed:int -> ?quantum_us:float -> Iw_hw.Platform.t -> Iw_kernel.Sched.t
-
-val address_space : Iw_hw.Platform.t -> Iw_mem.Address_space.t
-(** Demand-paged, base-page-size address space. *)

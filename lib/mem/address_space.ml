@@ -14,8 +14,6 @@ let create plat regime =
 
 let regime t = t.regime
 
-let tlb_misses t profile = Tlb.misses t.tlb profile
-
 let page_faults t profile =
   match t.regime with
   | Identity_large | Carat_guarded -> 0

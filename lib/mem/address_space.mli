@@ -25,4 +25,3 @@ val overhead_cycles : t -> Iw_hw.Tlb.profile -> int
     cost is software guards, accounted by the compiler pass. *)
 
 val page_faults : t -> Iw_hw.Tlb.profile -> int
-val tlb_misses : t -> Iw_hw.Tlb.profile -> int

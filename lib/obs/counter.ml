@@ -3,9 +3,9 @@
    Every layer of the stack counts through one preallocated int-array
    set addressed by a closed variant — a counter bump is two array
    ops on a constant index, where the old string-keyed hashtable paid
-   a hash + probe + deref per event on scheduler hot paths.  The
-   string names are kept (one per id) so rendering stays compatible
-   with the old [Stats.Counters.to_list] output. *)
+   a hash + probe + deref per event on scheduler hot paths.  Each id
+   has one stable snake_case name, which is what renderings, goldens
+   and digests print. *)
 
 type id =
   (* kernel / scheduler *)
@@ -293,9 +293,8 @@ let sum (sets : set list) : set =
   List.iter (fun s -> merge_into ~dst s) sets;
   dst
 
-(* Only counters that have fired, sorted by name — the exact shape
-   [Stats.Counters.to_list] produced (a hashtable only held touched
-   keys, and counters only ever increment). *)
+(* Only counters that have fired, sorted by name (counters only ever
+   increment, so a zero cell was never touched). *)
 let to_list (s : set) =
   List.filter_map
     (fun id ->

@@ -1,9 +1,9 @@
 (** Typed event counters shared by every layer of the stack.
 
-    A counter bump is two array operations on a constant index; the
-    closed [id] variant replaces the string-keyed hashtable the
-    scheduler hot paths used to hash through.  Rendering via
-    {!to_list} matches the old string-counter output byte for byte. *)
+    A counter bump is two array operations on a constant index, on a
+    closed [id] variant: no string hashing on scheduler hot paths.
+    A count lives in one cell of one set; a component keeps no tally
+    beside a counter it bumps. *)
 
 type id =
   | Context_switches
@@ -73,7 +73,8 @@ val index : id -> int
 (** Dense index in [0, count). *)
 
 val name : id -> string
-(** Stable snake_case name, identical to the old string keys. *)
+(** Stable snake_case name: what renderings, goldens and digests
+    print. *)
 
 val all : id list
 (** Every id, in declaration order. *)
@@ -95,5 +96,4 @@ val sum : set list -> set
 (** Fresh set holding the cell-wise sum of [sets]. *)
 
 val to_list : set -> (string * int) list
-(** Counters that have fired, as [(name, value)] sorted by name —
-    the same rendering the string-keyed counters produced. *)
+(** Counters that have fired, as [(name, value)] sorted by name. *)

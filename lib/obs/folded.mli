@@ -7,10 +7,6 @@ val to_string : Profile.t -> string
 
 val write_file : Profile.t -> string -> unit
 
-val parse : string -> (string * int) list
-(** Read back [(path, count)] lines; raises [Invalid_argument] on
-    malformed lines. *)
-
 val check : string -> total:int -> (int, string) result
 (** Validate a folded export: parses, and the counts sum to [total]
     (the profile's traced cycles).  Returns the line count. *)

@@ -59,11 +59,5 @@ type diff_row = {
   d_delta : float;  (** [d_share_b - d_share_a], percentage points. *)
 }
 
-val diff : ?threshold:float -> t -> t -> diff_row list
-(** Frames whose self-cycle {e share} moved by at least [threshold]
-    percentage points (default 1.0) between the runs, largest absolute
-    movement first.  Shares — not raw cycles — so runs of different
-    lengths compare meaningfully. *)
-
 val render_diff : ?threshold:float -> a_name:string -> b_name:string -> t -> t -> string
 (** Plain-text table of {!diff}. *)

@@ -28,9 +28,6 @@ val sp : benchmark
 val cg : benchmark
 val ep : benchmark
 
-val serial_cycles : Iw_hw.Platform.t -> Runtime.mode -> benchmark -> int
-(** Sequential elision under the mode's address-space regime. *)
-
 val memory_penalty_per_iter : Iw_hw.Platform.t -> Runtime.mode -> benchmark -> int
 (** Extra cycles per iteration charged by the memory system (TLB
     walks under demand paging; 0 under identity mapping). *)

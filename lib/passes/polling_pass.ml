@@ -4,17 +4,17 @@ let instrument ~poll_budget ~device m =
   Placement.instrument ~budget:poll_budget ~site:(Ir.Poll { device })
     ~site_cost:Cost.poll m
 
+(* A simple device whose requests complete at given times and must
+   then be serviced (by poll or by interrupt). *)
 module Device = struct
   type t = {
     mutable pending : int list;  (* ascending completion times *)
     mutable latencies : int list;
     mutable polls : int;
-    total : int;
   }
 
   let create ~completions =
-    let sorted = List.sort compare completions in
-    { pending = sorted; latencies = []; polls = 0; total = List.length sorted }
+    { pending = List.sort compare completions; latencies = []; polls = 0 }
 
   let poll_hook t (hooks : Interp.hooks) =
     {
@@ -29,9 +29,7 @@ module Device = struct
     }
 
   let service_latencies t = List.rev t.latencies
-  let serviced t = List.length t.latencies
   let polls t = t.polls
-  let _total t = t.total
 end
 
 type result = {

@@ -1,4 +1,3 @@
-open Iw_ir
 (** Blended device drivers via compiler-injected polling (§V-C).
 
     The interrupt-driven logic of a driver is replaced by a
@@ -6,20 +5,6 @@ open Iw_ir
     same bounded-gap placement as compiler timing.  The device then
     behaves as if it were interrupt-driven — bounded service latency —
     but no interrupt ever fires. *)
-
-val instrument : poll_budget:int -> device:int -> Ir.modul -> int
-
-(** A simple device whose requests complete at given times and must
-    then be serviced (by poll or by interrupt). *)
-module Device : sig
-  type t
-
-  val create : completions:int list -> t
-  (** Completion times, in cycles, ascending. *)
-
-  val serviced : t -> int
-  val polls : t -> int
-end
 
 type result = {
   program : string;

@@ -173,13 +173,16 @@ let percentile_us rep h p = us_of_cycles rep (Hist.percentile h p)
    draws (each kernel's own streams) can never perturb arrivals. *)
 let rng_salt = 0xF1EE7
 
-(* One machine of the fleet: a full Exec stack on its own kernel,
-   plus the front tier's view of it (links, health). *)
+(* One machine of the fleet: a full Exec stack on its own kernel, its
+   NIC and driver when the fleet has them, plus the front tier's view
+   of it (links, health). *)
 type machine = {
   m_spec : mspec;
   m_k : Sched.t;
   m_ex : Exec.t;
   m_sim : Iw_engine.Sim.t;
+  m_nic : (Iw_hw.Nic.t * Nic_driver.t) option;
+  m_on_req : int -> int -> unit;  (* a request message arrives *)
   m_outbox : Net.msgbuf;
   m_up : Net.link;  (* front -> machine *)
   m_down : Net.link;  (* machine -> front *)
@@ -449,13 +452,7 @@ let run ?parallel cfg =
   for m = 1 to n - 1 do
     cpu_base.(m) <- cpu_base.(m - 1) + cfg.fc_machines.(m - 1).ms_workers
   done;
-  (* NIC slots are filled after the machines exist (the driver handler
-     needs the delivery function below); the respond closures capture
-     the refs now so completions route through the TX ring when the
-     device appears. *)
-  let nic_slots : Iw_hw.Nic.t option ref array =
-    Array.init n (fun _ -> ref None)
-  in
+  let itr_c = if cfg.fc_itr_us > 0.0 then cyc cfg.fc_itr_us else 0 in
   let machines =
     Array.init n (fun m ->
         let spec = cfg.fc_machines.(m) in
@@ -481,18 +478,27 @@ let run ?parallel cfg =
         in
         let outbox = Net.mb_create () in
         let sim = Sched.sim k in
-        let nic_slot = nic_slots.(m) in
-        let respond ~reply =
-          match !nic_slot with
-          | None ->
-              Net.mb_push outbox ~kind:Net.k_resp ~dst:(-1) ~a:reply ~b:m
-                ~t:(Iw_engine.Sim.now sim)
+        let send_resp ~a ~b =
+          Net.mb_push outbox ~kind:Net.k_resp ~dst:(-1) ~a ~b
+            ~t:(Iw_engine.Sim.now sim)
+        in
+        (* Opt-in NIC path: a device on the machine's own simulator.
+           Creating it schedules nothing, so it can come before Exec. *)
+        let nic =
+          if cfg.fc_nic then
+            Some (Iw_hw.Nic.create ~obs:(Sched.obs k) ~sim itr_c)
+          else None
+        in
+        let respond =
+          match nic with
+          | None -> fun ~reply -> send_resp ~a:reply ~b:m
           | Some nic ->
               (* Through the TX ring: the frame reaches the outbox when
                  its descriptor finishes serializing (on_tx below).  A
                  full ring loses the response; the front tier's RTO
                  retry is the recovery, one layer up. *)
-              ignore (Iw_hw.Nic.tx_push nic ~a:reply ~b:m)
+              Iw_hw.Nic.set_on_tx nic send_resp;
+              fun ~reply -> ignore (Iw_hw.Nic.tx_push nic ~a:reply ~b:m)
         in
         let dispatch_rng =
           Rng.create ~seed:((cfg.fc_seed + (7919 * (m + 1))) lxor rng_salt)
@@ -521,11 +527,46 @@ let run ?parallel cfg =
           in
           Iw_engine.Sim.schedule_unit sim ~at:gossip_c tick
         end;
+        (* A request reaching the machine, by wire or through the NIC
+           driver: (a = request id, b = packed attempt/hi). *)
+        let rx id b =
+          let now = Iw_engine.Sim.now sim in
+          (* Runs inside the machine's window (cpu_base set for it), so
+             this step lands on the machine's first worker process — the
+             hop that carries the flow across the network boundary. *)
+          if Iw_obs.Trace.flows_enabled tr then
+            Iw_obs.Trace.flow tr ~name:"req" ~phase:Iw_obs.Trace.flow_step ~id
+              ~cpu:0 ~ts:now ();
+          let qi =
+            Exec.try_enqueue ex ~intended:(-1) ~hi:(b land 1 = 1) ~arrival:now
+              ~reply:id
+          in
+          if qi >= 0 then Sched.sem_signal k (Exec.doorbell ex qi)
+          else begin
+            Counter.incr (Sched.counters k) Counter.Service_shed;
+            Net.mb_push outbox ~kind:Net.k_nack ~dst:(-1) ~a:id ~b:(b asr 1)
+              ~t:now
+          end
+        in
+        (* The driver comes after Exec and the gossip tick, keeping each
+           machine's scheduling order; its handler is exactly [rx]. *)
+        let nic_drv, on_req =
+          match nic with
+          | None -> (None, rx)
+          | Some nic ->
+              let drv =
+                Nic_driver.create ~k ~nic cfg.fc_nic_mode
+                  ~handler:(fun ~a ~b -> rx a b)
+              in
+              (Some (nic, drv), fun a b -> ignore (Iw_hw.Nic.rx_push nic ~a ~b))
+        in
         {
           m_spec = spec;
           m_k = k;
           m_ex = ex;
           m_sim = sim;
+          m_nic = nic_drv;
+          m_on_req = on_req;
           m_outbox = outbox;
           m_up = Net.link cfg.fc_net ~ghz;
           m_down = Net.link cfg.fc_net ~ghz;
@@ -804,59 +845,9 @@ let run ?parallel cfg =
     else if kind = Net.k_gossip then gossip_bytes
     else resp_bytes
   in
-  let rx m id hi attempt =
-    let mc = machines.(m) in
-    let now = Iw_engine.Sim.now mc.m_sim in
-    (* Runs inside the machine's window (cpu_base set for it), so
-       this step lands on the machine's first worker process — the
-       hop that carries the flow across the network boundary. *)
-    if Iw_obs.Trace.flows_enabled tr then
-      Iw_obs.Trace.flow tr ~name:"req" ~phase:Iw_obs.Trace.flow_step ~id ~cpu:0
-        ~ts:now ();
-    let qi =
-      Exec.try_enqueue mc.m_ex ~intended:(-1) ~hi ~arrival:now ~reply:id
-    in
-    if qi >= 0 then Sched.sem_signal mc.m_k (Exec.doorbell mc.m_ex qi)
-    else begin
-      Counter.incr (Sched.counters mc.m_k) Counter.Service_shed;
-      Net.mb_push mc.m_outbox ~kind:Net.k_nack ~dst:(-1) ~a:id ~b:attempt ~t:now
-    end
-  in
-  (* Opt-in NIC path: each machine gets a device on its own simulator
-     and a driver whose handler is exactly the direct delivery above.
-     Frames carry (a = request id, b = packed attempt/hi) — the same
-     words the wire message carried. *)
-  let nics =
-    if not cfg.fc_nic then [||]
-    else begin
-      let itr_c = if cfg.fc_itr_us > 0.0 then cyc cfg.fc_itr_us else 0 in
-      Array.init n (fun m ->
-          let mc = machines.(m) in
-          let nic =
-            Iw_hw.Nic.create ~obs:(Sched.obs mc.m_k) ~sim:mc.m_sim itr_c
-          in
-          Iw_hw.Nic.set_on_tx nic (fun ~a ~b ->
-              Net.mb_push mc.m_outbox ~kind:Net.k_resp ~dst:(-1) ~a ~b
-                ~t:(Iw_engine.Sim.now mc.m_sim));
-          let drv =
-            Nic_driver.create ~k:mc.m_k ~nic cfg.fc_nic_mode
-              ~handler:(fun ~a ~b -> rx m a (b land 1 = 1) (b asr 1))
-          in
-          nic_slots.(m) := Some nic;
-          (nic, drv))
-    end
-  in
   (* One handler per message kind, built once: a delivered message is
      a pooled (handler, a, b) record, never a fresh closure. *)
   let mpools = Array.map (fun mc -> pool mc.m_sim) machines in
-  let on_req =
-    Array.init n (fun m ->
-        if cfg.fc_nic then begin
-          let nic, _ = nics.(m) in
-          fun a b -> ignore (Iw_hw.Nic.rx_push nic ~a ~b)
-        end
-        else fun a b -> rx m a (b land 1 = 1) (b asr 1))
-  in
   let on_gossip depth m =
     view.(m) <- depth;
     Counter.incr fctr Counter.Gossip_msgs
@@ -885,7 +876,7 @@ let run ?parallel cfg =
       (* conservative clamp: never deliver into the closing window *)
       let at = if d < h then h else d in
       Counter.incr fctr Counter.Net_msgs;
-      if kind = Net.k_req then post mpools.(dst) ~at on_req.(dst) a b
+      if kind = Net.k_req then post mpools.(dst) ~at machines.(dst).m_on_req a b
       else if kind = Net.k_resp then post fpool ~at on_resp a b
       else if kind = Net.k_gossip then post fpool ~at on_gossip a b
       else post fpool ~at on_nack_from.(src - 1) a b
@@ -1133,11 +1124,14 @@ let run ?parallel cfg =
   (* -------------------------------------------------------------- *)
   (* Readout *)
   Array.iter
-    (fun (nic, drv) ->
-      Nic_driver.stop drv;
-      Iw_hw.Nic.stop nic)
-    nics;
-  let nsum f = Array.fold_left (fun acc nd -> acc + f nd) 0 nics in
+    (fun mc ->
+      Option.iter
+        (fun (nic, drv) ->
+          Nic_driver.stop drv;
+          Iw_hw.Nic.stop nic)
+        mc.m_nic)
+    machines;
+  let msum id = Array.fold_left (fun acc mc -> acc + mcount mc id) 0 machines in
   let merged shards =
     Hist.merge_all
       (Array.concat (Array.to_list (Array.map (fun mc -> shards mc.m_ex) machines)))
@@ -1196,18 +1190,23 @@ let run ?parallel cfg =
     fr_hedge_cancels = fcount Counter.Hedge_cancel;
     fr_admission_shed = fcount Counter.Admission_shed;
     fr_corrupt_retries = fcount Counter.Corrupt_retry;
-    fr_steals =
-      Array.fold_left (fun acc mc -> acc + mcount mc Counter.Peer_steal) 0 machines;
+    fr_steals = msum Counter.Peer_steal;
     fr_brownouts = !brownouts;
-    fr_nic_rx = nsum (fun (nic, _) -> Iw_hw.Nic.rx_pkts nic);
-    fr_nic_drops = nsum (fun (nic, _) -> Iw_hw.Nic.rx_drops nic);
-    fr_nic_irqs = nsum (fun (nic, _) -> Iw_hw.Nic.irqs nic);
-    fr_nic_polls = nsum (fun (_, drv) -> Nic_driver.polls drv);
-    fr_nic_empty_polls = nsum (fun (_, drv) -> Nic_driver.empty_polls drv);
-    fr_nic_wasted_cycles = nsum (fun (_, drv) -> Nic_driver.wasted_cycles drv);
-    fr_nic_switches = nsum (fun (_, drv) -> Nic_driver.switches drv);
-    fr_nic_recovers = nsum (fun (_, drv) -> Nic_driver.slack_recovers drv);
-    fr_nic_tx = nsum (fun (nic, _) -> Iw_hw.Nic.tx_pkts nic);
+    fr_nic_rx = msum Counter.Nic_rx_pkts;
+    fr_nic_drops = msum Counter.Nic_rx_drops;
+    fr_nic_irqs = msum Counter.Nic_irqs;
+    fr_nic_polls = msum Counter.Nic_polls;
+    fr_nic_empty_polls = msum Counter.Nic_poll_empty;
+    fr_nic_wasted_cycles = Nic_driver.poll_cost * msum Counter.Nic_poll_empty;
+    fr_nic_switches =
+      Array.fold_left
+        (fun acc mc ->
+          match mc.m_nic with
+          | Some (_, drv) -> acc + Nic_driver.switches drv
+          | None -> acc)
+        0 machines;
+    fr_nic_recovers = msum Counter.Nic_irq_recover;
+    fr_nic_tx = msum Counter.Nic_tx_pkts;
     fr_series =
       (match series with
       | Some s ->

@@ -180,5 +180,4 @@ val run : ?parallel:bool -> config -> report
     @raise Invalid_argument on a closed-loop workload or an empty
     machine array. *)
 
-val us_of_cycles : report -> int -> float
 val percentile_us : report -> Hist.t -> float -> float

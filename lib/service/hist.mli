@@ -31,8 +31,6 @@ val percentile : t -> float -> int
     rank-th smallest sample, rank = ceil(p/100 * count); [0] when
     empty. *)
 
-val merge_into : dst:t -> t -> unit
-
 val merge_all : t array -> t
 (** A fresh histogram holding every sample of the given ones (e.g. the
     per-worker shards of a run). *)

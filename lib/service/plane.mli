@@ -117,6 +117,5 @@ val run : config -> report
     request completes).  @raise Invalid_argument on a config without
     workers or clients. *)
 
-val us_of_cycles : report -> int -> float
 val percentile_us : report -> Hist.t -> float -> float
 val mean_us : report -> Hist.t -> float

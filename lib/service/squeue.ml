@@ -50,7 +50,6 @@ let create ~order ~cap =
   }
 
 let order t = t.q_order
-let capacity t = t.q_cap
 let length t = t.hi_n + t.lo_n + t.leased
 let is_empty t = t.hi_n = 0 && t.lo_n = 0
 let pushed t = t.pushed
@@ -91,7 +90,6 @@ let[@inline] pop_raw t =
   end
 
 let pop_idx t = if is_empty t then -1 else pop_raw t
-let pop t = if is_empty t then None else Some (pop_raw t)
 
 let lease_pop t =
   if is_empty t then -1

@@ -29,7 +29,6 @@ val create : order:order -> cap:int -> t
 (** @raise Invalid_argument when [cap < 1]. *)
 
 val order : t -> order
-val capacity : t -> int
 
 val length : t -> int
 (** Queued plus leased elements — what a dispatch policy sees. *)
@@ -41,10 +40,9 @@ val try_push : t -> hi:bool -> int -> bool
 (** [false] = queue full, request dropped (counted). [hi] is ignored
     under [Fifo].  @raise Invalid_argument on a negative element. *)
 
-val pop : t -> int option
-
 val pop_idx : t -> int
-(** Like {!pop}; [-1] when empty.  No allocation. *)
+(** The next element — the high lane first under [Priority] — or [-1]
+    when empty.  No allocation. *)
 
 val lease_pop : t -> int
 (** Pop ([-1] when empty) but keep the element counted in {!length}

@@ -92,8 +92,6 @@ type t = {
   mutable rf_buf : float array;
   mutable rf_head : int;
   mutable rf_n : int;
-  mutable n_spawned : int;
-  mutable n_pool_hits : int;
   mutable vclock : int;  (* span clock in virtual cycles; see below *)
 }
 
@@ -112,8 +110,6 @@ let create ?obs ?(seed = 7) ?(pool_size = 16) config =
     rf_buf = Array.make 8 0.0;
     rf_head = 0;
     rf_n = 0;
-    n_spawned = 0;
-    n_pool_hits = 0;
     vclock = 0;
   }
 
@@ -235,7 +231,6 @@ let schedule_refill t now_us =
 let launch_once t now =
   if t.config.pooled && t.pool > 0 then begin
     t.pool <- t.pool - 1;
-    t.n_pool_hits <- t.n_pool_hits + 1;
     Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters
       Iw_obs.Counter.Virtine_pool_hits;
     (* Refill happens off the critical path. *)
@@ -269,7 +264,6 @@ let rec launch t plan now attempts =
 let call_clocked t ~now ~work_us =
   if work_us < 0.0 then invalid_arg "Wasp.call: negative work";
   if not (Float.is_nan now) then reclaim t now;
-  t.n_spawned <- t.n_spawned + 1;
   Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters Iw_obs.Counter.Virtine_spawns;
   let plan = Iw_faults.Plan.ambient () in
   (* Pool poisoning: a warm context fails its pre-dispatch health
@@ -299,8 +293,9 @@ let call_clocked t ~now ~work_us =
 let call t ~work_us = call_clocked t ~now:Float.nan ~work_us
 let call_at t ~now_us ~work_us = call_clocked t ~now:now_us ~work_us
 
-let spawned t = t.n_spawned
-let pool_hits t = t.n_pool_hits
+let count t id = Iw_obs.Counter.get t.obs.Iw_obs.Obs.counters id
+let spawned t = count t Iw_obs.Counter.Virtine_spawns
+let pool_hits t = count t Iw_obs.Counter.Virtine_pool_hits
 
 let call_program t ~ghz (p : Iw_ir.Programs.program) =
   if ghz <= 0.0 then invalid_arg "Wasp.call_program: ghz <= 0";

@@ -50,6 +50,12 @@ type t
 (** A Wasp instance: owns the snapshot cache and context pool. *)
 
 val create : ?obs:Iw_obs.Obs.t -> ?seed:int -> ?pool_size:int -> config -> t
+(** Wasp counts its spawns and pool hits ([virtine_spawns],
+    [virtine_pool_hits]) on [obs]'s counter set, and {!spawned} and
+    {!pool_hits} read them there.  [obs] defaults to a set of its own
+    that shares the ambient trace ({!Iw_obs.Obs.inherit_trace}); pass
+    a shared one only where nothing else bumps [virtine_*] (the
+    service executor passes its kernel's). *)
 
 val call : t -> work_us:float -> float
 (** Invoke a virtine function whose body runs [work_us]: returns total

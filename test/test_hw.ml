@@ -52,14 +52,13 @@ let test_interrupt_preempts_grant () =
   let after_at = ref (-1) in
   Cpu.grant cpu ~cycles:1000 ~kind:Cpu.Work ~uninterruptible:false
     ~on_complete:(fun () -> grant_completed := true);
-  ignore
-    (Sim.schedule s ~at:400 (fun () ->
-         Cpu.interrupt cpu ~dispatch:50 ~return_cost:10
-           ~handler:(fun ~preempted ->
-             if preempted < 0 then Alcotest.fail "expected preemption"
-             else seen_remaining := preempted;
-             20)
-           ~after:(fun () -> after_at := Sim.now s)));
+  Sim.schedule_unit s ~at:400 (fun () ->
+      Cpu.interrupt cpu ~dispatch:50 ~return_cost:10
+        ~handler:(fun ~preempted ->
+          if preempted < 0 then Alcotest.fail "expected preemption"
+          else seen_remaining := preempted;
+          20)
+        ~after:(fun () -> after_at := Sim.now s));
   Sim.run s;
   check_bool "preempted grant never completes" false !grant_completed;
   check_int "remaining = total - consumed" 600 !seen_remaining;
@@ -86,15 +85,14 @@ let test_uninterruptible_grant_defers_irq () =
   let handler_at = ref (-1) in
   Cpu.grant cpu ~cycles:100 ~kind:Cpu.Work ~uninterruptible:true
     ~on_complete:(fun () -> ());
-  ignore
-    (Sim.schedule s ~at:20 (fun () ->
-         Cpu.interrupt cpu ~dispatch:10 ~return_cost:0
-           ~handler:(fun ~preempted ->
-             if preempted >= 0 then
-               Alcotest.fail "must not preempt uninterruptible";
-             handler_at := Sim.now s;
-             0)
-           ~after:(fun () -> ())));
+  Sim.schedule_unit s ~at:20 (fun () ->
+      Cpu.interrupt cpu ~dispatch:10 ~return_cost:0
+        ~handler:(fun ~preempted ->
+          if preempted >= 0 then
+            Alcotest.fail "must not preempt uninterruptible";
+          handler_at := Sim.now s;
+          0)
+        ~after:(fun () -> ()));
   Sim.run s;
   (* Delivery waits for grant end at t=100, then 10 dispatch. *)
   check_int "deferred to grant end" 110 !handler_at
@@ -110,9 +108,9 @@ let test_interrupts_queue_fifo () =
         100)
       ~after:(fun () -> ())
   in
-  ignore (Sim.schedule s ~at:0 (fun () -> inject "first"));
-  ignore (Sim.schedule s ~at:5 (fun () -> inject "second"));
-  ignore (Sim.schedule s ~at:6 (fun () -> inject "third"));
+  Sim.schedule_unit s ~at:0 (fun () -> inject "first");
+  Sim.schedule_unit s ~at:5 (fun () -> inject "second");
+  Sim.schedule_unit s ~at:6 (fun () -> inject "third");
   Sim.run s;
   Alcotest.(check (list string)) "fifo" [ "first"; "second"; "third" ]
     (List.rev !order)
@@ -128,13 +126,12 @@ let test_resume_after_preemption () =
       ~on_complete:(fun () -> finished_at := Sim.now s)
   in
   give 1000;
-  ignore
-    (Sim.schedule s ~at:300 (fun () ->
-         Cpu.interrupt cpu ~dispatch:100 ~return_cost:0
-           ~handler:(fun ~preempted ->
-             if preempted >= 0 then remaining := preempted;
-             0)
-           ~after:(fun () -> give !remaining)));
+  Sim.schedule_unit s ~at:300 (fun () ->
+      Cpu.interrupt cpu ~dispatch:100 ~return_cost:0
+        ~handler:(fun ~preempted ->
+          if preempted >= 0 then remaining := preempted;
+          0)
+        ~after:(fun () -> give !remaining));
   Sim.run s;
   (* 300 consumed + 100 irq + 700 remaining = done at 1100. *)
   check_int "resumed to completion" 1100 !finished_at;
@@ -154,7 +151,7 @@ let test_lapic_periodic_and_stop () =
       0)
     ~after:(fun () -> ())
     ();
-  ignore (Sim.schedule s ~at:550 (fun () -> Lapic.stop lapic));
+  Sim.schedule_unit s ~at:550 (fun () -> Lapic.stop lapic);
   Sim.run s;
   check_int "ticks until stopped" 5 !count
 

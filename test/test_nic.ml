@@ -7,12 +7,16 @@ open Iw_hw
 open Iw_kernel
 module Ring = Nic.Ring
 module Plan = Iw_faults.Plan
+module Counter = Iw_obs.Counter
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let plat = Platform.knl
 let nk () = Nautilus.boot plat
+
+(* The device and its driver count on the kernel's counter set. *)
+let count k id = Counter.get (Sched.counters k) id
 
 (* ------------------------------------------------------------------ *)
 (* Ring properties *)
@@ -93,7 +97,7 @@ let prop_batch_le_budget =
       let budget = Nic_driver.budget in
       let k = nk () in
       let sim = Sched.sim k in
-      let nic = Nic.create ~sim 0 in
+      let nic = Nic.create ~obs:(Sched.obs k) ~sim 0 in
       let stamps = ref [] in
       let drv =
         Nic_driver.create ~k ~nic Poll
@@ -124,7 +128,7 @@ let prop_batch_le_budget =
 let test_itr_moderates_interrupts () =
   let k = nk () in
   let sim = Sched.sim k in
-  let nic = Nic.create ~sim 10_000 in
+  let nic = Nic.create ~obs:(Sched.obs k) ~sim 10_000 in
   let delivered = ref 0 in
   let drv =
     Nic_driver.create ~k ~nic Irq
@@ -141,8 +145,8 @@ let test_itr_moderates_interrupts () =
   Nic_driver.stop drv;
   Nic.stop nic;
   check_int "all frames delivered" 10 !delivered;
-  check_int "moderated down to two interrupts" 2 (Nic.irqs nic);
-  check_int "nothing dropped" 0 (Nic.rx_drops nic)
+  check_int "moderated down to two interrupts" 2 (count k Counter.Nic_irqs);
+  check_int "nothing dropped" 0 (count k Counter.Nic_rx_drops)
 
 (* ------------------------------------------------------------------ *)
 (* Hybrid driver transitions, pinned at a fixed arrival trace.
@@ -154,7 +158,7 @@ let test_itr_moderates_interrupts () =
 let test_hybrid_irq_poll_irq () =
   let k = nk () in
   let sim = Sched.sim k in
-  let nic = Nic.create ~sim 0 in
+  let nic = Nic.create ~obs:(Sched.obs k) ~sim 0 in
   let delivered = ref 0 in
   let drv =
     Nic_driver.create ~k ~nic Hybrid
@@ -178,10 +182,11 @@ let test_hybrid_irq_poll_irq () =
   check_int "one switch into polling" 1 (Nic_driver.switches drv);
   check_int "three irqs in, one irq after the poll phase" 4
     (Nic_driver.irq_bursts drv);
-  check_int "device agrees" 4 (Nic.irqs nic);
-  check_bool "the poll phase did some polling" true (Nic_driver.polls drv >= 13);
+  check_int "device agrees" 4 (count k Counter.Nic_irqs);
+  check_bool "the poll phase did some polling" true
+    (count k Counter.Nic_polls >= 13);
   check_bool "idle hysteresis was exercised" true
-    (Nic_driver.empty_polls drv >= 12)
+    (count k Counter.Nic_poll_empty >= 12)
 
 (* ------------------------------------------------------------------ *)
 (* Faults: a lost interrupt strands the ring; the driver's slack scan
@@ -192,7 +197,7 @@ let test_irq_lost_recovered_by_slack_scan () =
   Plan.with_ambient plan (fun () ->
       let k = nk () in
       let sim = Sched.sim k in
-      let nic = Nic.create ~sim 0 in
+      let nic = Nic.create ~obs:(Sched.obs k) ~sim 0 in
       let delivered = ref 0 in
       let drv =
         Nic_driver.create ~k ~nic Irq
@@ -205,17 +210,17 @@ let test_irq_lost_recovered_by_slack_scan () =
       Nic_driver.stop drv;
       Nic.stop nic;
       check_int "assertion swallowed" 1 (Nic.irqs_lost nic);
-      check_int "zero device interrupts" 0 (Nic.irqs nic);
-      check_int "slack scan re-injected" 1 (Nic_driver.slack_recovers drv);
+      check_int "zero device interrupts" 0 (count k Counter.Nic_irqs);
+      check_int "slack scan re-injected" 1 (count k Counter.Nic_irq_recover);
       check_int "frame still delivered" 1 !delivered)
 
 let test_rx_drop_fault_counted () =
   let plan = Plan.create ~kinds:[ Plan.Nic_rx_drop ] ~rate:1.0 ~seed:7 () in
   Plan.with_ambient plan (fun () ->
       let k = nk () in
-      let nic = Nic.create ~sim:(Sched.sim k) 0 in
+      let nic = Nic.create ~obs:(Sched.obs k) ~sim:(Sched.sim k) 0 in
       check_bool "frame lost at the device" false (Nic.rx_push nic ~a:1 ~b:0);
-      check_int "drop counted" 1 (Nic.rx_drops nic);
+      check_int "drop counted" 1 (count k Counter.Nic_rx_drops);
       check_int "ring untouched" 0 (Nic.rx_avail nic);
       Nic.stop nic)
 

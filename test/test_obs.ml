@@ -337,21 +337,17 @@ let test_sweep_sensitivity_table () =
 
 let test_machine_boot_wiring () =
   let plat = Iw_hw.Platform.small in
-  let tr = Trace.ring () in
-  let m = Interweave.Machine.boot ~trace:tr (Interweave.Stack.commodity plat) in
+  let obs = Obs.create ~trace:(Trace.ring ()) () in
+  let k =
+    Iw_kernel.Sched.boot ~obs ~personality:(Iw_kernel.Os.linux plat) plat
+  in
   Alcotest.(check bool)
-    "kernel shares the machine trace" true
-    ((Iw_kernel.Sched.obs (Interweave.Machine.kernel m)).Obs.trace == tr);
-  ignore
-    (Iw_kernel.Sched.spawn (Interweave.Machine.kernel m) (fun () ->
-         Iw_kernel.Api.work 10_000));
-  Interweave.Machine.run m;
+    "kernel shares the context" true (Iw_kernel.Sched.obs k == obs);
+  ignore (Iw_kernel.Sched.spawn k (fun () -> Iw_kernel.Api.work 10_000));
+  Iw_kernel.Sched.run k;
   Alcotest.(check bool)
     "counters fired" true
-    (Counter.get (Interweave.Machine.counters m) Counter.Context_switches > 0);
-  let tbl = Interweave.Machine.counter_table m in
-  Alcotest.(check (list string))
-    "table headers" [ "counter"; "events" ] tbl.Interweave.Table.headers
+    (Counter.get obs.Obs.counters Counter.Context_switches > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Profile: span-stack reconstruction *)

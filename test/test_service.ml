@@ -135,10 +135,10 @@ let test_squeue_fifo_order () =
   let q = Squeue.create ~order:Squeue.Fifo ~cap:8 in
   List.iter (fun i -> ignore (Squeue.try_push q ~hi:(i = 2) i)) [ 1; 2; 3 ];
   (* Fifo ignores the hi flag. *)
-  check_int "pop 1" 1 (Option.get (Squeue.pop q));
-  check_int "pop 2" 2 (Option.get (Squeue.pop q));
-  check_int "pop 3" 3 (Option.get (Squeue.pop q));
-  check_bool "drained" true (Squeue.pop q = None)
+  check_int "pop 1" 1 (Squeue.pop_idx q);
+  check_int "pop 2" 2 (Squeue.pop_idx q);
+  check_int "pop 3" 3 (Squeue.pop_idx q);
+  check_int "drained" (-1) (Squeue.pop_idx q)
 
 let test_squeue_priority_order () =
   let q = Squeue.create ~order:Squeue.Priority ~cap:8 in
@@ -147,10 +147,10 @@ let test_squeue_priority_order () =
   ignore (Squeue.try_push q ~hi:false 3);
   ignore (Squeue.try_push q ~hi:true 4);
   (* High lane first (FIFO within), then the low lane. *)
-  check_int "hi 2" 2 (Option.get (Squeue.pop q));
-  check_int "hi 4" 4 (Option.get (Squeue.pop q));
-  check_int "lo 1" 1 (Option.get (Squeue.pop q));
-  check_int "lo 3" 3 (Option.get (Squeue.pop q))
+  check_int "hi 2" 2 (Squeue.pop_idx q);
+  check_int "hi 4" 4 (Squeue.pop_idx q);
+  check_int "lo 1" 1 (Squeue.pop_idx q);
+  check_int "lo 3" 3 (Squeue.pop_idx q)
 
 let test_squeue_drop_tail () =
   let q = Squeue.create ~order:Squeue.Fifo ~cap:2 in

@@ -38,7 +38,12 @@ val producer_consumer :
   result
 (** Each iteration: [data_stores] ordered stores and
     [unrelated_stores] unrelated ones (interleaved), then a fence,
-    then the flag store. *)
+    then the flag store.  The buffer is a ring of [buffer_slots] drain
+    times; nothing is allocated per store.
+
+    @raise Invalid_argument naming the field when [iterations] or
+    [buffer_slots] is below 1, or [store_drain_cycles], [data_stores]
+    or [unrelated_stores] is negative. *)
 
 val speedup : ?params:params -> iterations:int -> data_stores:int ->
   unrelated_stores:int -> unit -> float

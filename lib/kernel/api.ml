@@ -3,17 +3,17 @@ open Iw_engine
 let work n = Coro.consume n
 
 let spawn ?(name = "thread") ?cpu ?(fp = false) ?(rt = false) body =
-  Coro.request
+  Coro.query
     (Sched.R_spawn
        ({ sp_name = name; sp_cpu = cpu; sp_fp = fp; sp_rt = rt }, body))
 
 let join th = Coro.request (Sched.R_join th)
-let now () = Coro.request Sched.R_now
-let cpu_id () = Coro.request Sched.R_cpu
-let kernel () = Coro.request Sched.R_kernel
+let now () = Coro.query Sched.R_now
+let cpu_id () = Coro.query Sched.R_cpu
+let kernel () = Coro.query Sched.R_kernel
 let sleep n = Coro.request (Sched.R_sleep n)
-let rand bound = Coro.request (Sched.R_rand bound)
-let overhead n = if n > 0 then Coro.request (Sched.R_overhead n)
+let rand bound = Coro.query (Sched.R_rand bound)
+let overhead n = if n > 0 then Coro.overhead n
 let lock m = Coro.request (Sched.R_lock m)
 let unlock m = Coro.request (Sched.R_unlock m)
 

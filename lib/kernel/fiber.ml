@@ -4,12 +4,9 @@ type mode =
   | Cooperative
   | Compiler_timed of { period : int; check_interval : int; check_cost : int }
 
-type fstate =
-  | Not_started of (unit -> unit)
-  | Paused of int * (unit -> Coro.status)  (* owed cycles, continuation *)
-  | Finished
-
-type fiber = { fname : string; mutable fstate : fstate }
+(* A fiber's continuation sits in its coroutine's slot; [owed] is what
+   it is still owed of its last work pause when it was preempted. *)
+type fiber = { fname : string; co : Coro.t; mutable owed : int }
 
 type t = {
   mode : mode;
@@ -18,7 +15,6 @@ type t = {
   q : fiber Queue.t;
   mutable since_check : int;  (* work cycles since last timing call *)
   mutable last_switch : int;  (* virtual time of the last switch *)
-  mutable overhead : int;
 }
 
 let create plat ~mode ~fp =
@@ -38,11 +34,10 @@ let create plat ~mode ~fp =
     q = Queue.create ();
     since_check = 0;
     last_switch = 0;
-    overhead = 0;
   }
 
 let spawn t ?(name = "fiber") body =
-  let f = { fname = name; fstate = Not_started body } in
+  let f = { fname = name; co = Coro.create body; owed = 0 } in
   Queue.push f t.q;
   f
 
@@ -52,10 +47,8 @@ let switch_cost t = t.switch_cycles
 let count t id = Iw_obs.Counter.get t.obs.Iw_obs.Obs.counters id
 let switches t = count t Iw_obs.Counter.Fiber_switches
 let timing_checks t = count t Iw_obs.Counter.Timing_checks
-let overhead_cycles t = t.overhead
 
 let pay_switch t =
-  t.overhead <- t.overhead + t.switch_cycles;
   Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters Iw_obs.Counter.Fiber_switches;
   Coro.consume t.switch_cycles;
   t.last_switch <- Api.now ();
@@ -89,7 +82,6 @@ let burn t n =
             t.since_check <- 0;
             Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters
               Iw_obs.Counter.Timing_checks;
-            t.overhead <- t.overhead + check_cost;
             Coro.consume check_cost;
             let n = n - until_check in
             let due = Api.now () - t.last_switch >= period in
@@ -101,41 +93,40 @@ let burn t n =
 
 let run t =
   t.last_switch <- Api.now ();
-  let requeue f owed k =
-    f.fstate <- Paused (owed, k);
+  let requeue f owed =
+    f.owed <- owed;
     Queue.push f t.q
   in
   let rec loop () =
     match Queue.take_opt t.q with
     | None -> ()
     | Some f ->
-        resume f;
+        grant f f.owed;
         loop ()
-  and resume f =
-    match f.fstate with
-    | Finished -> ()
-    | Not_started body -> exec f (Coro.start body)
-    | Paused (owed, k) -> grant f owed k
-  and grant f owed k =
+  and grant f owed =
     match burn t owed with
-    | None -> exec f (k ())
+    | None -> exec f (Coro.resume f.co)
     | Some remaining ->
         pay_switch t;
-        requeue f remaining k
+        requeue f remaining
   and exec f (status : Coro.status) =
     match status with
-    | Coro.Done -> f.fstate <- Finished
+    | Coro.Done -> ()
     | Coro.Failed e -> raise e
-    | Coro.Paused (Coro.Consumed (n, k)) -> grant f n k
-    | Coro.Paused (Coro.Yielded k) ->
-        if Queue.is_empty t.q then exec f (k ())
+    | Coro.Work -> grant f (Coro.owed f.co)
+    | Coro.Yielded ->
+        if Queue.is_empty t.q then exec f (Coro.resume f.co)
         else begin
           pay_switch t;
-          requeue f 0 k
+          requeue f 0
         end
-    | Coro.Paused (Coro.Requested (r, k)) ->
-        (* Pass kernel requests through the carrier thread. *)
-        let v = Coro.request r in
-        exec f (k v)
+    (* Pass overhead and kernel requests through the carrier thread. *)
+    | Coro.Overhead ->
+        Coro.overhead (Coro.owed f.co);
+        exec f (Coro.resume f.co)
+    | Coro.Requested ->
+        Coro.request (Coro.pending f.co);
+        exec f (Coro.resume f.co)
+    | Coro.Queried (q, k) -> exec f (k (Coro.query q))
   in
   loop ()

@@ -14,7 +14,11 @@
 
     Because fibers never take the interrupt path, a switch costs
     [fiber_switch_base] (+ FP movement when [fp]) instead of
-    interrupt dispatch + kernel switch — the Figure 4 claim. *)
+    interrupt dispatch + kernel switch — the Figure 4 claim.
+
+    Each fiber is one {!Iw_engine.Coro.t}: its continuation sits in the
+    coroutine's slot, and a preempted fiber keeps only the cycles it is
+    still owed. *)
 
 type t
 type fiber
@@ -47,7 +51,6 @@ val switches : t -> int
 (** Total switches performed so far. *)
 
 val timing_checks : t -> int
-(** Timing-framework invocations (0 in cooperative mode). *)
-
-val overhead_cycles : t -> int
-(** Cycles spent in switches + timing checks. *)
+(** Timing-framework invocations (0 in cooperative mode).  The cycles
+    spent in switches and checks are [switches t * switch_cost t] plus
+    [timing_checks t] times the mode's [check_cost]. *)

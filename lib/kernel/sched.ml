@@ -14,9 +14,6 @@ let default_spec = { sp_name = "thread"; sp_cpu = None; sp_fp = false; sp_rt = f
 
 let nop () = ()
 
-(* The continuation of a thread with no coroutine to resume. *)
-let finished () = Coro.Done
-
 type thread = {
   tid : int;
   tname : string;
@@ -27,12 +24,11 @@ type thread = {
   (* What the thread does next time its CPU runs it: be granted [rem]
      cycles charged as [kind], then call [step].  [rem] is 0 whenever
      [step] runs, and stays set during the grant so a preemption can
-     rewrite it.  A coroutine thread's [step] resumes [next], its
-     continuation, up to the coroutine's next pause. *)
+     rewrite it.  A coroutine thread's [step] resumes its [Coro.t] up
+     to the coroutine's next pause. *)
   mutable rem : int;
   mutable kind : Cpu.kind;
   mutable step : unit -> unit;
-  mutable next : unit -> Coro.status;
   joiners : thread Queue.t;
   (* Intrusive link for run queues and semaphore wait queues: a thread
      sits on at most one of those at a time, so one field suffices and
@@ -61,7 +57,6 @@ let rec nil_thread =
     rem = 0;
     kind = Cpu.Overhead;
     step = nop;
-    next = finished;
     joiners = nil_joiners;
     wq_next = nil_thread;
     resume_cb = nop;
@@ -134,7 +129,6 @@ type _ Coro.Request.t +=
   | R_sem_wait : semaphore -> unit Coro.Request.t
   | R_sem_post : semaphore -> unit Coro.Request.t
   | R_rand : int -> int Coro.Request.t
-  | R_overhead : int -> unit Coro.Request.t
   | R_kernel : t Coro.Request.t
 
 let mutex () = { owner = None; mwaiters = Queue.create () }
@@ -221,16 +215,17 @@ and resume_thread t th =
     Cpu.grant t.cpus.(th.bound) ~cycles:th.rem ~kind:th.kind
       ~uninterruptible:false ~on_complete:th.paid_cb
 
-(* A coroutine thread's step, given where its coroutine paused. *)
-and run_coroutine t th (status : Coro.status) =
+(* A coroutine thread's step, given where its coroutine [co] paused.
+   Cycles and unit requests leave [co] to be resumed by [step]. *)
+and run_coroutine t th co (status : Coro.status) =
   match status with
   | Coro.Done -> finish t th
   | Coro.Failed e -> raise e
-  | Coro.Paused (Coro.Consumed (n, k)) ->
-      th.next <- k;
-      flat_continue t th ~cost:n ~kind:Cpu.Work
-  | Coro.Paused (Coro.Requested (req, k)) -> handle_request t th req k
-  | Coro.Paused (Coro.Yielded _) -> refuse th "Coro.yield"
+  | Coro.Work -> flat_continue t th ~cost:(Coro.owed co) ~kind:Cpu.Work
+  | Coro.Overhead -> flat_continue t th ~cost:(Coro.owed co) ~kind:Cpu.Overhead
+  | Coro.Requested -> serve t th (Coro.pending co)
+  | Coro.Queried (q, k) -> answer t th co q k
+  | Coro.Yielded -> refuse th "Coro.yield"
 
 (* Park [th] (running on its CPU); what it does when woken is already
    in its [step].  The CPU moves on. *)
@@ -298,7 +293,6 @@ and create_thread t spec =
       rem = 0;
       kind = Cpu.Overhead;
       step = nop;
-      next = finished;
       joiners = Queue.create ();
       wq_next = nil_thread;
       resume_cb = nop;
@@ -320,41 +314,24 @@ and create_thread t spec =
 
 and spawn_coroutine t spec body =
   let th = create_thread t spec in
-  th.next <- (fun () -> Coro.start body);
-  th.step <- (fun () -> run_coroutine t th (th.next ()));
+  let co = Coro.create body in
+  th.step <- (fun () -> run_coroutine t th co (Coro.resume co));
   th
 
-(* Serve a coroutine request through the flat entry points below.  A
-   unit-valued request stores its continuation as [next] as it is. *)
-and handle_request : type a.
-    t -> thread -> a Coro.Request.t -> (a -> Coro.status) -> unit =
- fun t th req k ->
+(* Serve a unit request through the flat entry points below; the
+   thread's [step] resumes the coroutine once it is served. *)
+and serve t th (req : unit Coro.Request.t) =
   match req with
-  | R_spawn (spec, body) ->
-      let child = spawn_coroutine t spec body in
-      th.next <- (fun () -> k child);
-      flat_continue t th ~cost:t.p.spawn ~kind:Cpu.Overhead
   | R_join target ->
       if target.tid = th.tid then invalid_arg "Sched: join on self";
-      th.next <- k;
       if target.state = Dead then
         flat_continue t th ~cost:t.p.uncontended_sync ~kind:Cpu.Overhead
       else begin
         Queue.push th target.joiners;
         block_current t th
       end
-  | R_now -> run_coroutine t th (k (Sim.now t.s))
-  | R_cpu -> run_coroutine t th (k th.bound)
-  | R_kernel -> run_coroutine t th (k t)
-  | R_rand bound -> run_coroutine t th (k (Rng.int t.krng bound))
-  | R_overhead n ->
-      th.next <- k;
-      flat_continue t th ~cost:n ~kind:Cpu.Overhead
-  | R_sleep dt ->
-      th.next <- k;
-      flat_sleep t th dt
+  | R_sleep dt -> flat_sleep t th dt
   | R_lock m -> (
-      th.next <- k;
       match m.owner with
       | None ->
           m.owner <- Some th;
@@ -367,7 +344,6 @@ and handle_request : type a.
       (match m.owner with
       | Some o when o.tid = th.tid -> ()
       | _ -> invalid_arg "Sched: unlock by non-owner");
-      th.next <- k;
       match Queue.take_opt m.mwaiters with
       | None ->
           m.owner <- None;
@@ -376,20 +352,36 @@ and handle_request : type a.
           m.owner <- Some w;
           make_runnable t w;
           flat_continue t th ~cost:t.p.wake ~kind:Cpu.Overhead)
-  | R_sem_wait sem ->
-      th.next <- k;
-      flat_sem_wait t th sem
-  | R_sem_post sem ->
-      th.next <- k;
-      flat_sem_post t th sem
+  | R_sem_wait sem -> flat_sem_wait t th sem
+  | R_sem_post sem -> flat_sem_post t th sem
+  | _ -> refuse th "unknown request"
+
+(* Answer a query.  Only a spawn charges a cost before its reply: its
+   [step] delivers the child once, then goes back to resuming [co]. *)
+and answer : type a.
+    t -> thread -> Coro.t -> a Coro.Request.t -> (a -> Coro.status) -> unit =
+ fun t th co q k ->
+  match q with
+  | R_now -> run_coroutine t th co (k (Sim.now t.s))
+  | R_cpu -> run_coroutine t th co (k th.bound)
+  | R_kernel -> run_coroutine t th co (k t)
+  | R_rand bound -> run_coroutine t th co (k (Rng.int t.krng bound))
+  | R_spawn (spec, body) ->
+      let child = spawn_coroutine t spec body in
+      let resume = th.step in
+      th.step <-
+        (fun () ->
+          th.step <- resume;
+          run_coroutine t th co (k child));
+      flat_continue t th ~cost:t.p.spawn ~kind:Cpu.Overhead
   | _ -> refuse th "unknown request"
 
 (* ------------------------------------------------------------------ *)
 (* Thread entry points                                                 *)
 
 (* What every thread calls from its [step], while Running on its bound
-   CPU: a coroutine thread through [handle_request], a flat thread
-   directly.  None of them allocate. *)
+   CPU: a coroutine thread through [serve], a flat thread directly.
+   None of them allocate. *)
 
 (* Continue after [cost] cycles of [kind]; [cost = 0] steps again at
    once. *)

@@ -91,8 +91,12 @@ val semaphore : init:int -> semaphore
 
     The request constructors a coroutine thread performs; thread code
     normally uses {!Api}'s wrappers rather than performing these
-    directly.  Any other request, or a [Coro.yield], raises
-    [Invalid_argument] naming the thread. *)
+    directly.  The unit-valued ones ([R_join], [R_sleep], [R_lock],
+    [R_unlock], [R_sem_wait], [R_sem_post]) go through
+    [Coro.request] and the thread's one continuation slot; the others
+    are [Coro.query]s.  Work and overhead are not requests but
+    [Coro.consume] and [Coro.overhead] pauses.  Any other request, or
+    a [Coro.yield], raises [Invalid_argument] naming the thread. *)
 
 type _ Iw_engine.Coro.Request.t +=
   | R_spawn : spawn_spec * (unit -> unit) -> thread Iw_engine.Coro.Request.t
@@ -105,7 +109,6 @@ type _ Iw_engine.Coro.Request.t +=
   | R_sem_wait : semaphore -> unit Iw_engine.Coro.Request.t
   | R_sem_post : semaphore -> unit Iw_engine.Coro.Request.t
   | R_rand : int -> int Iw_engine.Coro.Request.t
-  | R_overhead : int -> unit Iw_engine.Coro.Request.t
   | R_kernel : t Iw_engine.Coro.Request.t
 
 (** {1 Flat threads}
@@ -115,12 +118,13 @@ type _ Iw_engine.Coro.Request.t +=
     are paid.  A flat thread's step is written by hand — a coroutine
     compiled into an explicit state struct, as closureiters does — and
     calls the [flat_*] entry points below.  A coroutine thread's step
-    resumes its continuation to the next pause, and serves each request
+    resumes its [Coro.t] to the next pause, and serves each request
     through the same entry points, so a coroutine thread and its
     hand-written flat twin give the same schedule, counters and latency
     tables.  What the flat thread saves is allocation: everything it
     needs is allocated at spawn, so steady-state scheduling allocates
-    nothing on the minor heap.
+    nothing on the minor heap.  A coroutine thread's pause allocates
+    only the effect and the continuation OCaml makes for it.
 
     Contract: every [flat_*] call must be made from inside the
     thread's own step function (i.e. while it is Running), and the

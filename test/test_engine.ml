@@ -424,27 +424,30 @@ let prop_sim_pending_exact =
 (* Coro *)
 
 let test_coro_done () =
-  match Coro.start (fun () -> ()) with
+  match Coro.resume (Coro.create (fun () -> ())) with
   | Coro.Done -> ()
   | _ -> Alcotest.fail "expected Done"
 
 let test_coro_consume_sequence () =
   let trace = ref [] in
-  let status =
-    Coro.start (fun () ->
+  let co =
+    Coro.create (fun () ->
         trace := "a" :: !trace;
         Coro.consume 10;
         trace := "b" :: !trace;
         Coro.consume 20;
         trace := "c" :: !trace)
   in
-  (match status with
-  | Coro.Paused (Coro.Consumed (10, k1)) -> (
+  Alcotest.(check (list string)) "create runs nothing" [] !trace;
+  (match Coro.resume co with
+  | Coro.Work -> (
+      check_int "first owed" 10 (Coro.owed co);
       Alcotest.(check (list string)) "ran to first consume" [ "a" ]
         (List.rev !trace);
-      match k1 () with
-      | Coro.Paused (Coro.Consumed (20, k2)) -> (
-          match k2 () with
+      match Coro.resume co with
+      | Coro.Work -> (
+          check_int "second owed" 20 (Coro.owed co);
+          match Coro.resume co with
           | Coro.Done -> ()
           | _ -> Alcotest.fail "expected Done after second consume")
       | _ -> Alcotest.fail "expected second consume")
@@ -453,35 +456,64 @@ let test_coro_consume_sequence () =
     (List.rev !trace)
 
 let test_coro_consume_zero_no_suspend () =
-  match Coro.start (fun () -> Coro.consume 0) with
+  match Coro.resume (Coro.create (fun () -> Coro.consume 0)) with
   | Coro.Done -> ()
   | _ -> Alcotest.fail "consume 0 must not suspend"
 
 let test_coro_failure () =
-  match Coro.start (fun () -> failwith "boom") with
+  match Coro.resume (Coro.create (fun () -> failwith "boom")) with
   | Coro.Failed (Failure msg) -> Alcotest.(check string) "msg" "boom" msg
   | _ -> Alcotest.fail "expected Failed"
 
-type _ Coro.Request.t += Double : int -> int Coro.Request.t
+type _ Coro.Request.t +=
+  | Double : int -> int Coro.Request.t
+  | Ping : unit Coro.Request.t
 
 let test_coro_request_reply () =
-  let status = Coro.start (fun () ->
-      let v = Coro.request (Double 21) in
-      Coro.consume v)
+  let co =
+    Coro.create (fun () ->
+        let v = Coro.query (Double 21) in
+        Coro.consume v)
   in
-  match status with
-  | Coro.Paused (Coro.Requested (Double n, k)) -> (
+  match Coro.resume co with
+  | Coro.Queried (Double n, k) -> (
       match k (2 * n) with
-      | Coro.Paused (Coro.Consumed (42, _)) -> ()
+      | Coro.Work -> check_int "consumes the reply" 42 (Coro.owed co)
       | _ -> Alcotest.fail "expected consume of the reply")
-  | _ -> Alcotest.fail "expected request"
+  | _ -> Alcotest.fail "expected query"
+
+(* Overhead, a unit request and a yield pause in the slot: each names
+   its payload and resumes from [resume]. *)
+let test_coro_slot_pauses () =
+  let co =
+    Coro.create (fun () ->
+        Coro.overhead 7;
+        Coro.request Ping;
+        Coro.yield ();
+        Coro.overhead 0)
+  in
+  (match Coro.resume co with
+  | Coro.Overhead -> check_int "overhead owed" 7 (Coro.owed co)
+  | _ -> Alcotest.fail "expected overhead");
+  (match Coro.resume co with
+  | Coro.Requested -> (
+      match Coro.pending co with
+      | Ping -> ()
+      | _ -> Alcotest.fail "expected Ping pending")
+  | _ -> Alcotest.fail "expected request");
+  (match Coro.resume co with
+  | Coro.Yielded -> ()
+  | _ -> Alcotest.fail "expected yield");
+  match Coro.resume co with
+  | Coro.Done -> ()
+  | _ -> Alcotest.fail "overhead 0 must not suspend"
 
 let test_coro_outside_raises () =
   Alcotest.check_raises "consume outside" Coro.Not_in_coroutine (fun () ->
       Coro.consume 5)
 
 let test_coro_negative_consume () =
-  match Coro.start (fun () -> Coro.consume (-1)) with
+  match Coro.resume (Coro.create (fun () -> Coro.consume (-1))) with
   | Coro.Failed (Invalid_argument _) -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
@@ -579,6 +611,7 @@ let () =
             test_coro_consume_zero_no_suspend;
           Alcotest.test_case "failure" `Quick test_coro_failure;
           Alcotest.test_case "request reply" `Quick test_coro_request_reply;
+          Alcotest.test_case "slot pauses" `Quick test_coro_slot_pauses;
           Alcotest.test_case "outside coroutine" `Quick
             test_coro_outside_raises;
           Alcotest.test_case "negative consume" `Quick

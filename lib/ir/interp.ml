@@ -115,13 +115,15 @@ and exec_func st f args =
     (fun i p -> if i < List.length args then regs.(p) <- List.nth args i)
     f.Ir.params;
   let value = function Ir.Reg r -> regs.(r) | Ir.Imm i -> i in
-  let rec run_block bid =
-    let b = f.Ir.blocks.(bid) in
-    List.iter
-      (fun inst ->
+  (* One instruction loop and one block loop per call, so executing a
+     block builds no closure. *)
+  let rec run_insts = function
+    | [] -> ()
+    | inst :: rest ->
         charge st (Cost.inst inst);
-        match inst with
-        | Ir.Bin { dst; op; a; b } -> regs.(dst) <- eval_binop op (value a) (value b)
+        (match inst with
+        | Ir.Bin { dst; op; a; b } ->
+            regs.(dst) <- eval_binop op (value a) (value b)
         | Ir.Fbin { dst; op; a; b } ->
             regs.(dst) <- eval_binop op (value a) (value b)
         | Ir.Mov { dst; src } -> regs.(dst) <- value src
@@ -167,8 +169,12 @@ and exec_func st f args =
             st.hooks.on_callback cb ~cycles:st.cycles
         | Ir.Poll { device } ->
             st.polls <- st.polls + 1;
-            st.hooks.on_poll ~device ~cycles:st.cycles)
-      b.Ir.insts;
+            st.hooks.on_poll ~device ~cycles:st.cycles);
+        run_insts rest
+  in
+  let rec run_block bid =
+    let b = f.Ir.blocks.(bid) in
+    run_insts b.Ir.insts;
     charge st (Cost.term b.Ir.term);
     match b.Ir.term with
     | Ir.Jmp l -> run_block l

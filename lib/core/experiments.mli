@@ -25,7 +25,9 @@ val run_to_string : experiment -> string
 type alloc = {
   alloc_minor_words : float;
       (** OCaml minor-heap words allocated while the experiment ran
-          (current domain). *)
+          (current domain), exact: read with [Gc.minor_words], which,
+          unlike [Gc.quick_stat], does not wait for a minor
+          collection. *)
   alloc_major_words : float;
       (** Major-heap words over the same window: direct large-block
           allocation plus promotions, so less stable run-to-run than

@@ -114,6 +114,25 @@ let test_cheap_experiments_run () =
         tables)
     [ "E3"; "E7"; "E8"; "E9"; "E11"; "E12"; "E13"; "E14"; "E15"; "E16"; "A2" ]
 
+(* Minor words one whole run allocates, exactly: [run_with_counters]
+   reads [Gc.minor_words].  E14's store buffer is a ring, A2 runs the
+   interpreter's instruction loop, and E7 adds CARAT's region lookups
+   and coroutine pauses; none of them allocates per step.  With a list
+   buffer, a closure per block, and an allocating lookup and pause they
+   took 41.6M, 2.44M and 20.7M words. *)
+let test_allocation_caps () =
+  List.iter
+    (fun (id, cap) ->
+      let _, _, alloc =
+        Interweave.Experiments.run_with_counters
+          (Interweave.Experiments.find id)
+      in
+      let w = alloc.Interweave.Experiments.alloc_minor_words in
+      check_bool
+        (Printf.sprintf "%s: %.0f minor words <= %.0f" id w cap)
+        true (w <= cap))
+    [ ("E14", 20_000.); ("A2", 300_000.); ("E7", 10_500_000.) ]
+
 (* ------------------------------------------------------------------ *)
 (* Driver: determinism and parallel/serial equivalence *)
 
@@ -242,6 +261,7 @@ let () =
           Alcotest.test_case "find" `Quick test_registry_find;
           Alcotest.test_case "cheap experiments run" `Slow
             test_cheap_experiments_run;
+          Alcotest.test_case "allocation caps" `Quick test_allocation_caps;
         ] );
       ( "driver",
         [

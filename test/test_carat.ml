@@ -153,6 +153,23 @@ let test_moved_region_translation () =
   check_int "translate follows the move" new_phys (hooks.translate base);
   check_int "data copied" 99 (Hashtbl.find mem new_phys)
 
+(* Lookups answer from the last region they found; freeing that region
+   must take it out of the answer, so translation passes the address
+   through and a guard on it faults. *)
+let test_freed_region_faults () =
+  let rt = Runtime.create () in
+  let hooks = Runtime.hooks rt in
+  let base = Option.get (hooks.extern "malloc" [ 8 ]) in
+  hooks.on_guard ~base ~offset:3 ~length:None;
+  check_bool "live region translated" true
+    (hooks.translate (base + 3) <> base + 3);
+  ignore (hooks.extern "free" [ base ]);
+  check_int "freed address passes through" (base + 3)
+    (hooks.translate (base + 3));
+  Alcotest.check_raises "guard on a freed region"
+    (Interp.Fault (Printf.sprintf "carat: protection fault at %#x" (base + 3)))
+    (fun () -> hooks.on_guard ~base ~offset:3 ~length:None)
+
 (* ------------------------------------------------------------------ *)
 (* Far memory (SecV-C) *)
 
@@ -233,6 +250,8 @@ let () =
             test_defrag_reduces_fragmentation;
           Alcotest.test_case "moved region translation" `Quick
             test_moved_region_translation;
+          Alcotest.test_case "freed region faults" `Quick
+            test_freed_region_faults;
         ] );
       ( "far-memory",
         [

@@ -36,13 +36,13 @@ let () =
   List.iter
     (fun (policy, name) ->
       let r =
-        Tpal_tree.run plat
+        Tpal.Tree.run plat
           { workers = 16; heartbeat_us = 30.0; policy; seed = 4 }
-          (Tpal_tree.fib 22)
+          (Tpal.Tree.fib 22)
       in
       Printf.printf "  %-16s promotions=%4d steals=%4d speedup=%5.2f\n" name
         r.promotions r.steals r.speedup_vs_serial)
     [
-      (Tpal_tree.Promote_oldest, "promote-oldest");
-      (Tpal_tree.Promote_newest, "promote-newest");
+      (Tpal.Tree.Promote_oldest, "promote-oldest");
+      (Tpal.Tree.Promote_newest, "promote-newest");
     ]

@@ -34,8 +34,10 @@ let zipf_cdf n s =
     weights;
   cdf
 
+(* The draw is [Rng.float rng 1.0] inlined, bit for bit: a float
+   returned across a module boundary is boxed, 2 words per draw. *)
 let sample_zipf rng cdf =
-  let u = Rng.float rng 1.0 in
+  let u = float_of_int (Rng.raw53 rng) /. 9007199254740992.0 in
   (* Binary search for the first index with cdf >= u. *)
   let lo = ref 0 and hi = ref (Array.length cdf - 1) in
   while !lo < !hi do

@@ -106,7 +106,7 @@ let thread_switch_cost personality ~rt ~fp =
 
 let fiber_switch_cost ~compiler_timed ~fp =
   let plat = Platform.with_cores Platform.knl 1 in
-  let k = Nautilus.boot ~seed:3 plat in
+  let k = Sched.boot ~seed:3 ~personality:(Os.nautilus plat) plat in
   let result = ref (0.0, 0) in
   ignore
     (Sched.spawn k (fun () ->
@@ -963,9 +963,9 @@ let a5_tables () =
     List.map
       (fun (policy, name) ->
         let r =
-          Tpal_tree.run Platform.knl
+          Tpal.Tree.run Platform.knl
             { workers = 16; heartbeat_us = 30.0; policy; seed = 4 }
-            (Tpal_tree.fib 22)
+            (Tpal.Tree.fib 22)
         in
         [
           name;
@@ -976,8 +976,8 @@ let a5_tables () =
           f2 r.speedup_vs_serial;
         ])
       [
-        (Tpal_tree.Promote_oldest, "promote-oldest (heartbeat rule)");
-        (Tpal_tree.Promote_newest, "promote-newest (foil)");
+        (Tpal.Tree.Promote_oldest, "promote-oldest (heartbeat rule)");
+        (Tpal.Tree.Promote_newest, "promote-newest (foil)");
       ]
   in
   [

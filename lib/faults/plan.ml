@@ -136,14 +136,18 @@ type t = {
   rate : float;  (* per-opportunity fault probability, in [0,1] *)
   armed : bool array;  (* indexed by kind_index *)
   rng : Rng.t;  (* the plan's own stream; workload RNGs never see it *)
-  ipi_delay_cycles : int;
-  timer_late_cycles : int;
-  stall_cycles : int;
-  net_delay_cycles : int;
-  hang_cycles : int;
-  brownout_cycles : int;
   mutable injected : int;
 }
+
+(* Fault severities, in cycles: how late a delayed IPI, late timer
+   fire or delayed link message lands, how long a stall or a clocked
+   hang lasts, and the brownout timescale. *)
+let ipi_delay_cycles = 4_000
+let timer_late_cycles = 12_000
+let stall_cycles = 25_000
+let net_delay_cycles = 30_000
+let hang_cycles = 60_000
+let brownout_cycles = 1_500_000
 
 let disabled =
   {
@@ -151,19 +155,10 @@ let disabled =
     rate = 0.0;
     armed = Array.make kind_count false;
     rng = Rng.create ~seed:0;
-    ipi_delay_cycles = 0;
-    timer_late_cycles = 0;
-    stall_cycles = 0;
-    net_delay_cycles = 0;
-    hang_cycles = 0;
-    brownout_cycles = 0;
     injected = 0;
   }
 
-let create ?(kinds = all_kinds) ?(ipi_delay_cycles = 4_000)
-    ?(timer_late_cycles = 12_000) ?(stall_cycles = 25_000)
-    ?(net_delay_cycles = 30_000) ?(hang_cycles = 60_000)
-    ?(brownout_cycles = 1_500_000) ~rate ~seed () =
+let create ?(kinds = all_kinds) ~rate ~seed () =
   if rate < 0.0 || rate > 1.0 then
     invalid_arg "Plan.create: rate must be in [0,1]";
   let armed = Array.make kind_count false in
@@ -175,23 +170,12 @@ let create ?(kinds = all_kinds) ?(ipi_delay_cycles = 4_000)
     (* A fixed salt keeps the fault stream distinct from any workload
        stream that happens to use the same small seed. *)
     rng = Rng.create ~seed:(seed lxor 0x7FA0175);
-    ipi_delay_cycles;
-    timer_late_cycles;
-    stall_cycles;
-    net_delay_cycles;
-    hang_cycles;
-    brownout_cycles;
     injected = 0;
   }
 
 let enabled t = t.enabled
 let rate t = t.rate
 let injected t = t.injected
-let ipi_delay_cycles t = t.ipi_delay_cycles
-let timer_late_cycles t = t.timer_late_cycles
-let stall_cycles t = t.stall_cycles
-let net_delay_cycles t = t.net_delay_cycles
-let hang_cycles t = t.hang_cycles
 let armed t k = t.enabled && t.armed.(kind_index k)
 
 (* ------------------------------------------------------------------ *)
@@ -265,6 +249,6 @@ let draw_brownout t =
   let dur =
     max 1
       (int_of_float
-         (float_of_int t.brownout_cycles *. (0.5 +. Rng.float t.rng 1.0)))
+         (float_of_int brownout_cycles *. (0.5 +. Rng.float t.rng 1.0)))
   in
   (slow_x1000, dur)

@@ -50,32 +50,23 @@ type t
 val disabled : t
 
 (* [create ~rate ~seed ()] builds a plan that fires each armed kind
-   with per-opportunity probability [rate].  The [*_cycles] knobs
-   parameterize fault severity (delay lengths, stall/hang durations,
-   brownout timescale).  Raises [Invalid_argument] unless rate is in
-   [0,1]. *)
-val create :
-  ?kinds:kind list ->
-  ?ipi_delay_cycles:int ->
-  ?timer_late_cycles:int ->
-  ?stall_cycles:int ->
-  ?net_delay_cycles:int ->
-  ?hang_cycles:int ->
-  ?brownout_cycles:int ->
-  rate:float ->
-  seed:int ->
-  unit ->
-  t
+   (default: all) with per-opportunity probability [rate].  Raises
+   [Invalid_argument] unless rate is in [0,1]. *)
+val create : ?kinds:kind list -> rate:float -> seed:int -> unit -> t
 
 val enabled : t -> bool
 val rate : t -> float
 val injected : t -> int
-val ipi_delay_cycles : t -> int
-val timer_late_cycles : t -> int
-val stall_cycles : t -> int
-val net_delay_cycles : t -> int
-val hang_cycles : t -> int
 val armed : t -> kind -> bool
+
+(* Fault severities, the same for every plan: the extra cycles a
+   delayed IPI, a late timer fire and a delayed link message take, a
+   stall's length, and a clocked hang's length. *)
+val ipi_delay_cycles : int
+val timer_late_cycles : int
+val stall_cycles : int
+val net_delay_cycles : int
+val hang_cycles : int
 
 (* Ambient scoping, mirroring Obs: a domain-local plan that defaults
    to [disabled], overridden for one run on one domain. *)
@@ -101,6 +92,6 @@ val count :
    [hang_cycles]. *)
 val draw_hang_permanent : t -> bool
 
-(* (slowdown x1000 in [2000,4000], duration in [0.5,1.5] x
-   [brownout_cycles]). *)
+(* (slowdown x1000 in [2000,4000], duration in [0.5,1.5] x 1.5M
+   cycles). *)
 val draw_brownout : t -> int * int

@@ -215,7 +215,7 @@ let grant t ~cycles ~kind ~uninterruptible ~on_complete =
       Iw_faults.Plan.enabled plan
       && Iw_faults.Plan.fire plan t.obs ~kind:Iw_faults.Plan.Cpu_stall
            ~cpu:t.cpu_id ~ts:started
-    then Iw_faults.Plan.stall_cycles plan
+    then Iw_faults.Plan.stall_cycles
     else 0
   in
   t.g_total <- cycles;

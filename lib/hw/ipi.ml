@@ -32,7 +32,7 @@ let send s plat ~target ~handler ~after =
     else begin
       let latency =
         if Iw_faults.Plan.fire plan obs ~kind:Iw_faults.Plan.Ipi_delay ~cpu ~ts
-        then costs.ipi_latency + Iw_faults.Plan.ipi_delay_cycles plan
+        then costs.ipi_latency + Iw_faults.Plan.ipi_delay_cycles
         else costs.ipi_latency
       in
       deliver s costs ~target ~handler ~after ~latency;
@@ -41,12 +41,3 @@ let send s plat ~target ~handler ~after =
           ~latency:(latency + costs.ipi_latency)
     end
   end
-
-let broadcast s plat ~targets ~handler ~after =
-  List.iter
-    (fun target ->
-      let cid = Cpu.id target in
-      send s plat ~target
-        ~handler:(fun ~preempted -> handler cid ~preempted)
-        ~after:(fun () -> after cid))
-    targets

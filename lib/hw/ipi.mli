@@ -12,16 +12,6 @@ val send :
   handler:(preempted:int -> int) ->
   after:(unit -> unit) ->
   unit
-(** Deliver a single IPI to [target]. *)
-
-val broadcast :
-  Iw_engine.Sim.t ->
-  Platform.t ->
-  targets:Cpu.t list ->
-  handler:(int -> preempted:int -> int) ->
-  after:(int -> unit) ->
-  unit
-(** One ICR broadcast: every target receives the interrupt after the
-    same fabric latency.  [handler] and [after] receive the target
-    core id.  This is the §IV-B Nautilus heartbeat mechanism: one
-    LAPIC timer tick on CPU 0 fans out to all workers at once. *)
+(** Deliver a single IPI to [target].  A fan-out (the §IV-B Nautilus
+    heartbeat, one LAPIC tick on CPU 0 reaching every worker) is one
+    send per target; each lands after the same fabric latency. *)

@@ -44,7 +44,7 @@ let deliver t ~gen handler after =
       (if Iw_faults.Plan.fire plan obs ~kind:Iw_faults.Plan.Timer_late ~cpu ~ts
        then
          Sim.schedule_after_unit t.s
-           (Iw_faults.Plan.timer_late_cycles plan)
+           Iw_faults.Plan.timer_late_cycles
            (fun () -> if gen = t.generation then inject t handler after)
        else inject t handler after);
       if

@@ -6,7 +6,7 @@ type mode =
 
 (* A fiber's continuation sits in its coroutine's slot; [owed] is what
    it is still owed of its last work pause when it was preempted. *)
-type fiber = { fname : string; co : Coro.t; mutable owed : int }
+type fiber = { co : Coro.t; mutable owed : int }
 
 type t = {
   mode : mode;
@@ -36,8 +36,8 @@ let create plat ~mode ~fp =
     last_switch = 0;
   }
 
-let spawn t ?(name = "fiber") body =
-  let f = { fname = name; co = Coro.create body; owed = 0 } in
+let spawn t body =
+  let f = { co = Coro.create body; owed = 0 } in
   Queue.push f t.q;
   f
 

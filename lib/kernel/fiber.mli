@@ -33,7 +33,7 @@ val create : Iw_hw.Platform.t -> mode:mode -> fp:bool -> t
     that shares the ambient trace ({!Iw_obs.Obs.inherit_trace});
     {!switches} and {!timing_checks} read it. *)
 
-val spawn : t -> ?name:string -> (unit -> unit) -> fiber
+val spawn : t -> (unit -> unit) -> fiber
 (** Queue a fiber; it runs once {!run} reaches it. *)
 
 val run : t -> unit

@@ -1,8 +1,5 @@
 open Iw_hw
 
-let boot ?seed ?quantum_us plat =
-  Sched.boot ?seed ?quantum_us ~personality:(Os.nautilus plat) plat
-
 module Nemo = struct
   let signal k ~target_cpu ~handler =
     let plat = Sched.platform k in

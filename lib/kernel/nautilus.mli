@@ -1,13 +1,9 @@
-(** Nautilus boot helpers and kernel-level event signaling (Nemo).
+(** Kernel-level event signaling (Nemo) for Nautilus.
 
     Nautilus (§III) is the streamlined kernel framework the paper's
-    interweaving examples build on.  Booting with this module gives a
-    {!Sched} kernel with the Nautilus personality: no kernel/user
-    distinction, per-CPU run queues, direct interrupt vectoring, and
-    identity-mapped memory. *)
-
-val boot :
-  ?seed:int -> ?quantum_us:float -> Iw_hw.Platform.t -> Sched.t
+    interweaving examples build on: a {!Sched} kernel booted with
+    {!Os.nautilus} has no kernel/user distinction, per-CPU run queues,
+    direct interrupt vectoring, and identity-mapped memory. *)
 
 (** Nemo-style remote events: signal a handler on another CPU via
     IPI, the mechanism that makes NK event signaling orders of

@@ -22,15 +22,11 @@ let max_attempts = 5
 (* The first timeout must comfortably exceed a healthy delivery:
    wire latency plus a few interrupt round trips of queueing on a
    busy target. *)
-let default_timeout costs =
+let first_timeout costs =
   (8 * costs.Platform.ipi_latency)
   + (4 * (costs.Platform.interrupt_dispatch + costs.Platform.interrupt_return))
 
-let send ?timeout s plat ~target ~handler ~after =
-  let costs = plat.Platform.costs in
-  let timeout =
-    match timeout with Some t -> t | None -> default_timeout costs
-  in
+let send s plat ~target ~handler ~after =
   let obs = Cpu.obs target in
   let acked = ref false in
   let handler ~preempted =
@@ -49,13 +45,4 @@ let send ?timeout s plat ~target ~handler ~after =
             attempt (n + 1) (timeout * 2)
           end)
   in
-  attempt 0 timeout
-
-let broadcast ?timeout s plat ~targets ~handler ~after =
-  List.iter
-    (fun target ->
-      let cid = Cpu.id target in
-      send ?timeout s plat ~target
-        ~handler:(fun ~preempted -> handler cid ~preempted)
-        ~after:(fun () -> after cid))
-    targets
+  attempt 0 (first_timeout plat.Platform.costs)

@@ -165,7 +165,7 @@ let rec w_activation t w =
         Sched.flat_exit k w.w_fl
       else begin
         w.w_state <- st_unhang;
-        Sched.flat_sleep k w.w_fl (Iw_faults.Plan.hang_cycles t.ex_plan)
+        Sched.flat_sleep k w.w_fl Iw_faults.Plan.hang_cycles
       end
     end
     else begin
@@ -446,7 +446,7 @@ let create ~k ?(prefix = "serve") ?(watchdog = true)
   if hang_armed && watchdog then begin
     let sim = Sched.sim k in
     let tm = Iw_engine.Sim.timer sim in
-    let period = max 1 (Iw_faults.Plan.hang_cycles plan / 4) in
+    let period = max 1 (Iw_faults.Plan.hang_cycles / 4) in
     let rec fire () =
       watchdog_scan t;
       Iw_engine.Sim.arm_after sim tm period fire

@@ -866,7 +866,7 @@ let run ?parallel cfg =
         if
           Plan.enabled plan
           && Plan.fire plan front_obs ~kind:Plan.Link_delay ~cpu:src ~ts:t
-        then Plan.net_delay_cycles plan
+        then Plan.net_delay_cycles
         else 0
       in
       let link =

@@ -204,6 +204,23 @@ let test_far_memory_respects_capacity () =
   let r = fm_run Far_memory.Object 0.3 in
   check_bool "resident fraction <= capacity" true (r.local_fraction <= 0.3 +. 1e-6)
 
+(* An access draws its object without allocating: the words a longer
+   run adds, per extra access, stay near zero.  The difference of two
+   run lengths cancels the fixed setup (the CDF, placement and heat
+   tables).  A boxed float per draw would read 2 words per access. *)
+let test_far_memory_words_per_access () =
+  let words accesses =
+    let w0 = Gc.minor_words () in
+    ignore
+      (Far_memory.simulate ~objects:2_000 ~object_words:24 ~accesses ~zipf:0.9
+         (Far_memory.default ~local_capacity_words:12_000 Far_memory.Object));
+    Gc.minor_words () -. w0
+  in
+  let per = (words 200_000 -. words 100_000) /. 100_000.0 in
+  check_bool
+    (Printf.sprintf "%.3f minor words per access <= 0.5" per)
+    true (per <= 0.5)
+
 (* ------------------------------------------------------------------ *)
 (* Overhead study *)
 
@@ -263,6 +280,8 @@ let () =
             test_far_memory_capacity_monotone;
           Alcotest.test_case "respects capacity" `Quick
             test_far_memory_respects_capacity;
+          Alcotest.test_case "words per access" `Quick
+            test_far_memory_words_per_access;
         ] );
       ( "overhead",
         [

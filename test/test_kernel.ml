@@ -9,7 +9,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let plat = Platform.small
-let nk () = Nautilus.boot plat
+let nk () = Sched.boot ~personality:(Os.nautilus plat) plat
 let lx () = Sched.boot ~personality:(Os.linux plat) plat
 
 (* ------------------------------------------------------------------ *)
@@ -297,7 +297,8 @@ let test_flat_twin personality () =
 let words_per_suspension op =
   let words n =
     let w0 = Gc.minor_words () in
-    let k = Nautilus.boot ~quantum_us:1e6 (Platform.with_cores plat 1) in
+    let p1 = Platform.with_cores plat 1 in
+    let k = Sched.boot ~quantum_us:1e6 ~personality:(Os.nautilus p1) p1 in
     let sem = Sched.semaphore ~init:0 in
     ignore
       (Sched.spawn k (fun () ->

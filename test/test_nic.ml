@@ -13,7 +13,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let plat = Platform.knl
-let nk () = Nautilus.boot plat
+let nk () = Sched.boot ~personality:(Os.nautilus plat) plat
 
 (* The device and its driver count on the kernel's counter set. *)
 let count k id = Counter.get (Sched.counters k) id

@@ -13,17 +13,27 @@ type t = { mutable data : float array; mutable size : int }
 
 let create () = { data = [||]; size = 0 }
 
-let add t x =
+(* The index of the next sample, growing the array when it is full. *)
+let next_slot t =
   if t.size = Array.length t.data then begin
     let cap = max 16 (2 * Array.length t.data) in
     let data = Array.make cap 0.0 in
     Array.blit t.data 0 data 0 t.size;
     t.data <- data
   end;
-  t.data.(t.size) <- x;
-  t.size <- t.size + 1
+  let i = t.size in
+  t.size <- i + 1;
+  i
 
-let add_int t x = add t (float_of_int x)
+let add t x =
+  let i = next_slot t in
+  t.data.(i) <- x
+
+(* The float goes straight into the array: passed to [add] it would be
+   boxed, two words per sample. *)
+let add_int t x =
+  let i = next_slot t in
+  t.data.(i) <- float_of_int x
 
 let count t = t.size
 

@@ -542,6 +542,25 @@ let test_stats_empty_raises () =
   Alcotest.check_raises "empty" (Invalid_argument "Stats.summary: empty series")
     (fun () -> ignore (Stats.summary s))
 
+(* [add_int] records without boxing a float: the words a longer run
+   adds, per extra sample, stay near zero.  The difference of two run
+   lengths cancels the small arrays of the first doublings; the large
+   ones go straight to the major heap.  A boxed float per sample would
+   read 2 words. *)
+let test_stats_add_int_words () =
+  let words n =
+    let s = Stats.create () in
+    let w0 = Gc.minor_words () in
+    for i = 1 to n do
+      Stats.add_int s i
+    done;
+    Gc.minor_words () -. w0
+  in
+  let per = (words 200_000 -. words 100_000) /. 100_000.0 in
+  check_bool
+    (Printf.sprintf "%.3f minor words per sample <= 0.5" per)
+    true (per <= 0.5)
+
 let prop_stats_mean_bounded =
   QCheck.Test.make ~name:"mean lies within [min,max]" ~count:200
     QCheck.(list_of_size Gen.(1 -- 50) (float_bound_exclusive 1000.0))
@@ -622,6 +641,8 @@ let () =
           Alcotest.test_case "basic" `Quick test_stats_basic;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "empty raises" `Quick test_stats_empty_raises;
+          Alcotest.test_case "add_int words per sample" `Quick
+            test_stats_add_int_words;
           q prop_stats_mean_bounded;
         ] );
       ( "units",

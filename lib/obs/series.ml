@@ -33,8 +33,6 @@ let dcol ~name read =
         d);
   }
 
-let dref ~name r = dcol ~name (fun () -> !r)
-
 type t = {
   s_name : string;
   s_cols : col array;

@@ -17,9 +17,6 @@ val dcol : name:string -> (unit -> int) -> col
 (** Delta column over a monotone reading: each sample reports the
     increase since the previous sample. *)
 
-val dref : name:string -> int ref -> col
-(** [dcol] over a counter ref. *)
-
 type t
 
 val create :

@@ -228,7 +228,11 @@ let test_chrome_counter_round_trip () =
   let hits = ref 0 in
   let s =
     Series.create ~capacity:8 ~name:"svc"
-      ~cols:[ Series.dref ~name:"hits" hits; Series.col ~name:"gauge" (fun () -> 42) ]
+      ~cols:
+        [
+          Series.dcol ~name:"hits" (fun () -> !hits);
+          Series.col ~name:"gauge" (fun () -> 42);
+        ]
       ()
   in
   hits := 5;
@@ -269,7 +273,8 @@ let test_series_ring_and_csv () =
   let posts = ref 0 in
   let s =
     Series.create ~capacity:3 ~name:"ring"
-      ~cols:[ Series.dref ~name:"d" v; Series.col ~name:"raw" (fun () -> !v) ]
+      ~cols:
+        [ Series.dcol ~name:"d" (fun () -> !v); Series.col ~name:"raw" (fun () -> !v) ]
       ~post:[ (fun () -> incr posts) ]
       ()
   in

@@ -100,6 +100,10 @@ type loadgen = {
 
 let run cfg =
   if cfg.workers < 1 then invalid_arg "Plane.run: workers must be >= 1";
+  if cfg.queue_cap < 1 then invalid_arg "Plane.run: queue_cap must be >= 1";
+  if not (cfg.work_us >= 0.0) then invalid_arg "Plane.run: work_us must be >= 0";
+  if not (cfg.hi_frac >= 0.0 && cfg.hi_frac <= 1.0) then
+    invalid_arg "Plane.run: hi_frac must be in [0,1]";
   (match cfg.workload with
   | Workload.Closed { clients; _ } when clients < 1 ->
       invalid_arg "Plane.run: clients must be >= 1"

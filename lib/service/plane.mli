@@ -114,8 +114,10 @@ type report = {
 
 val run : config -> report
 (** Run to completion (the generator finishes and every admitted
-    request completes).  @raise Invalid_argument on a config without
-    workers or clients. *)
+    request completes).  @raise Invalid_argument, naming the field, on
+    a config without workers or clients, or with a queue bound, body
+    cost or high-priority fraction outside the range of [serve]'s
+    matching flag. *)
 
 val percentile_us : report -> Hist.t -> float -> float
 val mean_us : report -> Hist.t -> float

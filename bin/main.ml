@@ -1251,15 +1251,13 @@ let serve_cmd =
               Printf.sprintf "%.1f" (p 99.9);
             ]
           @ (if slo then
-               let bad = r.fr_slo_total - r.fr_slo_good in
-               let burn =
-                 if r.fr_slo_total > 0 && fc.fc_slo_target < 1.0 then
-                   int_of_float
-                     (float_of_int bad /. float_of_int r.fr_slo_total
-                     /. (1.0 -. fc.fc_slo_target) *. 1000.0)
-                 else 0
-               in
-               ints [ r.fr_slo_good; r.fr_slo_total; burn ]
+               ints
+                 [
+                   r.fr_slo_good;
+                   r.fr_slo_total;
+                   Fleet.burn_x1000 ~target:fc.fc_slo_target
+                     ~good:r.fr_slo_good ~total:r.fr_slo_total;
+                 ]
              else [])
           @ (if faulted then
                ints [ r.fr_steals; r.fr_corrupt_retries; r.fr_brownouts ]

@@ -113,25 +113,30 @@ let int t bound =
 (* 2^53 *)
 let two53 = 9007199254740992.0
 
-let float t bound = bound *. (float_of_int (raw53 t) /. two53)
+(* Uniform in [0, 1): [float t 1.0], bit for bit; inlined, its result
+   is never boxed. *)
+let[@inline] unit_float t = float_of_int (raw53 t) /. two53
+
+let float t bound = bound *. unit_float t
 
 (* [float t 1.0 < p] without the boxed intermediate, and no draw at
    all when [p <= 0]. *)
-let chance t p = p > 0.0 && float_of_int (raw53 t) /. two53 < p
+let chance t p = p > 0.0 && unit_float t < p
 
 let bool t =
   step t;
   t.o_lo land 1 = 1
 
-let gaussian t ~mu ~sigma =
-  let rec draw () =
-    let u1 = float t 1.0 in
-    if u1 <= 1e-12 then draw ()
-    else
-      let u2 = float t 1.0 in
-      mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-  in
-  draw ()
+(* Box-Muller: the deviate stays an unboxed local and leaves as an
+   int. *)
+let gaussian_int t ~mu ~sigma =
+  let u1 = ref (unit_float t) in
+  while !u1 <= 1e-12 do
+    u1 := unit_float t
+  done;
+  let u2 = unit_float t in
+  int_of_float
+    (mu +. (sigma *. sqrt (-2.0 *. log !u1) *. cos (2.0 *. Float.pi *. u2)))
 
 let exponential t ~mean =
   let rec draw () =

@@ -48,8 +48,9 @@ val chance : t -> float -> bool
 
 val bool : t -> bool
 
-val gaussian : t -> mu:float -> sigma:float -> float
-(** Box-Muller normal deviate. *)
+val gaussian_int : t -> mu:float -> sigma:float -> int
+(** A Box-Muller normal deviate, truncated toward zero.
+    Allocation-free. *)
 
 val exponential : t -> mean:float -> float
 (** Exponential deviate with the given mean. *)

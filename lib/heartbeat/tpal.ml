@@ -133,30 +133,32 @@ let worker_body c sh wid () =
 
 (* CPU 0 takes the LAPIC timer vector, handles its own beat and sends
    one IPI per other worker: the §IV-B Nautilus mechanism, one tick
-   fanned out to every worker.  Each target's handler and resume
-   closures are built once.  Under an active fault plan the wire may
+   fanned out to every worker.  Each target's send is built once; on
+   the quiet wire it is a prebuilt {!Ipi.delivery}, so a beat's
+   fan-out allocates nothing.  Under an active fault plan the wire may
    drop or delay an IPI, so the sends become the acknowledged,
-   resending kind; the quiet wire keeps plain fire-and-forget sends. *)
+   resending kind. *)
 let install_nk_driver c beat ~period =
   let k = c.k in
   let plat = Sched.platform k in
   let s = Sched.sim k in
-  let send =
-    if Iw_faults.Plan.enabled (Iw_faults.Plan.ambient ()) then Reliable_ipi.send
-    else Ipi.send
-  in
-  let targets =
+  let reliable = Iw_faults.Plan.enabled (Iw_faults.Plan.ambient ()) in
+  let sends =
     Array.init (c.nworkers - 1) (fun i ->
         let cpu = i + 1 in
-        ( Sched.cpu k cpu,
-          (fun ~preempted -> beat cpu ~preempted),
-          fun () -> Sched.resched_or_resume k cpu ))
+        let target = Sched.cpu k cpu
+        and handler ~preempted = beat cpu ~preempted
+        and after () = Sched.resched_or_resume k cpu in
+        if reliable then fun () ->
+          Reliable_ipi.send s plat ~target ~handler ~after
+        else
+          let d = Ipi.delivery s plat ~target ~handler ~after in
+          fun () -> Ipi.send d)
   in
-  let send_one (target, handler, after) = send s plat ~target ~handler ~after in
   Lapic.periodic (Sched.lapic k 0) ~period
     ~handler:(fun ~preempted ->
       let cost = beat 0 ~preempted in
-      Array.iter send_one targets;
+      Array.iter (fun send -> send ()) sends;
       cost + plat.Platform.costs.ipi_send)
     ~after:(fun () -> Sched.resched_or_resume k 0)
     ()
@@ -218,10 +220,16 @@ let install_watchdog c sh beat ~period =
 (* Boot the kernel the driver implies, let [make] lay out the work,
    spawn worker [i] as [prefix-i] on CPU [i], install the driver (and,
    under a fault plan, the watchdog), and run to [horizon] under a
-   supervisor that joins the workers and dismantles the drivers. *)
-let run_core ~prefix ~name ~horizon ~driver plat ~workers ~heartbeat_us ~seed
-    make =
-  if workers < 1 then invalid_arg (prefix ^ ": workers < 1");
+   supervisor that joins the workers and dismantles the drivers.  A
+   config it cannot run is refused first, naming the [entry] point and
+   the field. *)
+let run_core ~entry ~prefix ~name ~horizon ~driver plat ~workers ~heartbeat_us
+    ~seed make =
+  let reject what = invalid_arg (entry ^ ": " ^ what) in
+  if workers < 1 then reject "workers must be >= 1";
+  let period = Platform.cycles_of_us plat heartbeat_us in
+  if not (heartbeat_us > 0.0) || period < 1 then
+    reject "heartbeat_us must give a period of at least one cycle";
   let plat = Platform.with_cores plat workers in
   let personality =
     match driver with
@@ -241,7 +249,6 @@ let run_core ~prefix ~name ~horizon ~driver plat ~workers ~heartbeat_us ~seed
     }
   in
   let sh = make c in
-  let period = Platform.cycles_of_us plat heartbeat_us in
   let spec name cpu =
     { Sched.sp_name = name; sp_cpu = Some cpu; sp_fp = false; sp_rt = false }
   in
@@ -280,11 +287,19 @@ let overhead_pct k =
 (* Ranges: a worker runs a range as one consume; a beat splits off
    1/div of what remains of it as a stealable task. *)
 
-type task = { t_items : int; t_grain : int }
+(* A task sits in the ring as two ints, its items then its grain, so
+   a promotion, a pop and a steal allocate nothing.  The range a
+   worker is running lives in the worker's one execution slot. *)
+type rworker = {
+  dq : int Deque.t;
+  mutable busy : bool;  (* the slot holds the range being consumed *)
+  mutable e_items : int;  (* promotions shrink it as it runs *)
+  mutable e_grain : int;
+}
 
-type exec = { mutable e_items : int; e_grain : int }
-
-type rworker = { dq : task Deque.t; mutable cur : exec option }
+let push_task dq ~items ~grain =
+  Deque.push_bottom dq items;
+  Deque.push_bottom dq grain
 
 let range_shape ~div bench c =
   let k = c.k in
@@ -292,82 +307,89 @@ let range_shape ~div bench c =
   let obs = Sched.obs k in
   let counters = obs.Iw_obs.Obs.counters and tr = obs.Iw_obs.Obs.trace in
   let ws =
-    Array.init c.nworkers (fun _ -> { dq = Deque.create (); cur = None })
+    Array.init c.nworkers (fun _ ->
+        { dq = Deque.create 0; busy = false; e_items = 0; e_grain = 0 })
   in
   let remaining = ref (total_items bench) in
   (* All initial work lands on worker 0; heartbeat promotion and
      stealing spread it. *)
-  List.iter
-    (fun r ->
-      Deque.push_bottom ws.(0).dq { t_items = r.items; t_grain = r.grain })
+  List.iter (fun r -> push_task ws.(0).dq ~items:r.items ~grain:r.grain)
     bench.ranges;
-  let execute w t =
-    let e = { e_items = t.t_items; e_grain = t.t_grain } in
-    w.cur <- Some e;
-    Coro.consume (t.t_items * t.t_grain);
-    w.cur <- None;
-    (* Promotions shrank [e]; what remains in it is what we ran. *)
-    remaining := !remaining - e.e_items;
+  let execute w ~items ~grain =
+    w.busy <- true;
+    w.e_items <- items;
+    w.e_grain <- grain;
+    Coro.consume (items * grain);
+    w.busy <- false;
+    (* Promotions shrank the slot; what remains in it is what we ran. *)
+    remaining := !remaining - w.e_items;
     Api.overhead costs.atomic_rmw
   in
   let pop wid =
-    match Deque.pop_bottom ws.(wid).dq with
-    | Some t ->
-        Api.overhead 20;
-        execute ws.(wid) t;
-        true
-    | None -> false
+    let w = ws.(wid) in
+    if Deque.is_empty w.dq then false
+    else begin
+      let grain = Deque.pop_bottom w.dq in
+      let items = Deque.pop_bottom w.dq in
+      Api.overhead 20;
+      execute w ~items ~grain;
+      true
+    end
   in
   let steal thief victim =
-    match Deque.steal_top ws.(victim).dq with
-    | Some t ->
-        Iw_obs.Counter.incr counters Iw_obs.Counter.Steals;
-        if tr.Iw_obs.Trace.enabled then
-          Iw_obs.Trace.instant tr ~name:"steal" ~cat:"heartbeat" ~cpu:thief
-            ~ts:(Sched.now k) ();
-        execute ws.(thief) t;
-        true
-    | None -> false
-  in
-  (* The preempted thread must be this CPU's worker: the supervisor
-     shares CPU 0. *)
-  let worker_running cpu =
-    match Sched.current_thread k cpu with
-    | Some th -> Sched.thread_id th = Sched.thread_id c.threads.(cpu)
-    | None -> false
+    let dq = ws.(victim).dq in
+    if Deque.is_empty dq then false
+    else begin
+      let items = Deque.steal_top dq in
+      let grain = Deque.steal_top dq in
+      Iw_obs.Counter.incr counters Iw_obs.Counter.Steals;
+      if tr.Iw_obs.Trace.enabled then
+        Iw_obs.Trace.instant tr ~name:"steal" ~cat:"heartbeat" ~cpu:thief
+          ~ts:(Sched.now k) ();
+      execute ws.(thief) ~items ~grain;
+      true
+    end
   in
   (* Mid-range with at least [div] items left: split off the upper
-     1/div as a stealable task and shrink both the execution record
-     and the cycles the scheduler still owes the thread. *)
+     1/div as a stealable task and shrink both the execution slot and
+     the cycles the scheduler still owes the thread.  The preempted
+     thread must be this CPU's worker: the supervisor shares CPU 0. *)
   let promote cpu ~preempted =
     Iw_obs.Counter.incr counters Iw_obs.Counter.Heartbeats;
     if preempted < 0 then promotion_check_cost
     else
       let w = ws.(cpu) in
-      match w.cur with
-      | Some e when preempted / e.e_grain >= div && worker_running cpu ->
-          let items = preempted / e.e_grain / div in
-          Deque.push_bottom w.dq { t_items = items; t_grain = e.e_grain };
-          e.e_items <- e.e_items - items;
-          Iw_obs.Counter.incr counters Iw_obs.Counter.Promotions;
-          if tr.Iw_obs.Trace.enabled then
-            Iw_obs.Trace.instant tr ~name:"promote" ~cat:"heartbeat" ~cpu
-              ~ts:(Sched.now k) ();
-          Sched.stash_preempted k cpu (preempted - (items * e.e_grain));
-          promotion_check_cost + promotion_cost
-      | _ ->
-          Sched.stash_preempted k cpu preempted;
-          promotion_check_cost
+      if
+        w.busy
+        && preempted / w.e_grain >= div
+        && Sched.is_running k cpu c.threads.(cpu)
+      then begin
+        let items = preempted / w.e_grain / div in
+        push_task w.dq ~items ~grain:w.e_grain;
+        w.e_items <- w.e_items - items;
+        Iw_obs.Counter.incr counters Iw_obs.Counter.Promotions;
+        if tr.Iw_obs.Trace.enabled then
+          Iw_obs.Trace.instant tr ~name:"promote" ~cat:"heartbeat" ~cpu
+            ~ts:(Sched.now k) ();
+        Sched.stash_preempted k cpu (preempted - (items * w.e_grain));
+        promotion_check_cost + promotion_cost
+      end
+      else begin
+        Sched.stash_preempted k cpu preempted;
+        promotion_check_cost
+      end
   in
   { left = (fun () -> !remaining); pop; steal; promote }
 
 let run ?(promote_div = 2) plat (config : config) bench =
+  if promote_div < 2 then invalid_arg "Tpal.run: promote_div must be >= 2";
   let serial = total_work bench in
   let c =
-    run_core ~prefix:"tpal" ~name:bench.bench_name ~horizon:(200 * serial)
-      ~driver:config.driver plat ~workers:config.workers
-      ~heartbeat_us:config.heartbeat_us ~seed:config.seed
-      (range_shape ~div:(max 2 promote_div) bench)
+    run_core ~entry:"Tpal.run" ~prefix:"tpal" ~name:bench.bench_name
+      ~horizon:(200 * serial) ~driver:config.driver plat
+      ~workers:config.workers ~heartbeat_us:config.heartbeat_us
+      ~seed:config.seed
+      (range_shape ~div:promote_div bench)
   in
   let k = c.k in
   let count = Iw_obs.Counter.get (Sched.counters k) in
@@ -466,6 +488,9 @@ module Tree = struct
     public : frame Deque.t;  (* stealable promoted tasks *)
   }
 
+  (* What an empty deque slot holds; never run. *)
+  let no_frame () = invalid_arg "Tpal.Tree: empty frame slot"
+
   (* The tree's counts live here, not in typed counters. *)
   type tally = {
     mutable outstanding : int;  (* frames not yet fully executed *)
@@ -479,7 +504,7 @@ module Tree = struct
     let costs = (Sched.platform k).Platform.costs in
     let ws =
       Array.init c.nworkers (fun _ ->
-          { latent = Deque.create (); public = Deque.create () })
+          { latent = Deque.create no_frame; public = Deque.create no_frame })
     in
     Deque.push_bottom ws.(0).latent bench.root;
     let run_frame w f =
@@ -494,42 +519,42 @@ module Tree = struct
     in
     let pop wid =
       let w = ws.(wid) in
-      match Deque.pop_bottom w.latent with
-      | Some f ->
-          run_frame w f;
-          true
-      | None -> (
-          match Deque.pop_bottom w.public with
-          | Some f ->
-              Api.overhead 20;
-              run_frame w f;
-              true
-          | None -> false)
+      if not (Deque.is_empty w.latent) then begin
+        run_frame w (Deque.pop_bottom w.latent);
+        true
+      end
+      else if not (Deque.is_empty w.public) then begin
+        let f = Deque.pop_bottom w.public in
+        Api.overhead 20;
+        run_frame w f;
+        true
+      end
+      else false
     in
     let steal thief victim =
-      match Deque.steal_top ws.(victim).public with
-      | Some f ->
-          tl.steals <- tl.steals + 1;
-          run_frame ws.(thief) f;
-          true
-      | None -> false
+      let public = ws.(victim).public in
+      if Deque.is_empty public then false
+      else begin
+        let f = Deque.steal_top public in
+        tl.steals <- tl.steals + 1;
+        run_frame ws.(thief) f;
+        true
+      end
     in
     (* Latent frames live outside any in-flight consume, so unlike a
        range split no owed-cycle surgery is needed. *)
     let promote cpu ~preempted =
       if preempted >= 0 then Sched.stash_preempted k cpu preempted;
       let w = ws.(cpu) in
-      let frame =
-        match policy with
-        | Promote_oldest -> Deque.steal_top w.latent
-        | Promote_newest -> Deque.pop_bottom w.latent
-      in
-      match frame with
-      | Some f ->
-          Deque.push_bottom w.public f;
-          tl.promotions <- tl.promotions + 1;
-          promotion_check_cost + promotion_cost
-      | None -> promotion_check_cost
+      if Deque.is_empty w.latent then promotion_check_cost
+      else begin
+        Deque.push_bottom w.public
+          (match policy with
+          | Promote_oldest -> Deque.steal_top w.latent
+          | Promote_newest -> Deque.pop_bottom w.latent);
+        tl.promotions <- tl.promotions + 1;
+        promotion_check_cost + promotion_cost
+      end
     in
     { left = (fun () -> tl.outstanding); pop; steal; promote }
 
@@ -537,8 +562,8 @@ module Tree = struct
     let serial = total_work bench in
     let tl = { outstanding = 1; nodes = 0; promotions = 0; steals = 0 } in
     let c =
-      run_core ~prefix:"tpal-tree" ~name:bench.tree_name ~horizon:(400 * serial)
-        ~driver:Nk_ipi plat ~workers:config.workers
+      run_core ~entry:"Tpal.Tree.run" ~prefix:"tpal-tree" ~name:bench.tree_name
+        ~horizon:(400 * serial) ~driver:Nk_ipi plat ~workers:config.workers
         ~heartbeat_us:config.heartbeat_us ~seed:config.seed
         (shape config.policy bench tl)
     in

@@ -5,13 +5,20 @@
     the interrupt is injected on the target core with the full
     architectural dispatch cost. *)
 
-val send :
+type delivery
+(** One target core with its handler and resume path, built once and
+    sent any number of times. *)
+
+val delivery :
   Iw_engine.Sim.t ->
   Platform.t ->
   target:Cpu.t ->
   handler:(preempted:int -> int) ->
   after:(unit -> unit) ->
-  unit
-(** Deliver a single IPI to [target].  A fan-out (the §IV-B Nautilus
-    heartbeat, one LAPIC tick on CPU 0 reaching every worker) is one
-    send per target; each lands after the same fabric latency. *)
+  delivery
+
+val send : delivery -> unit
+(** Deliver a single IPI; allocation-free.  A fan-out (the §IV-B
+    Nautilus heartbeat, one LAPIC tick on CPU 0 reaching every worker)
+    is one send per target's delivery; each lands after the same
+    fabric latency. *)

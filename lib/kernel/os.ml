@@ -65,14 +65,13 @@ let linux plat =
            non-preemptible section; these are what keep user-level
            event delivery from tracking a fine-grained grid (§IV-B). *)
         let slack =
-          max 0.0 (Iw_engine.Rng.gaussian rng ~mu:8000.0 ~sigma:8000.0)
+          max 0 (Iw_engine.Rng.gaussian_int rng ~mu:8000.0 ~sigma:8000.0)
         in
         let tail =
-          if Iw_engine.Rng.float rng 1.0 < 0.08 then
-            Iw_engine.Rng.int rng 90_000
+          if Iw_engine.Rng.chance rng 0.08 then Iw_engine.Rng.int rng 90_000
           else 0
         in
-        int_of_float slack + tail);
+        slack + tail);
     (* A general-purpose tick carries cputime/RCU/load accounting on
        top of the basic timer update. *)
     tick_cost = c.tick_update + c.tick_accounting_extra;
@@ -80,8 +79,7 @@ let linux plat =
       (fun rng ->
         (* Deferred kernel work rides the tick now and then; any one
            core's stall stretches every barrier it precedes. *)
-        if Iw_engine.Rng.float rng 1.0 < 0.30 then
-          Iw_engine.Rng.int rng 30_000
+        if Iw_engine.Rng.chance rng 0.30 then Iw_engine.Rng.int rng 30_000
         else 0);
     uncontended_sync = c.atomic_rmw;
   }
@@ -98,6 +96,5 @@ let linux_rt plat =
       + plat.Iw_hw.Platform.costs.signal_return;
     timer_jitter =
       (fun rng ->
-        int_of_float
-          (max 0.0 (Iw_engine.Rng.gaussian rng ~mu:400.0 ~sigma:250.0)));
+        max 0 (Iw_engine.Rng.gaussian_int rng ~mu:400.0 ~sigma:250.0));
   }

@@ -33,8 +33,9 @@ let send s plat ~target ~handler ~after =
     acked := true;
     handler ~preempted
   in
+  let d = Ipi.delivery s plat ~target ~handler ~after in
   let rec attempt n timeout =
-    Ipi.send s plat ~target ~handler ~after;
+    Ipi.send d;
     if n + 1 < max_attempts then
       Sim.schedule_after_unit s timeout (fun () ->
           if not !acked then begin

@@ -155,8 +155,6 @@ let total_overhead_cycles t =
     (fun acc c -> acc + Cpu.overhead_cycles c + Cpu.irq_cycles c)
     0 t.cpus
 
-let thread_id th = th.tid
-
 (* A pause this kernel does not serve, from coroutine thread [th]. *)
 let refuse th what =
   invalid_arg
@@ -492,9 +490,7 @@ let flat_exit = finish
    state transition is free. *)
 let sem_signal t sem = ignore (post t sem)
 
-let current_thread t cid =
-  let th = t.current.(cid) in
-  if th == nil_thread then None else Some th
+let is_running t cid th = t.current.(cid) == th
 
 let stash_preempted t cid remaining =
   let th = t.current.(cid) in

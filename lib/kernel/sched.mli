@@ -72,10 +72,6 @@ val total_work_cycles : t -> int
 val total_overhead_cycles : t -> int
 (** Sum of [Overhead]-kind plus interrupt-path cycles across CPUs. *)
 
-(** {1 Thread handles} *)
-
-val thread_id : thread -> int
-
 (** {1 Synchronization objects}
 
     Created freely; their blocking operations are requests (see
@@ -182,9 +178,9 @@ val sem_signal : t -> semaphore -> unit
     {!flat_sem_post} there is no requesting thread, so no cost is
     charged to any CPU — the waiter still pays its wake latency. *)
 
-val current_thread : t -> int -> thread option
-(** What is (or was) running on a CPU — valid inside interrupt
-    handlers to identify the preempted thread. *)
+val is_running : t -> int -> thread -> bool
+(** [is_running t cpu th]: [th] is (or was, inside an interrupt
+    handler: the preempted thread) what runs on [cpu]. *)
 
 val stash_preempted : t -> int -> int -> unit
 (** [stash_preempted t cpu remaining]: record that the running

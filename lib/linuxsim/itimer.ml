@@ -1,6 +1,10 @@
 open Iw_engine
 open Iw_kernel
 
+(* The expiry event, the signal handler and the resume path are built
+   once per timer as closures over the record ([create] ties the
+   knot), and the next grid point lives in [deadline]: an expiry
+   allocates nothing. *)
 type t = {
   k : Sched.t;
   cpu : int;
@@ -11,64 +15,73 @@ type t = {
   mutable pending : bool;  (* delivery in flight *)
   mutable delivered : int;
   mutable overruns : int;
-  mutable times : int list;
+  mutable deadline : int;  (* the grid point of the next expiry *)
   rng : Rng.t;
+  on_signal : preempted:int -> int;
+  on_return : unit -> unit;
+  on_expiry : unit -> unit;
 }
+
+let signal t ~preempted =
+  t.delivered <- t.delivered + 1;
+  t.handler ~preempted;
+  (* hrtimer/softirq + signal frame + sigreturn + the user code. *)
+  (Sched.personality t.k).Os.timer_extra + t.handler_cost
+
+let resume t =
+  t.pending <- false;
+  Sched.resched_or_resume t.k t.cpu
+
+let deliver t =
+  let costs = (Sched.platform t.k).Iw_hw.Platform.costs in
+  t.pending <- true;
+  Iw_hw.Cpu.interrupt (Sched.cpu t.k t.cpu) ~dispatch:costs.interrupt_dispatch
+    ~return_cost:costs.interrupt_return ~handler:t.on_signal ~after:t.on_return
+
+(* Queue the expiry for [deadline], late by the personality's jitter. *)
+let arm t =
+  if t.running then
+    let s = Sched.sim t.k in
+    let jitter = max 0 ((Sched.personality t.k).Os.timer_jitter t.rng) in
+    Sim.schedule_unit s ~at:(max (Sim.now s) (t.deadline + jitter)) t.on_expiry
+
+let expire t =
+  if t.running then begin
+    if t.pending then t.overruns <- t.overruns + 1 else deliver t;
+    t.deadline <- t.deadline + t.period;
+    arm t
+  end
 
 let create k ~cpu ~period ?(handler_cost = 50) ~handler () =
   if period <= 0 then invalid_arg "Itimer.create: period <= 0";
-  {
-    k;
-    cpu;
-    period;
-    handler_cost;
-    handler;
-    running = false;
-    pending = false;
-    delivered = 0;
-    overruns = 0;
-    times = [];
-    rng = Rng.split (Sim.rng (Sched.sim k));
-  }
-
-let deliver t =
-  let p = Sched.personality t.k in
-  let plat = Sched.platform t.k in
-  let costs = plat.Iw_hw.Platform.costs in
-  t.pending <- true;
-  Iw_hw.Cpu.interrupt (Sched.cpu t.k t.cpu) ~dispatch:costs.interrupt_dispatch
-    ~return_cost:costs.interrupt_return
-    ~handler:(fun ~preempted ->
-      t.delivered <- t.delivered + 1;
-      t.times <- Sim.now (Sched.sim t.k) :: t.times;
-      t.handler ~preempted;
-      (* hrtimer/softirq + signal frame + sigreturn + the user code. *)
-      p.Os.timer_extra + t.handler_cost)
-    ~after:(fun () ->
-      t.pending <- false;
-      Sched.resched_or_resume t.k t.cpu)
+  let rng = Rng.split (Sim.rng (Sched.sim k)) in
+  let rec t =
+    {
+      k;
+      cpu;
+      period;
+      handler_cost;
+      handler;
+      running = false;
+      pending = false;
+      delivered = 0;
+      overruns = 0;
+      deadline = 0;
+      rng;
+      on_signal = (fun ~preempted -> signal t ~preempted);
+      on_return = (fun () -> resume t);
+      on_expiry = (fun () -> expire t);
+    }
+  in
+  t
 
 let start t =
   if not t.running then begin
     t.running <- true;
-    let s = Sched.sim t.k in
-    let p = Sched.personality t.k in
-    let rec arm deadline =
-      if t.running then
-        let jitter = max 0 (p.Os.timer_jitter t.rng) in
-        Sim.schedule_unit s
-          ~at:(max (Sim.now s) (deadline + jitter))
-          (fun () ->
-            if t.running then begin
-              if t.pending then t.overruns <- t.overruns + 1
-              else deliver t;
-              arm (deadline + t.period)
-            end)
-    in
-    arm (Sim.now s + t.period)
+    t.deadline <- Sched.now t.k + t.period;
+    arm t
   end
 
 let stop t = t.running <- false
 let delivered t = t.delivered
 let overruns t = t.overruns
-let delivery_times t = List.rev t.times

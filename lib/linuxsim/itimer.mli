@@ -23,7 +23,8 @@ val create :
 (** The handler runs in "signal context" on [cpu]; [preempted] follows
     {!Iw_hw.Cpu.interrupt} semantics (the handler must arrange
     stashing via {!Iw_kernel.Sched.stash_preempted} when it receives
-    [Some _] — see {!Iw_heartbeat} for the canonical use). *)
+    [preempted >= 0] — see {!Iw_heartbeat} for the canonical use).
+    An expiry and a delivery allocate nothing. *)
 
 val start : t -> unit
 val stop : t -> unit
@@ -31,6 +32,3 @@ val stop : t -> unit
 val delivered : t -> int
 val overruns : t -> int
 (** Expirations that coalesced into a still-pending delivery. *)
-
-val delivery_times : t -> int list
-(** Sim times at which the user handler actually ran, ascending. *)

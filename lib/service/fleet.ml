@@ -976,6 +976,17 @@ let barrier w f nodes h =
   if f.f_cfg.fc_bw_wjsq then observe_completions f nodes;
   route_all w f nodes h
 
+(* Burn rate: (bad/total) / (1 - target), scaled to an integer
+   (x1000) so the CSV stays int-exact.  1000 = burning exactly the
+   error budget; above = eating into it.  [run] refuses a target
+   outside (0,1), so the divisor is never 0. *)
+let burn_x1000 ~target ~good ~total =
+  if total <= 0 then 0
+  else
+    int_of_float
+      (float_of_int (total - good) /. float_of_int total /. (1.0 -. target)
+      *. 1000.0)
+
 (* Fleet telemetry: one series sampled at window barriers on the
    coordinator (machines quiescent, their writes published by the
    atomic handoff in parallel mode), so parallel and serial fleets
@@ -984,19 +995,13 @@ let barrier w f nodes h =
    (DESIGN §10). *)
 let make_series cfg f nodes w =
   let ewin = Hist.window f.f_e2e in
-  (* Burn rate per window: (bad/total) / (1 - target), scaled to an
-     integer (x1000) so the CSV stays int-exact.  1000 = burning
-     exactly the error budget; above = eating into it. *)
+  (* The burn rate per sampled window. *)
   let burn () =
     let g = f.f_slo_good and t = slo_total f in
     let dg = g - w.w_burn_good and dt = t - w.w_burn_total in
     w.w_burn_good <- g;
     w.w_burn_total <- t;
-    if dt <= 0 then 0
-    else
-      int_of_float
-        (float_of_int (dt - dg) /. float_of_int dt
-        /. (1.0 -. cfg.fc_slo_target) *. 1000.0)
+    burn_x1000 ~target:cfg.fc_slo_target ~good:dg ~total:dt
   in
   let count name id = Series.dcol ~name (fun () -> fcount f id) in
   let fixed =

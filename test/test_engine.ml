@@ -89,12 +89,13 @@ let test_rng_bounds () =
 let test_rng_gaussian_moments () =
   let r = Rng.create ~seed:3 in
   let n = 20_000 in
-  let acc = ref 0.0 in
+  let acc = ref 0 in
   for _ = 1 to n do
-    acc := !acc +. Rng.gaussian r ~mu:10.0 ~sigma:2.0
+    acc := !acc + Rng.gaussian_int r ~mu:10_000.0 ~sigma:2_000.0
   done;
-  let mean = !acc /. float_of_int n in
-  check_bool "gaussian mean near mu" true (abs_float (mean -. 10.0) < 0.1)
+  let mean = float_of_int !acc /. float_of_int n in
+  check_bool "gaussian mean near mu" true
+    (abs_float (mean -. 10_000.0) < 100.0)
 
 let test_rng_shuffle_permutation () =
   let r = Rng.create ~seed:5 in

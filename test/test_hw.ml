@@ -162,11 +162,12 @@ let test_ipi_latency () =
   let s = Sim.create () in
   let target = Cpu.create s ~id:1 in
   let at = ref (-1) in
-  Ipi.send s plat ~target
-    ~handler:(fun ~preempted:_ ->
-      at := Sim.now s;
-      0)
-    ~after:(fun () -> ());
+  Ipi.send
+    (Ipi.delivery s plat ~target
+       ~handler:(fun ~preempted:_ ->
+         at := Sim.now s;
+         0)
+       ~after:(fun () -> ()));
   Sim.run s;
   check_int "latency + dispatch"
     (plat.costs.ipi_latency + plat.costs.interrupt_dispatch)
@@ -178,11 +179,12 @@ let test_ipi_broadcast_reaches_all () =
   let s = Sim.create () in
   let hit = Array.make 3 (-1) in
   for cid = 0 to 2 do
-    Ipi.send s plat ~target:(Cpu.create s ~id:cid)
-      ~handler:(fun ~preempted:_ ->
-        hit.(cid) <- Sim.now s;
-        0)
-      ~after:(fun () -> ())
+    Ipi.send
+      (Ipi.delivery s plat ~target:(Cpu.create s ~id:cid)
+         ~handler:(fun ~preempted:_ ->
+           hit.(cid) <- Sim.now s;
+           0)
+         ~after:(fun () -> ()))
   done;
   Sim.run s;
   Array.iter

@@ -119,9 +119,12 @@ let test_cheap_experiments_run () =
    interpreter's instruction loop, and E7 adds CARAT's region lookups
    and coroutine pauses; none of them allocates per step.  With a list
    buffer, a closure per block, and an allocating lookup and pause they
-   took 41.6M, 2.44M and 20.7M words.  R1's heartbeat fan-out builds
-   each target's IPI closures once; building two per target per beat
-   took 548k words. *)
+   took 41.6M, 2.44M and 20.7M words.  E1, A5 and R1 run the heartbeat,
+   whose beat allocates only the workers' coroutine pauses: a ring
+   deque of int tasks, one execution slot per worker, a prebuilt IPI
+   delivery per target and an itimer's callbacks built once.  With a
+   list deque, an execution record per task, a closure per IPI send and
+   three per itimer expiry they took 20.8M, 8.72M and 468k words. *)
 let test_allocation_caps () =
   List.iter
     (fun (id, cap) ->
@@ -137,7 +140,9 @@ let test_allocation_caps () =
       ("E14", 20_000.);
       ("A2", 300_000.);
       ("E7", 10_500_000.);
-      ("R1", 520_000.);
+      ("E1", 7_000_000.);
+      ("A5", 7_000_000.);
+      ("R1", 410_000.);
     ]
 
 (* ------------------------------------------------------------------ *)

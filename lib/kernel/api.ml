@@ -14,6 +14,10 @@ let kernel () = Coro.query Sched.R_kernel
 let sleep n = Coro.request (Sched.R_sleep n)
 let rand bound = Coro.query (Sched.R_rand bound)
 let overhead n = if n > 0 then Coro.overhead n
+
+let spin_until ~poll until =
+  if not (until ()) then Coro.request (Sched.R_spin (poll, until))
+
 let lock m = Coro.request (Sched.R_lock m)
 let unlock m = Coro.request (Sched.R_unlock m)
 

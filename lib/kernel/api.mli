@@ -30,6 +30,14 @@ val rand : int -> int
 val overhead : int -> unit
 (** Burn [n] cycles accounted as runtime overhead rather than work. *)
 
+val spin_until : poll:(int -> int) -> (unit -> bool) -> unit
+(** Active wait with backoff: while [until ()] is false, burn
+    [poll 0], then [poll 1], ... cycles of overhead, checking [until]
+    after each.  The kernel serves the polls ({!Sched.R_spin}): each is
+    the grant {!overhead} would make, but the wait costs one request
+    however many polls it takes, and none when [until ()] already
+    holds.  [poll] must be positive. *)
+
 val unlock : Sched.mutex -> unit
 val with_lock : Sched.mutex -> (unit -> 'a) -> 'a
 val sem_wait : Sched.semaphore -> unit

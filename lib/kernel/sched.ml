@@ -13,6 +13,7 @@ type spawn_spec = {
 let default_spec = { sp_name = "thread"; sp_cpu = None; sp_fp = false; sp_rt = false }
 
 let nop () = ()
+let holds () = true
 
 type thread = {
   tid : int;
@@ -43,6 +44,17 @@ type thread = {
 }
 
 type flat = thread
+
+(* What only a coroutine thread keeps: its coroutine, and its
+   spin-wait ([R_spin]): the polls granted so far, -1 when not
+   spinning; the cycles of poll [n]; and the condition checked after
+   each poll. *)
+type coroutine = {
+  co : Coro.t;
+  mutable spins : int;
+  mutable spin_poll : int -> int;
+  mutable spin_until : unit -> bool;
+}
 
 let nil_joiners : thread Queue.t = Queue.create ()
 
@@ -130,6 +142,7 @@ type _ Coro.Request.t +=
   | R_sem_post : semaphore -> unit Coro.Request.t
   | R_rand : int -> int Coro.Request.t
   | R_kernel : t Coro.Request.t
+  | R_spin : (int -> int) * (unit -> bool) -> unit Coro.Request.t
 
 let mutex () = { owner = None; mwaiters = Queue.create () }
 
@@ -215,14 +228,15 @@ and resume_thread t th =
 
 (* A coroutine thread's step, given where its coroutine [co] paused.
    Cycles and unit requests leave [co] to be resumed by [step]. *)
-and run_coroutine t th co (status : Coro.status) =
+and run_coroutine t th c (status : Coro.status) =
   match status with
   | Coro.Done -> finish t th
   | Coro.Failed e -> raise e
-  | Coro.Work -> flat_continue t th ~cost:(Coro.owed co) ~kind:Cpu.Work
-  | Coro.Overhead -> flat_continue t th ~cost:(Coro.owed co) ~kind:Cpu.Overhead
-  | Coro.Requested -> serve t th (Coro.pending co)
-  | Coro.Queried (q, k) -> answer t th co q k
+  | Coro.Work -> flat_continue t th ~cost:(Coro.owed c.co) ~kind:Cpu.Work
+  | Coro.Overhead ->
+      flat_continue t th ~cost:(Coro.owed c.co) ~kind:Cpu.Overhead
+  | Coro.Requested -> serve t th c (Coro.pending c.co)
+  | Coro.Queried (q, k) -> answer t th c q k
   | Coro.Yielded -> refuse th "Coro.yield"
 
 (* Park [th] (running on its CPU); what it does when woken is already
@@ -312,13 +326,36 @@ and create_thread t spec =
 
 and spawn_coroutine t spec body =
   let th = create_thread t spec in
-  let co = Coro.create body in
-  th.step <- (fun () -> run_coroutine t th co (Coro.resume co));
+  let c =
+    {
+      co = Coro.create body;
+      spins = -1;
+      spin_poll = Fun.id;
+      spin_until = holds;
+    }
+  in
+  th.step <-
+    (fun () ->
+      if c.spins < 0 || spin_done t th c then
+        run_coroutine t th c (Coro.resume c.co));
   th
+
+(* A poll of [th]'s spin-wait is paid: true once its condition holds,
+   else the next poll is granted. *)
+and spin_done t th c =
+  if c.spin_until () then begin
+    c.spins <- -1;
+    true
+  end
+  else begin
+    c.spins <- c.spins + 1;
+    flat_continue t th ~cost:(c.spin_poll c.spins) ~kind:Cpu.Overhead;
+    false
+  end
 
 (* Serve a unit request through the flat entry points below; the
    thread's [step] resumes the coroutine once it is served. *)
-and serve t th (req : unit Coro.Request.t) =
+and serve t th c (req : unit Coro.Request.t) =
   match req with
   | R_join target ->
       if target.tid = th.tid then invalid_arg "Sched: join on self";
@@ -352,25 +389,31 @@ and serve t th (req : unit Coro.Request.t) =
           flat_continue t th ~cost:t.p.wake ~kind:Cpu.Overhead)
   | R_sem_wait sem -> flat_sem_wait t th sem
   | R_sem_post sem -> flat_sem_post t th sem
+  | R_spin (poll, until) ->
+      c.spins <- 0;
+      c.spin_poll <- poll;
+      c.spin_until <- until;
+      flat_continue t th ~cost:(poll 0) ~kind:Cpu.Overhead
   | _ -> refuse th "unknown request"
 
 (* Answer a query.  Only a spawn charges a cost before its reply: its
    [step] delivers the child once, then goes back to resuming [co]. *)
 and answer : type a.
-    t -> thread -> Coro.t -> a Coro.Request.t -> (a -> Coro.status) -> unit =
- fun t th co q k ->
+    t -> thread -> coroutine -> a Coro.Request.t -> (a -> Coro.status) ->
+    unit =
+ fun t th c q k ->
   match q with
-  | R_now -> run_coroutine t th co (k (Sim.now t.s))
-  | R_cpu -> run_coroutine t th co (k th.bound)
-  | R_kernel -> run_coroutine t th co (k t)
-  | R_rand bound -> run_coroutine t th co (k (Rng.int t.krng bound))
+  | R_now -> run_coroutine t th c (k (Sim.now t.s))
+  | R_cpu -> run_coroutine t th c (k th.bound)
+  | R_kernel -> run_coroutine t th c (k t)
+  | R_rand bound -> run_coroutine t th c (k (Rng.int t.krng bound))
   | R_spawn (spec, body) ->
       let child = spawn_coroutine t spec body in
       let resume = th.step in
       th.step <-
         (fun () ->
           th.step <- resume;
-          run_coroutine t th co (k child));
+          run_coroutine t th c (k child));
       flat_continue t th ~cost:t.p.spawn ~kind:Cpu.Overhead
   | _ -> refuse th "unknown request"
 
@@ -480,6 +523,11 @@ let flat_sem_take t th sem =
   flat_sem_wait t th sem
 
 let sem_value sem = sem.count
+
+let sem_clear sem =
+  assert (tq_is_empty sem.swaiters);
+  sem.count <- 0
+
 let flat_exit = finish
 
 (* ------------------------------------------------------------------ *)

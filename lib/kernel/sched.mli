@@ -88,11 +88,19 @@ val semaphore : init:int -> semaphore
     The request constructors a coroutine thread performs; thread code
     normally uses {!Api}'s wrappers rather than performing these
     directly.  The unit-valued ones ([R_join], [R_sleep], [R_lock],
-    [R_unlock], [R_sem_wait], [R_sem_post]) go through
+    [R_unlock], [R_sem_wait], [R_sem_post], [R_spin]) go through
     [Coro.request] and the thread's one continuation slot; the others
     are [Coro.query]s.  Work and overhead are not requests but
     [Coro.consume] and [Coro.overhead] pauses.  Any other request, or
-    a [Coro.yield], raises [Invalid_argument] naming the thread. *)
+    a [Coro.yield], raises [Invalid_argument] naming the thread.
+
+    [R_spin (poll, until)] is an active wait served by the kernel
+    itself: it grants [poll 0], [poll 1], ... cycles of overhead, one
+    grant per poll, and checks [until ()] after each, resuming the
+    coroutine once it holds.  Each poll is the grant a
+    [Coro.overhead] pause would be, ticks cut it short the same way,
+    and none of them resumes the coroutine, so the whole wait costs
+    one pause.  [poll] must be positive. *)
 
 type _ Iw_engine.Coro.Request.t +=
   | R_spawn : spawn_spec * (unit -> unit) -> thread Iw_engine.Coro.Request.t
@@ -106,6 +114,7 @@ type _ Iw_engine.Coro.Request.t +=
   | R_sem_post : semaphore -> unit Iw_engine.Coro.Request.t
   | R_rand : int -> int Iw_engine.Coro.Request.t
   | R_kernel : t Iw_engine.Coro.Request.t
+  | R_spin : (int -> int) * (unit -> bool) -> unit Iw_engine.Coro.Request.t
 
 (** {1 Flat threads}
 
@@ -162,6 +171,10 @@ val flat_sem_post : t -> flat -> semaphore -> unit
 
 val sem_value : semaphore -> int
 (** Current count (no waiters implied when positive). *)
+
+val sem_clear : semaphore -> unit
+(** Drop the count that posts no waiter took, so a semaphore nobody
+    waits on can be reused from zero.  Free: no thread is charged. *)
 
 val flat_exit : t -> flat -> unit
 (** The thread's body is done: exit cost, joiner wakeups, live-count

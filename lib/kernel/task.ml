@@ -1,45 +1,68 @@
-type task = { body : unit -> unit; th_handle : handle }
+(* A task is a cycle count in a reusable handle; [next] links the
+   handles queued on one CPU, so queueing never allocates. *)
+type handle = {
+  mutable cycles : int;
+  mutable finished : bool;
+  done_sem : Sched.semaphore;
+  mutable next : handle;
+}
 
-and handle = { mutable finished : bool; done_sem : Sched.semaphore }
+let rec nil =
+  { cycles = 0; finished = true; done_sem = Sched.semaphore ~init:0; next = nil }
+
+let handle () = { nil with done_sem = Sched.semaphore ~init:0 }
+
+(* Per-CPU FIFO of queued handles; [nil] when empty. *)
+type fifo = { mutable head : handle; mutable tail : handle }
+
+let push q h =
+  h.next <- nil;
+  if q.head == nil then q.head <- h else q.tail.next <- h;
+  q.tail <- h
+
+(* [tail] is stale while [head] is [nil]; [push] overwrites it. *)
+let pop q =
+  let h = q.head in
+  if h != nil then q.head <- h.next;
+  h
+
+(* Compiler-estimated sizes at or under this many cycles run inline. *)
+let inline_threshold = 2000
 
 type t = {
-  k : Sched.t;
-  inline_threshold : int;
-  queues : task Queue.t array;
+  run : int -> unit;
+  queues : fifo array;
   qsems : Sched.semaphore array;  (* one count per queued task, per CPU *)
   mutable workers : Sched.thread list;
-  mutable next_cpu : int;
   mutable stopping : bool;
   mutable executed : int;
   mutable inlined : int;
 }
 
 let worker_body t cpu () =
+  let q = t.queues.(cpu) and sem = t.qsems.(cpu) in
   let rec drain () =
-    Api.sem_wait t.qsems.(cpu);
-    match Queue.take_opt t.queues.(cpu) with
-    | None -> if not t.stopping then drain ()  (* shutdown poke *)
-    | Some task ->
-        task.body ();
-        task.th_handle.finished <- true;
-        Api.sem_post task.th_handle.done_sem;
-        t.executed <- t.executed + 1;
-        drain ()
+    Api.sem_wait sem;
+    let h = pop q in
+    if h != nil then begin
+      t.run h.cycles;
+      h.finished <- true;
+      Api.sem_post h.done_sem;
+      t.executed <- t.executed + 1;
+      drain ()
+    end
+    else if not t.stopping then drain ()  (* shutdown poke *)
   in
   drain ()
 
-let create k ?(inline_threshold = 2000) ?(workers_rt = false) () =
+let create k run =
   let n = Sched.cpu_count k in
-  let queues = Array.init n (fun _ -> Queue.create ()) in
-  let qsems = Array.init n (fun _ -> Sched.semaphore ~init:0) in
   let t =
     {
-      k;
-      inline_threshold;
-      queues;
-      qsems;
+      run;
+      queues = Array.init n (fun _ -> { head = nil; tail = nil });
+      qsems = Array.init n (fun _ -> Sched.semaphore ~init:0);
       workers = [];
-      next_cpu = 0;
       stopping = false;
       executed = 0;
       inlined = 0;
@@ -50,40 +73,30 @@ let create k ?(inline_threshold = 2000) ?(workers_rt = false) () =
         Sched.spawn k
           ~spec:
             {
-              Sched.sp_name = Printf.sprintf "taskd-%d" cpu;
+              Sched.default_spec with
+              sp_name = Printf.sprintf "taskd-%d" cpu;
               sp_cpu = Some cpu;
-              sp_fp = false;
-              sp_rt = workers_rt;
             }
           (worker_body t cpu));
   t
 
-let submit ?cpu ?size_hint t body =
-  let h = { finished = false; done_sem = Sched.semaphore ~init:0 } in
-  let inline_ok =
-    match size_hint with Some s -> s <= t.inline_threshold | None -> false
-  in
-  if inline_ok then begin
+let submit t h ~cpu cycles =
+  if not h.finished then invalid_arg "Task.submit: handle still in flight";
+  h.cycles <- cycles;
+  h.finished <- false;
+  (* A post that found no waiter last time left a count behind. *)
+  Sched.sem_clear h.done_sem;
+  if cycles <= inline_threshold then begin
     (* Compiler-estimated small task: run in the submitter's context,
        no queueing, no wakeup. *)
-    body ();
+    t.run cycles;
     h.finished <- true;
     Api.sem_post h.done_sem;
-    t.inlined <- t.inlined + 1;
-    h
+    t.inlined <- t.inlined + 1
   end
   else begin
-    let cpu =
-      match cpu with
-      | Some c -> c
-      | None ->
-          let c = t.next_cpu in
-          t.next_cpu <- (t.next_cpu + 1) mod Array.length t.queues;
-          c
-    in
-    Queue.push { body; th_handle = h } t.queues.(cpu);
-    Api.sem_post t.qsems.(cpu);
-    h
+    push t.queues.(cpu) h;
+    Api.sem_post t.qsems.(cpu)
   end
 
 let wait h = if not h.finished then Api.sem_wait h.done_sem

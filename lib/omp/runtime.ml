@@ -33,6 +33,7 @@ type t = {
   mutable lost : int;  (* arrivals swallowed by injected barrier faults *)
   mutable team : Sched.thread list;
   tasks : Task.t option;  (* CCK backend *)
+  handles : Task.handle array;  (* CCK: one per chunk, reused each region *)
   mutable stopping : bool;
   mutable nregions : int;
   mutable nchunks : int;
@@ -91,7 +92,6 @@ let run_share t (r : region) wid =
         consume_chunk tr (sum_cycles r.r_cycles lo hi)
       end
   | Dynamic chunk ->
-      let chunk = max 1 chunk in
       let rec grab () =
         Api.overhead fetch_cost;
         if r.r_next < r.r_iters then begin
@@ -105,7 +105,6 @@ let run_share t (r : region) wid =
       in
       grab ()
   | Guided min_chunk ->
-      let min_chunk = max 1 min_chunk in
       let rec grab () =
         Api.overhead fetch_cost;
         if r.r_next < r.r_iters then begin
@@ -144,26 +143,35 @@ let arrive t =
   then t.lost <- t.lost + 1
   else t.arrived <- t.arrived + 1
 
+(* An idle team member spins on the region generation; the kernel
+   serves the polls. *)
 let worker_body t wid () =
-  let rec await gen spins =
+  let gen = ref 1 in
+  let released () = t.stopping || t.gen >= !gen in
+  let rec await () =
+    Api.spin_until ~poll:poll_cost released;
     if not t.stopping then begin
-      if t.gen >= gen then begin
-        (match t.region with Some r -> run_share t r wid | None -> ());
-        arrive t;
-        await (gen + 1) 0
-      end
-      else begin
-        Api.overhead (poll_cost spins);
-        await gen (spins + 1)
-      end
+      (match t.region with Some r -> run_share t r wid | None -> ());
+      arrive t;
+      incr gen;
+      await ()
     end
   in
-  await 1 0
+  await ()
 
 let create k mode ~nthreads =
-  if nthreads < 1 then invalid_arg "Omp.create: nthreads < 1";
+  if nthreads < 1 then invalid_arg "Runtime.create: nthreads must be >= 1";
   if nthreads > Sched.cpu_count k then
-    invalid_arg "Omp.create: more threads than CPUs";
+    invalid_arg
+      (Printf.sprintf "Runtime.create: nthreads must be <= the CPU count (%d)"
+         (Sched.cpu_count k));
+  let tasks, handles =
+    match mode with
+    | Cck ->
+        ( Some (Task.create k (consume_chunk (Sched.obs k).trace)),
+          Array.init (4 * nthreads) (fun _ -> Task.handle ()) )
+    | Linux_user | Rtk | Pik -> (None, [||])
+  in
   let t =
     {
       k;
@@ -174,7 +182,8 @@ let create k mode ~nthreads =
       arrived = 0;
       lost = 0;
       team = [];
-      tasks = (match mode with Cck -> Some (Task.create k ()) | _ -> None);
+      tasks;
+      handles;
       stopping = false;
       nregions = 0;
       nchunks = 0;
@@ -198,7 +207,15 @@ let create k mode ~nthreads =
   t
 
 let parallel_for t ?(schedule = Static) ~iters ~iter_cycles () =
-  if iters < 0 then invalid_arg "Omp.parallel_for: negative iters";
+  if iters < 0 then invalid_arg "Runtime.parallel_for: iters must be >= 0";
+  (match schedule with
+  | Static -> ()
+  | Dynamic chunk ->
+      if chunk < 1 then
+        invalid_arg "Runtime.parallel_for: Dynamic chunk must be >= 1"
+  | Guided min_chunk ->
+      if min_chunk < 1 then
+        invalid_arg "Runtime.parallel_for: Guided min_chunk must be >= 1");
   t.nregions <- t.nregions + 1;
   let obs = Sched.obs t.k in
   Iw_obs.Counter.incr obs.Iw_obs.Obs.counters Iw_obs.Counter.Omp_regions;
@@ -209,20 +226,20 @@ let parallel_for t ?(schedule = Static) ~iters ~iter_cycles () =
   | Some tf ->
       (* CCK: pragmas compiled straight to kernel tasks. *)
       let nchunks = max 1 (min iters (4 * t.nthreads)) in
-      let handles = ref [] in
+      let submitted = ref 0 in
       for c = 0 to nchunks - 1 do
         let lo = c * iters / nchunks and hi = (c + 1) * iters / nchunks in
         if hi > lo then begin
-          let cost = sum_cycles iter_cycles lo hi in
           t.nchunks <- t.nchunks + 1;
-          let h =
-            Task.submit ~cpu:(c mod t.nthreads) ~size_hint:cost tf (fun () ->
-                consume_chunk obs.Iw_obs.Obs.trace cost)
-          in
-          handles := h :: !handles
+          Task.submit tf t.handles.(!submitted) ~cpu:(c mod t.nthreads)
+            (sum_cycles iter_cycles lo hi);
+          incr submitted
         end
       done;
-      List.iter Task.wait !handles
+      (* Taskwait, last-submitted first. *)
+      for i = !submitted - 1 downto 0 do
+        Task.wait t.handles.(i)
+      done
   | None ->
       let r =
         {

@@ -35,7 +35,10 @@ type t
 
 val create : Iw_kernel.Sched.t -> mode -> nthreads:int -> t
 (** Spawn the team (from outside the simulation, before {!Iw_kernel.Sched.run},
-    or from inside a thread).  Worker [i] is bound to CPU [i]. *)
+    or from inside a thread).  Worker [i] is bound to CPU [i]; an idle
+    worker spin-waits for the next region ({!Iw_kernel.Api.spin_until}).
+    Raises [Invalid_argument] naming [nthreads] when it is under 1 or
+    over the kernel's CPU count. *)
 
 val parallel_for :
   t ->
@@ -47,7 +50,9 @@ val parallel_for :
 (** Execute a worksharing loop; call from the master thread (the
     thread that will also act as team member 0).  [iter_cycles i] is
     the work of iteration [i].  Returns when all iterations complete
-    (implicit barrier, except CCK which task-waits). *)
+    (implicit barrier, except CCK which task-waits).  Raises
+    [Invalid_argument] naming the field when [iters] is negative or a
+    [Dynamic] or [Guided] chunk is under 1. *)
 
 val shutdown : t -> unit
 (** Dismiss the team (call from the master thread). *)

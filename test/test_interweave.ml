@@ -143,6 +143,8 @@ let test_allocation_caps () =
       ("E1", 7_000_000.);
       ("A5", 7_000_000.);
       ("R1", 410_000.);
+      ("E4", 4_500_000.);
+      ("E5", 7_000_000.);
     ]
 
 (* ------------------------------------------------------------------ *)

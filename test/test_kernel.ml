@@ -212,22 +212,31 @@ let test_sleep_duration () =
 
 (* One program, written once as coroutine threads through [Api] and
    once as hand-written flat threads through [Sched.flat_*].  CPU 0
-   blocks on [ping] until CPU 1 posts it, then takes [spare] without
-   blocking; a 20 us quantum makes the ticks cut both threads' grants
-   short. *)
+   blocks on [ping] until CPU 1 posts it, takes [spare] without
+   blocking, then spin-waits on [flag] while CPU 1 sleeps: the
+   coroutine through the kernel-served [Api.spin_until], the flat
+   thread by a loop of one [flat_overhead] per poll, then the check.
+   A 20 us quantum makes the ticks cut both threads' grants short,
+   spin polls included. *)
 type op =
   | Work of int
   | Overhead of int
   | Sleep of int
   | Wait of Sched.semaphore
   | Post of Sched.semaphore
+  | Spin of bool ref
+  | Raise of bool ref
+
+let twin_poll n = if n < 4 then 150 else 1_700
 
 let twin_program () =
   let ping = Sched.semaphore ~init:0 and spare = Sched.semaphore ~init:1 in
+  let flag = ref false in
   [|
-    [ Work 30_000; Overhead 4_000; Wait ping; Wait spare; Sleep 20_000;
-      Work 12_000 ];
-    [ Work 70_000; Overhead 3_000; Post ping; Sleep 15_000; Work 25_000 ];
+    [ Work 30_000; Overhead 4_000; Wait ping; Wait spare; Spin flag;
+      Sleep 20_000; Work 12_000 ];
+    [ Work 70_000; Overhead 3_000; Post ping; Sleep 45_000; Raise flag;
+      Work 25_000 ];
   |]
 
 let twin_coroutine ops () =
@@ -237,44 +246,65 @@ let twin_coroutine ops () =
       | Overhead n -> Api.overhead n
       | Sleep dt -> Api.sleep dt
       | Wait s -> Api.sem_wait s
-      | Post s -> Api.sem_post s)
+      | Post s -> Api.sem_post s
+      | Spin flag -> Api.spin_until ~poll:twin_poll (fun () -> !flag)
+      | Raise flag -> flag := true)
     ops
 
-let twin_flat k spec ops =
+(* [cut] counts the polls a tick cut short: their step ran later than
+   the poll's own cycles would have it. *)
+let twin_flat k spec ops ~cut =
   let fl = Sched.spawn_flat k ~spec () in
   let rest = ref ops in
-  Sched.set_flat_step fl (fun () ->
-      match !rest with
-      | [] -> Sched.flat_exit k fl
-      | op :: tl -> (
-          rest := tl;
-          match op with
-          | Work n -> Sched.flat_work k fl n
-          | Overhead n -> Sched.flat_overhead k fl n
-          | Sleep dt -> Sched.flat_sleep k fl dt
-          | Wait s -> Sched.flat_sem_wait k fl s
-          | Post s -> Sched.flat_sem_post k fl s))
+  let spins = ref 0 and poll_due = ref (-1) in
+  let rec step () =
+    if !poll_due >= 0 && Sched.now k > !poll_due then incr cut;
+    poll_due := -1;
+    match !rest with
+    | [] -> Sched.flat_exit k fl
+    | Spin flag :: _ when not !flag ->
+        let cost = twin_poll !spins in
+        incr spins;
+        poll_due := Sched.now k + cost;
+        Sched.flat_overhead k fl cost
+    | op :: tl -> (
+        rest := tl;
+        match op with
+        | Work n -> Sched.flat_work k fl n
+        | Overhead n -> Sched.flat_overhead k fl n
+        | Sleep dt -> Sched.flat_sleep k fl dt
+        | Wait s -> Sched.flat_sem_wait k fl s
+        | Post s -> Sched.flat_sem_post k fl s
+        | Spin _ ->
+            spins := 0;
+            step ()
+        | Raise flag ->
+            flag := true;
+            step ())
+  in
+  Sched.set_flat_step fl step
 
 let twin_run personality ~flat =
   let k = Sched.boot ~personality ~quantum_us:20.0 plat in
+  let cut = ref 0 in
   Array.iteri
     (fun cpu ops ->
       let spec = { Sched.default_spec with sp_cpu = Some cpu } in
-      if flat then twin_flat k spec ops
+      if flat then twin_flat k spec ops ~cut
       else ignore (Sched.spawn k ~spec (twin_coroutine ops)))
     (twin_program ());
   Sched.run k;
   let per_cpu f = List.init (Sched.cpu_count k) (fun i -> f (Sched.cpu k i)) in
   ( Sched.now k,
     Iw_obs.Counter.to_list (Sched.counters k),
-    (per_cpu Cpu.work_cycles, per_cpu Cpu.overhead_cycles, per_cpu Cpu.irq_cycles)
-  )
+    (per_cpu Cpu.work_cycles, per_cpu Cpu.overhead_cycles, per_cpu Cpu.irq_cycles),
+    !cut )
 
 let test_flat_twin personality () =
-  let now_c, counters_c, (work_c, over_c, irq_c) =
+  let now_c, counters_c, (work_c, over_c, irq_c), _ =
     twin_run (personality plat) ~flat:false
   in
-  let now_f, counters_f, (work_f, over_f, irq_f) =
+  let now_f, counters_f, (work_f, over_f, irq_f), cut =
     twin_run (personality plat) ~flat:true
   in
   let ints = Alcotest.(list int) in
@@ -285,7 +315,9 @@ let test_flat_twin personality () =
   Alcotest.check ints "irq cycles" irq_c irq_f;
   check_int "all work done" 137_000 (List.fold_left ( + ) 0 work_c);
   check_bool "ticks fired on both cpus" true
-    (List.nth irq_c 0 > 0 && List.nth irq_c 1 > 0)
+    (List.nth irq_c 0 > 0 && List.nth irq_c 1 > 0);
+  check_bool (Printf.sprintf "%d spin polls cut short by a tick" cut) true
+    (cut > 0)
 
 (* Minor words one coroutine suspension allocates: the marginal cost of
    [n] more calls of [op], from one thread on a 1-CPU Nautilus kernel
@@ -542,34 +574,56 @@ let test_device_irq_slows_victim () =
 (* ------------------------------------------------------------------ *)
 (* Task framework *)
 
+(* Twenty queued tasks on CPUs 1-3, each in its own handle, run twice.
+   In the first round they all finish before the submitter waits, so
+   no wait blocks; in the second the same handles carry long tasks and
+   every wait must block until its own task has run.  A task is told
+   apart by its cycles. *)
 let test_task_framework_runs_all () =
   let k = nk () in
-  let count = ref 0 in
+  let cycles round i =
+    if round = 1 then Task.inline_threshold + 1 + i else 100_000 + i
+  in
+  let ran = Hashtbl.create 40 in
   ignore
-    (Sched.spawn k (fun () ->
-         let tf = Task.create k () in
-         let handles =
-           List.init 20 (fun _ ->
-               Task.submit tf (fun () ->
-                   Api.work 1000;
-                   incr count))
+    (Sched.spawn k ~spec:{ Sched.default_spec with sp_cpu = Some 0 } (fun () ->
+         let tf =
+           Task.create k (fun n ->
+               Api.work n;
+               Hashtbl.replace ran n ())
          in
-         List.iter Task.wait handles;
+         let handles = Array.init 20 (fun _ -> Task.handle ()) in
+         for round = 1 to 2 do
+           Array.iteri
+             (fun i h -> Task.submit tf h ~cpu:(1 + (i mod 3)) (cycles round i))
+             handles;
+           if round = 1 then Api.work 200_000;
+           Array.iteri
+             (fun i h ->
+               Task.wait h;
+               check_bool
+                 (Printf.sprintf "round %d: task %d ran before its wait" round i)
+                 true (Hashtbl.mem ran (cycles round i)))
+             handles
+         done;
+         check_int "none inlined" 0 (Task.inlined tf);
          Task.shutdown tf));
   Sched.run k;
-  check_int "all tasks ran" 20 !count
+  check_int "all tasks ran" 40 (Hashtbl.length ran)
 
 let test_task_small_tasks_inline () =
   let k = nk () in
   ignore
     (Sched.spawn k (fun () ->
-         let tf = Task.create k ~inline_threshold:2000 () in
-         let h1 = Task.submit ~size_hint:100 tf (fun () -> Api.work 100) in
-         let h2 = Task.submit ~size_hint:100_000 tf (fun () -> Api.work 100) in
+         let tf = Task.create k Api.work in
+         let h1 = Task.handle () and h2 = Task.handle () in
+         Task.submit tf h1 ~cpu:1 Task.inline_threshold;
+         check_int "at the threshold: inlined" 1 (Task.inlined tf);
+         Task.submit tf h2 ~cpu:1 (Task.inline_threshold + 1);
          Task.wait h1;
          Task.wait h2;
          check_int "one inlined" 1 (Task.inlined tf);
-         check_int "one queued" 1 (Task.executed tf);
+         check_int "above it: queued" 1 (Task.executed tf);
          Task.shutdown tf));
   Sched.run k
 

@@ -138,6 +138,87 @@ let test_region_count () =
          Runtime.shutdown t));
   Sched.run k
 
+(* A config the runtime cannot run is refused at entry, naming the
+   field, instead of clamped. *)
+let test_rejections_name_the_field () =
+  let plat = plat 4 in
+  let k = Sched.boot ~seed:3 ~personality:(Os.nautilus plat) plat in
+  Alcotest.check_raises "no team"
+    (Invalid_argument "Runtime.create: nthreads must be >= 1") (fun () ->
+      ignore (Runtime.create k Runtime.Rtk ~nthreads:0));
+  Alcotest.check_raises "team wider than the machine"
+    (Invalid_argument "Runtime.create: nthreads must be <= the CPU count (4)")
+    (fun () -> ignore (Runtime.create k Runtime.Rtk ~nthreads:5));
+  let t = Runtime.create k Runtime.Cck ~nthreads:4 in
+  let region ?schedule iters () =
+    Runtime.parallel_for t ?schedule ~iters ~iter_cycles:(fun _ -> 100) ()
+  in
+  Alcotest.check_raises "negative iters"
+    (Invalid_argument "Runtime.parallel_for: iters must be >= 0")
+    (region (-1));
+  Alcotest.check_raises "dynamic chunk"
+    (Invalid_argument "Runtime.parallel_for: Dynamic chunk must be >= 1")
+    (region ~schedule:(Runtime.Dynamic 0) 100);
+  Alcotest.check_raises "guided min chunk"
+    (Invalid_argument "Runtime.parallel_for: Guided min_chunk must be >= 1")
+    (region ~schedule:(Runtime.Guided (-2)) 100)
+
+(* Minor words of [regions] regions of [iters] iterations of
+   [iter_cycles] each on a 4-thread team, [gap] serial cycles after
+   each, from boot to the end of the run.  [Gc.minor_words] counts
+   this domain only. *)
+let region_words mode ~regions ~iters ~iter_cycles ~gap =
+  let plat = plat 4 in
+  let k =
+    Sched.boot ~seed:3 ~personality:(Runtime.personality_of_mode mode plat) plat
+  in
+  let w0 = Gc.minor_words () in
+  ignore
+    (Sched.spawn k ~spec:{ Sched.default_spec with sp_cpu = Some 0 } (fun () ->
+         let t = Runtime.create k mode ~nthreads:4 in
+         for _ = 1 to regions do
+           Runtime.parallel_for t ~iters ~iter_cycles:(fun _ -> iter_cycles) ();
+           Api.work gap
+         done;
+         Runtime.shutdown t));
+  Sched.run k;
+  Gc.minor_words () -. w0
+
+(* While the master runs a serial gap, the three idle members poll the
+   region generation: about 13 more polls per member per 200k cycles,
+   once the polling has gone lazy (15,000 cycles a poll).  The kernel
+   serves those polls, so the longer gaps add polls but no words.
+   With a coroutine pause per poll, the longer gap cost 34,720 more
+   words on RTK and 40,820 on Linux. *)
+let test_words_per_idle_poll () =
+  List.iter
+    (fun mode ->
+      let words gap =
+        region_words mode ~regions:200 ~iters:64 ~iter_cycles:1000 ~gap
+      in
+      let extra = words 400_000 -. words 200_000 in
+      check_bool
+        (Printf.sprintf
+           "%s: %.0f more words for 200 gaps 200k cycles longer <= 4000"
+           (Runtime.mode_name mode) extra)
+        true (extra <= 4000.0))
+    [ Runtime.Rtk; Runtime.Linux_user ]
+
+(* A CCK task travels in a preallocated handle, so what it allocates
+   is its coroutine pauses: the submitter's post, the worker's wait,
+   consume and post, and the submitter's wait when the task is not yet
+   done.  Queued tasks (3000 cycles, over the inline threshold) in 100
+   and then 200 regions of 16.  With a handle, semaphore, task record
+   and closure per submit, a task cost 59.8 words. *)
+let test_words_per_cck_task () =
+  let words regions =
+    region_words Runtime.Cck ~regions ~iters:16 ~iter_cycles:3000 ~gap:0
+  in
+  let per = (words 200 -. words 100) /. 1600.0 in
+  check_bool
+    (Printf.sprintf "%.1f minor words per cck task <= 32" per)
+    true (per <= 32.0)
+
 let () =
   Alcotest.run "omp"
     [
@@ -150,6 +231,12 @@ let () =
             test_dynamic_beats_static_under_imbalance;
           Alcotest.test_case "guided" `Quick test_guided_completes_and_scales;
           Alcotest.test_case "region count" `Quick test_region_count;
+          Alcotest.test_case "rejections name the field" `Quick
+            test_rejections_name_the_field;
+          Alcotest.test_case "words per idle poll" `Quick
+            test_words_per_idle_poll;
+          Alcotest.test_case "words per cck task" `Quick
+            test_words_per_cck_task;
         ] );
       ( "nas",
         [

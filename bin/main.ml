@@ -16,6 +16,21 @@ let find_experiment id =
   try Interweave.Experiments.find id
   with Not_found -> die "unknown experiment %s (try 'interweave list')" id
 
+(* The one CSV writer: a cell holding a comma or a quote is quoted,
+   with its quotes doubled. *)
+let csv_line cells =
+  let escape cell =
+    if String.exists (fun c -> c = ',' || c = '"') cell then
+      "\"" ^ String.concat "\"\"" (String.split_on_char '"' cell) ^ "\""
+    else cell
+  in
+  String.concat "," (List.map escape cells)
+
+let write_csv path rows =
+  let oc = open_out path in
+  List.iter (fun row -> output_string oc (csv_line row ^ "\n")) rows;
+  close_out oc
+
 let seed_arg =
   Arg.(
     value & opt int 0
@@ -115,11 +130,6 @@ let csv_cmd =
       & opt_all string []
       & info [ "only" ] ~docv:"ID" ~doc:"Restrict to these experiment ids")
   in
-  let escape cell =
-    if String.exists (fun c -> c = ',' || c = '"') cell then
-      "\"" ^ String.concat "\"\"" (String.split_on_char '"' cell) ^ "\""
-    else cell
-  in
   let run dir ids jobs seed =
     Iw_engine.Rng.set_global_seed seed;
     (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -137,15 +147,7 @@ let csv_cmd =
            List.iteri
              (fun i (t : Interweave.Table.t) ->
                let path = Filename.concat dir (Printf.sprintf "%s_%d.csv" id i) in
-               let oc = open_out path in
-               output_string oc
-                 (String.concat "," (List.map escape t.headers) ^ "\n");
-               List.iter
-                 (fun row ->
-                   output_string oc
-                     (String.concat "," (List.map escape row) ^ "\n"))
-                 t.rows;
-               close_out oc;
+               write_csv path (t.headers :: t.rows);
                Printf.printf "wrote %s (%s)\n" path t.title)
              tables)
   in
@@ -455,6 +457,7 @@ let sweep_cmd =
         Sweep.fields
     else
       let fname = Option.value field ~default:"tick_update" in
+      or_die "sweep" @@ fun () ->
       match String.split_on_char ',' fname with
       | [ f1; f2 ] ->
           let fd1 = resolve f1 and fd2 = resolve f2 in
@@ -637,23 +640,18 @@ let faults_cmd =
               (r, List.map (fun (_, c) -> Iw_obs.Counter.get totals c) counter_cols))
             sweep_rates
         in
-        let header = "rate" :: List.map fst counter_cols in
-        let lines =
-          String.concat "," header
+        let table =
+          ("rate" :: List.map fst counter_cols)
           :: List.map
-               (fun (r, cs) ->
-                 String.concat ","
-                   (Printf.sprintf "%g" r :: List.map string_of_int cs))
+               (fun (r, cs) -> Printf.sprintf "%g" r :: List.map string_of_int cs)
                rows
         in
         (match csv with
         | Some path ->
-            let oc = open_out path in
-            List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-            close_out oc;
+            write_csv path table;
             Printf.printf "wrote %s: %d rates swept over %s\n" path
               (List.length sweep_rates) e.id
-        | None -> List.iter print_endline lines);
+        | None -> List.iter (fun row -> print_endline (csv_line row)) table);
         if check then begin
           let nonzero = List.filter (fun (r, _) -> r > 0.0) rows in
           if
@@ -1147,11 +1145,7 @@ let serve_cmd =
       match s.csv with
       | None -> ()
       | Some path ->
-          let oc = open_out path in
-          List.iter
-            (fun row -> output_string oc (String.concat "," row ^ "\n"))
-            rows;
-          close_out oc;
+          write_csv path rows;
           Printf.printf "wrote %s: %d rows\n" path (List.length reports)
     in
     (* --series-csv: the one run's sampled timeline. *)

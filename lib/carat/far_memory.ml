@@ -46,10 +46,10 @@ let sample_zipf rng cdf =
   done;
   !lo
 
-let simulate ?(seed = 13) ~objects ~object_words ~accesses ~zipf config =
+let simulate ~objects ~object_words ~accesses ~zipf config =
   if objects <= 0 || object_words <= 0 || accesses <= 0 then
     invalid_arg "Far_memory.simulate: non-positive size";
-  let rng = Rng.create ~seed in
+  let rng = Rng.create ~seed:13 in
   let cdf = zipf_cdf objects zipf in
   (* Objects are allocated in a shuffled order, as real allocation
      interleaves hot and cold objects on the same pages. *)
@@ -123,17 +123,17 @@ let simulate ?(seed = 13) ~objects ~object_words ~accesses ~zipf config =
     slowdown_vs_all_local = float_of_int !total_cost /. float_of_int all_local;
   }
 
-let sweep ?seed ~objects ~object_words ~accesses ~zipf ~fractions () =
+let sweep ~objects ~object_words ~accesses ~zipf ~fractions () =
   let heap = objects * object_words in
   List.map
     (fun frac ->
       let capacity = int_of_float (frac *. float_of_int heap) in
       let page =
-        simulate ?seed ~objects ~object_words ~accesses ~zipf
+        simulate ~objects ~object_words ~accesses ~zipf
           (default ~local_capacity_words:capacity (Page 512))
       in
       let obj =
-        simulate ?seed ~objects ~object_words ~accesses ~zipf
+        simulate ~objects ~object_words ~accesses ~zipf
           (default ~local_capacity_words:capacity Object)
       in
       (frac, page, obj))

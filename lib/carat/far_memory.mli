@@ -35,7 +35,6 @@ type result = {
 }
 
 val simulate :
-  ?seed:int ->
   objects:int ->
   object_words:int ->
   accesses:int ->
@@ -47,7 +46,6 @@ val simulate :
     the policy, and measure. *)
 
 val sweep :
-  ?seed:int ->
   objects:int ->
   object_words:int ->
   accesses:int ->

@@ -7,7 +7,6 @@ type task = {
 }
 
 and eobj = {
-  oid : int;
   mutable owner : task;
   mutable frozen : bool;
   base : int;
@@ -20,7 +19,6 @@ type ctx = { task : task; st : state }
 
 and state = {
   machine : Machine.t;
-  strict : bool;
   mutable next_tid : int;
   mutable next_oid : int;
   mutable next_core : int;
@@ -38,8 +36,6 @@ type stats = {
   classified_shared : int;
   entanglements : int;
 }
-
-exception Entanglement of string
 
 let rec is_ancestor ~anc t =
   t.tid = anc.tid
@@ -65,13 +61,8 @@ let classify st accessor (o : eobj) ~write =
   end
   else begin
     (* A live, concurrent, non-ancestor task's allocation: an
-       entanglement. *)
+       entanglement, downgraded to shared. *)
     st.s_entangled <- st.s_entangled + 1;
-    if st.strict then
-      raise
-        (Entanglement
-           (Printf.sprintf "task %d touched task %d's fresh object %d"
-              accessor.tid o.owner.tid o.oid));
     st.s_shared <- st.s_shared + 1;
     Machine.Shared_data
   end
@@ -92,7 +83,6 @@ let alloc ctx words ~init =
   let st = ctx.st in
   let e =
     {
-      oid = st.next_oid;
       owner = ctx.task;
       frozen = false;
       (* Objects live in disjoint address ranges, line-aligned. *)
@@ -164,11 +154,10 @@ let rec par_for ctx ~lo ~hi ~grain body =
     ()
   end
 
-let run ?(strict = false) ~machine f =
+let run ~machine f =
   let st =
     {
       machine;
-      strict;
       next_tid = 1;
       next_oid = 0;
       next_core = 1;

@@ -29,27 +29,19 @@ type 'a obj
 (** A heap object of ['a] cells (contents are real; reads/writes both
     touch the simulated memory system and the value). *)
 
-exception Entanglement of string
-(** Raised (in [~strict:true] mode) when a task writes an object owned
-    by a live concurrent task — a disentanglement violation. *)
-
 type stats = {
   accesses : int;
   classified_private : int;
   classified_ro : int;
   classified_shared : int;
-  entanglements : int;  (** Accesses downgraded in non-strict mode. *)
+  entanglements : int;
+      (** Accesses to a live concurrent task's allocation (a
+          disentanglement violation), downgraded to shared. *)
 }
 
-val run :
-  ?strict:bool ->
-  machine:Machine.t ->
-  (ctx -> 'a) ->
-  'a * stats
+val run : machine:Machine.t -> (ctx -> 'a) -> 'a * stats
 (** Execute a fork-join program against [machine].  Tasks are placed
-    round-robin on the machine's cores.  [strict] (default false)
-    raises {!Entanglement} instead of downgrading the hint to
-    shared. *)
+    round-robin on the machine's cores. *)
 
 val par2 : ctx -> (ctx -> 'a) -> (ctx -> 'b) -> 'a * 'b
 (** Fork two child tasks and join them. *)

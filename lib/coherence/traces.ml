@@ -213,11 +213,11 @@ type row = {
   deact_invalidations : int;
 }
 
-let fig7 ?(seed = 42) ?(deactivation = Machine.Private_and_ro) ~params () =
+let fig7 ~params () =
   List.map
     (fun bench ->
-      let base = run_bench ~seed ~params Machine.Off bench in
-      let deact = run_bench ~seed ~params deactivation bench in
+      let base = run_bench ~params Machine.Off bench in
+      let deact = run_bench ~params Machine.Private_and_ro bench in
       let bc = Machine.makespan base and dc = Machine.makespan deact in
       let be = Machine.interconnect_energy base in
       let de = Machine.interconnect_energy deact in

@@ -44,13 +44,8 @@ val run_bench :
   ?seed:int -> params:Machine.params -> Machine.deactivation -> bench -> Machine.t
 (** Replay the benchmark's streams on a fresh machine. *)
 
-val fig7 :
-  ?seed:int ->
-  ?deactivation:Machine.deactivation ->
-  params:Machine.params ->
-  unit ->
-  row list
-(** Baseline vs deactivated, whole suite. *)
+val fig7 : params:Machine.params -> unit -> row list
+(** Baseline ([Off]) vs deactivated ([Private_and_ro]), whole suite. *)
 
 val average_speedup : row list -> float
 val average_energy_reduction : row list -> float

@@ -58,8 +58,8 @@ let personality t =
   | Linux -> Iw_kernel.Os.linux t.platform
   | Linux_rt -> Iw_kernel.Os.linux_rt t.platform
 
-let boot ?seed ?quantum_us t =
-  Iw_kernel.Sched.boot ?seed ?quantum_us ~personality:(personality t) t.platform
+let boot ?seed t =
+  Iw_kernel.Sched.boot ?seed ~personality:(personality t) t.platform
 
 let address_space t =
   let regime =

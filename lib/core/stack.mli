@@ -41,7 +41,9 @@ val interwoven : Iw_hw.Platform.t -> t
 
 val describe : t -> string
 
-val boot : ?seed:int -> ?quantum_us:float -> t -> Iw_kernel.Sched.t
+val boot : ?seed:int -> t -> Iw_kernel.Sched.t
+(** A kernel of this stack's personality on its platform, with the
+    default 1 ms quantum. *)
 
 val address_space : t -> Iw_mem.Address_space.t
 

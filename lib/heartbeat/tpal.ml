@@ -86,8 +86,7 @@ type shape = {
   steal : int -> int -> bool;  (* [steal thief victim] *)
   promote : int -> preempted:int -> int;
       (* A beat on a CPU, in interrupt context: maybe promote latent
-         work, stash what the preempted thread is still owed, and
-         return the handler's cost. *)
+         work, and return the handler's cost. *)
 }
 
 type core = {
@@ -148,7 +147,7 @@ let install_nk_driver c beat ~period =
         let cpu = i + 1 in
         let target = Sched.cpu k cpu
         and handler ~preempted = beat cpu ~preempted
-        and after () = Sched.resched_or_resume k cpu in
+        and after = Sched.resched_or_resume k cpu in
         if reliable then fun () ->
           Reliable_ipi.send s plat ~target ~handler ~after
         else
@@ -160,7 +159,7 @@ let install_nk_driver c beat ~period =
       let cost = beat 0 ~preempted in
       Array.iter (fun send -> send ()) sends;
       cost + plat.Platform.costs.ipi_send)
-    ~after:(fun () -> Sched.resched_or_resume k 0)
+    ~after:(Sched.resched_or_resume k 0)
     ()
 
 (* One POSIX interval timer and signal chain per worker. *)
@@ -190,10 +189,10 @@ let soft_poll_cost = 200
 let install_watchdog c sh beat ~period =
   let k = c.k in
   let s = Sched.sim k in
-  let costs = (Sched.platform k).Platform.costs in
   let obs = Sched.obs k in
   for cpu = 0 to c.nworkers - 1 do
     let tm = Sim.timer s in
+    let soft_beat ~preempted = beat cpu ~preempted + soft_poll_cost in
     let rec arm () = Sim.arm_after s tm (watchdog_mult * period) check
     and check () =
       if sh.left () > 0 then begin
@@ -205,11 +204,8 @@ let install_watchdog c sh beat ~period =
            if tr.Iw_obs.Trace.enabled then
              Iw_obs.Trace.instant tr ~name:"watchdog_fire" ~cat:"heartbeat" ~cpu
                ~ts:now ());
-          Cpu.interrupt (Sched.cpu k cpu)
-            ~dispatch:costs.Platform.interrupt_dispatch
-            ~return_cost:costs.Platform.interrupt_return
-            ~handler:(fun ~preempted -> beat cpu ~preempted + soft_poll_cost)
-            ~after:(fun () -> Sched.resched_or_resume k cpu)
+          Cpu.interrupt (Sched.cpu k cpu) ~handler:soft_beat
+            ~after:(Sched.resched_or_resume k cpu)
         end;
         arm ()  (* stops re-arming once the workload drains *)
       end
@@ -356,28 +352,23 @@ let range_shape ~div bench c =
      thread must be this CPU's worker: the supervisor shares CPU 0. *)
   let promote cpu ~preempted =
     Iw_obs.Counter.incr counters Iw_obs.Counter.Heartbeats;
-    if preempted < 0 then promotion_check_cost
-    else
-      let w = ws.(cpu) in
-      if
-        w.busy
-        && preempted / w.e_grain >= div
-        && Sched.is_running k cpu c.threads.(cpu)
-      then begin
-        let items = preempted / w.e_grain / div in
-        push_task w.dq ~items ~grain:w.e_grain;
-        w.e_items <- w.e_items - items;
-        Iw_obs.Counter.incr counters Iw_obs.Counter.Promotions;
-        if tr.Iw_obs.Trace.enabled then
-          Iw_obs.Trace.instant tr ~name:"promote" ~cat:"heartbeat" ~cpu
-            ~ts:(Sched.now k) ();
-        Sched.stash_preempted k cpu (preempted - (items * w.e_grain));
-        promotion_check_cost + promotion_cost
-      end
-      else begin
-        Sched.stash_preempted k cpu preempted;
-        promotion_check_cost
-      end
+    let w = ws.(cpu) in
+    if
+      preempted >= 0 && w.busy
+      && preempted / w.e_grain >= div
+      && Sched.is_running k cpu c.threads.(cpu)
+    then begin
+      let items = preempted / w.e_grain / div in
+      push_task w.dq ~items ~grain:w.e_grain;
+      w.e_items <- w.e_items - items;
+      Iw_obs.Counter.incr counters Iw_obs.Counter.Promotions;
+      if tr.Iw_obs.Trace.enabled then
+        Iw_obs.Trace.instant tr ~name:"promote" ~cat:"heartbeat" ~cpu
+          ~ts:(Sched.now k) ();
+      Sched.stash_preempted k cpu (preempted - (items * w.e_grain));
+      promotion_check_cost + promotion_cost
+    end
+    else promotion_check_cost
   in
   { left = (fun () -> !remaining); pop; steal; promote }
 
@@ -543,8 +534,7 @@ module Tree = struct
     in
     (* Latent frames live outside any in-flight consume, so unlike a
        range split no owed-cycle surgery is needed. *)
-    let promote cpu ~preempted =
-      if preempted >= 0 then Sched.stash_preempted k cpu preempted;
+    let promote cpu ~preempted:_ =
       let w = ws.(cpu) in
       if Deque.is_empty w.latent then promotion_check_cost
       else begin

@@ -18,17 +18,16 @@ type t = {
   cpu_id : int;
   s : Sim.t;
   obs : Iw_obs.Obs.t;
+  dispatch : int;  (* the platform's interrupt entry and return costs *)
+  return_cost : int;
+  on_preempt : int -> unit;  (* told what a cut-short grant still owes *)
   mutable state : state;
   (* Pending-interrupt ring (FIFO), doubled when full. *)
-  mutable iq_dispatch : int array;
-  mutable iq_return : int array;
   mutable iq_handler : (preempted:int -> int) array;
   mutable iq_after : (unit -> unit) array;
   mutable iq_head : int;
   mutable iq_n : int;
   (* In-flight delivery scratch; valid while [state = In_irq]. *)
-  mutable d_dispatch : int;
-  mutable d_return : int;
   mutable d_handler : preempted:int -> int;
   mutable d_after : unit -> unit;
   mutable d_preempted : int;
@@ -90,10 +89,8 @@ let try_deliver t =
     | Idle -> true
   in
   if interruptible && t.iq_n > 0 then begin
-    let cap = Array.length t.iq_dispatch in
+    let cap = Array.length t.iq_handler in
     let h = t.iq_head in
-    t.d_dispatch <- t.iq_dispatch.(h);
-    t.d_return <- t.iq_return.(h);
     t.d_handler <- t.iq_handler.(h);
     t.d_after <- t.iq_after.(h);
     t.iq_handler.(h) <- nop_handler;
@@ -119,28 +116,31 @@ let try_deliver t =
             ~ts:(t.g_started + work_part)
             ~dur:stall_part;
         t.g_done <- nop;
-        t.d_preempted <- max 0 (t.g_total - work_part)
+        t.d_preempted <- max 0 (t.g_total - work_part);
+        t.on_preempt t.d_preempted
     | Idle | In_irq -> t.d_preempted <- -1);
     t.state <- In_irq;
-    Sim.schedule_after_unit t.s t.d_dispatch t.handler_cb
+    Sim.schedule_after_unit t.s t.dispatch t.handler_cb
   end
 
-let create ?obs s ~id =
+let create ?obs s ~id ~interrupt_dispatch ~interrupt_return ~on_preempt =
+  let reject field = invalid_arg ("Cpu.create: " ^ field ^ " must be >= 0") in
+  if interrupt_dispatch < 0 then reject "interrupt_dispatch";
+  if interrupt_return < 0 then reject "interrupt_return";
   let obs = match obs with Some o -> o | None -> Iw_obs.Obs.inherit_trace () in
   let t =
     {
       cpu_id = id;
       s;
       obs;
+      dispatch = interrupt_dispatch;
+      return_cost = interrupt_return;
+      on_preempt;
       state = Idle;
-      iq_dispatch = Array.make 4 0;
-      iq_return = Array.make 4 0;
       iq_handler = Array.make 4 nop_handler;
       iq_after = Array.make 4 nop;
       iq_head = 0;
       iq_n = 0;
-      d_dispatch = 0;
-      d_return = 0;
       d_handler = nop_handler;
       d_after = nop;
       d_preempted = -1;
@@ -182,10 +182,10 @@ let create ?obs s ~id =
       if handler_cost < 0 then
         invalid_arg "Cpu.interrupt: handler returned negative cost";
       t.d_cost <- handler_cost;
-      Sim.schedule_after_unit t.s (handler_cost + t.d_return) t.finish_cb);
+      Sim.schedule_after_unit t.s (handler_cost + t.return_cost) t.finish_cb);
   t.finish_cb <-
     (fun () ->
-      let total = t.d_dispatch + t.d_cost + t.d_return in
+      let total = t.dispatch + t.d_cost + t.return_cost in
       t.irq_time <- t.irq_time + total;
       trace_irq t total;
       t.state <- Idle;
@@ -228,33 +228,22 @@ let grant t ~cycles ~kind ~uninterruptible ~on_complete =
   t.state <- Granted
 
 let grow_ring t =
-  let cap = Array.length t.iq_dispatch in
+  let cap = Array.length t.iq_handler in
   let ncap = 2 * cap in
-  let nd = Array.make ncap 0
-  and nr = Array.make ncap 0
-  and nh = Array.make ncap nop_handler
-  and na = Array.make ncap nop in
+  let nh = Array.make ncap nop_handler and na = Array.make ncap nop in
   for i = 0 to t.iq_n - 1 do
     let j = (t.iq_head + i) mod cap in
-    nd.(i) <- t.iq_dispatch.(j);
-    nr.(i) <- t.iq_return.(j);
     nh.(i) <- t.iq_handler.(j);
     na.(i) <- t.iq_after.(j)
   done;
-  t.iq_dispatch <- nd;
-  t.iq_return <- nr;
   t.iq_handler <- nh;
   t.iq_after <- na;
   t.iq_head <- 0
 
-let interrupt t ~dispatch ~return_cost ~handler ~after =
-  if dispatch < 0 || return_cost < 0 then
-    invalid_arg "Cpu.interrupt: negative cost";
-  if t.iq_n = Array.length t.iq_dispatch then grow_ring t;
-  let cap = Array.length t.iq_dispatch in
+let interrupt t ~handler ~after =
+  if t.iq_n = Array.length t.iq_handler then grow_ring t;
+  let cap = Array.length t.iq_handler in
   let i = (t.iq_head + t.iq_n) mod cap in
-  t.iq_dispatch.(i) <- dispatch;
-  t.iq_return.(i) <- return_cost;
   t.iq_handler.(i) <- handler;
   t.iq_after.(i) <- after;
   t.iq_n <- t.iq_n + 1;

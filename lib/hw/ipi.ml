@@ -16,8 +16,7 @@ let delivery s plat ~target ~handler ~after =
     if obs.Iw_obs.Obs.trace.Iw_obs.Trace.enabled then
       Iw_obs.Trace.instant obs.Iw_obs.Obs.trace ~name:"ipi_recv" ~cat:"hw"
         ~cpu:(Cpu.id target) ~ts:(Sim.now s) ();
-    Cpu.interrupt target ~dispatch:costs.Platform.interrupt_dispatch
-      ~return_cost:costs.Platform.interrupt_return ~handler ~after
+    Cpu.interrupt target ~handler ~after
   in
   { s; costs; target; arrive }
 

@@ -2,8 +2,8 @@
 
     The sender pays [ipi_send] cycles (accounted by the caller, since
     it happens inside whatever grant is running); after [ipi_latency]
-    the interrupt is injected on the target core with the full
-    architectural dispatch cost. *)
+    the interrupt is injected on the target core, which charges the
+    full architectural dispatch cost. *)
 
 type delivery
 (** One target core with its handler and resume path, built once and

@@ -10,13 +10,12 @@ open Iw_engine
 
 type t = {
   s : Sim.t;
-  plat : Platform.t;
   target : Cpu.t;
   mutable armed : Sim.timer option;
   mutable generation : int;
 }
 
-let create s plat target = { s; plat; target; armed = None; generation = 0 }
+let create s target = { s; target; armed = None; generation = 0 }
 
 let inject t handler after =
   let obs = Cpu.obs t.target in
@@ -24,8 +23,7 @@ let inject t handler after =
   if obs.Iw_obs.Obs.trace.Iw_obs.Trace.enabled then
     Iw_obs.Trace.instant obs.Iw_obs.Obs.trace ~name:"timer_fire" ~cat:"hw"
       ~cpu:(Cpu.id t.target) ~ts:(Sim.now t.s) ();
-  Cpu.interrupt t.target ~dispatch:t.plat.Platform.costs.interrupt_dispatch
-    ~return_cost:t.plat.Platform.costs.interrupt_return ~handler ~after
+  Cpu.interrupt t.target ~handler ~after
 
 (* The fault plan sits between the armed timer and the interrupt it
    raises: a [Timer_miss] swallows the fire entirely (the stream stays

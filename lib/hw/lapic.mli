@@ -2,12 +2,13 @@
 
     Nautilus programs the LAPIC directly (no kernel/user crossing, no
     timer-slack coalescing), so its timer interrupts land exactly at
-    the programmed deadline plus the architectural dispatch cost.  The
-    Linux model adds its own slack on top (see {!Iw_linuxsim}). *)
+    the programmed deadline plus the architectural dispatch cost,
+    which the target core charges.  The Linux model adds its own slack
+    on top (see {!Iw_linuxsim}). *)
 
 type t
 
-val create : Iw_engine.Sim.t -> Platform.t -> Cpu.t -> t
+val create : Iw_engine.Sim.t -> Cpu.t -> t
 
 val periodic :
   t ->

@@ -7,7 +7,7 @@ type t = {
   k : Sched.t;
   policy : policy;
   period : int;
-  handler_cost : int;
+  handler : preempted:int -> int;  (* the driver's top half, built once *)
   mutable running : bool;
   mutable count : int;
   counts : int array;
@@ -28,31 +28,27 @@ let deliver t =
       ~cpu:cpu_id
       ~ts:(Sim.now (Sched.sim t.k))
       ();
-  let plat = Sched.platform t.k in
-  Cpu.interrupt (Sched.cpu t.k cpu_id)
-    ~dispatch:plat.Platform.costs.interrupt_dispatch
-    ~return_cost:plat.Platform.costs.interrupt_return
-    ~handler:(fun ~preempted ->
-      if preempted >= 0 then Sched.stash_preempted t.k cpu_id preempted;
-      t.handler_cost)
-    ~after:(fun () -> Sched.resched_or_resume t.k cpu_id)
+  Cpu.interrupt (Sched.cpu t.k cpu_id) ~handler:t.handler
+    ~after:(Sched.resched_or_resume t.k cpu_id)
 
 let start k ~rate_hz ?(handler_cost = 600) policy =
-  if rate_hz <= 0.0 then invalid_arg "Device_irq.start: rate <= 0";
+  let reject what = invalid_arg ("Device_irq.start: " ^ what) in
+  if not (rate_hz > 0.0) then reject "rate_hz must be > 0";
+  (match policy with
+  | Steered c when c < 0 || c >= Sched.cpu_count k ->
+      reject
+        (Printf.sprintf "Steered cpu must be in [0,%d)" (Sched.cpu_count k))
+  | Steered _ | Spread -> ());
   let plat = Sched.platform k in
   let period =
     max 1 (int_of_float (plat.Platform.ghz *. 1e9 /. rate_hz))
   in
-  (match policy with
-  | Steered c when c < 0 || c >= Sched.cpu_count k ->
-      invalid_arg "Device_irq.start: bad steering target"
-  | _ -> ());
   let t =
     {
       k;
       policy;
       period;
-      handler_cost;
+      handler = (fun ~preempted:_ -> handler_cost);
       running = true;
       count = 0;
       counts = Array.make (Sched.cpu_count k) 0;

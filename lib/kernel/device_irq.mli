@@ -20,7 +20,13 @@ val start :
   Sched.t -> rate_hz:float -> ?handler_cost:int -> policy -> t
 (** Begin injecting interrupts at [rate_hz] (wall-clock rate at the
     platform's frequency).  [handler_cost] (default 600 cycles)
-    models the driver's top-half work. *)
+    models the driver's top-half work.  A delivery allocates nothing:
+    the handler is built once here and the end of interrupt is the
+    kernel's ({!Sched.resched_or_resume}).  Refuses, naming the field,
+    a [rate_hz] that is not positive ([Invalid_argument
+    "Device_irq.start: rate_hz must be > 0"]) and a [Steered] cpu
+    outside the kernel's CPUs (["Device_irq.start: Steered cpu must
+    be in [0,N)"]). *)
 
 val stop : t -> unit
 

@@ -1,9 +1,9 @@
 (* NIC driver: interrupt, busy-poll, and NAPI-style hybrid RX.
 
-   All callbacks are preallocated at creation (the poll tick, the
-   slack tick, the interrupt handler/after pair), so the steady-state
-   receive path allocates nothing — matching the PR 6 discipline the
-   executor hot path follows. *)
+   All callbacks are preallocated (the poll tick, the slack tick and
+   the interrupt handler at creation, the end of interrupt by the
+   kernel at boot), so the steady-state receive path allocates
+   nothing, as the executor hot path does. *)
 
 open Iw_engine
 open Iw_hw
@@ -58,7 +58,6 @@ type t = {
   slack_timer : Sim.timer;
   mutable slack_cb : unit -> unit;
   mutable irq_h : preempted:int -> int;
-  mutable irq_after : unit -> unit;
   mutable recovering : bool;  (* slack re-injection awaiting its handler *)
   mutable prev_irq_ts : int;  (* arrival-rate estimator state *)
   mutable short_streak : int;  (* consecutive inter-IRQ gaps below threshold *)
@@ -95,11 +94,8 @@ let start_polling t =
    [Device_irq] — whether the device asserted it or the slack timer is
    re-injecting a lost one. *)
 let deliver t =
-  let plat = Sched.platform t.k in
-  Cpu.interrupt (Sched.cpu t.k irq_cpu)
-    ~dispatch:plat.Platform.costs.interrupt_dispatch
-    ~return_cost:plat.Platform.costs.interrupt_return ~handler:t.irq_h
-    ~after:t.irq_after
+  Cpu.interrupt (Sched.cpu t.k irq_cpu) ~handler:t.irq_h
+    ~after:(Sched.resched_or_resume t.k irq_cpu)
 
 let create ~k ~nic mode ~handler =
   let cyc = Platform.cycles_of_us (Sched.platform k) in
@@ -118,7 +114,6 @@ let create ~k ~nic mode ~handler =
       slack_timer = Sim.timer (Sched.sim k);
       slack_cb = ignore;
       irq_h = (fun ~preempted:_ -> 0);
-      irq_after = ignore;
       recovering = false;
       prev_irq_ts = min_int asr 1;
       short_streak = 0;
@@ -130,8 +125,7 @@ let create ~k ~nic mode ~handler =
   in
   let ctr = Sched.counters k in
   t.irq_h <-
-    (fun ~preempted ->
-      if preempted >= 0 then Sched.stash_preempted t.k irq_cpu preempted;
+    (fun ~preempted:_ ->
       t.irq_bursts <- t.irq_bursts + 1;
       t.recovering <- false;
       let now = Sim.now (Sched.sim t.k) in
@@ -155,7 +149,6 @@ let create ~k ~nic mode ~handler =
           else Nic.enable_irq t.nic
       | Poll -> ());
       max 1 (n * pkt_cycles));
-  t.irq_after <- (fun () -> Sched.resched_or_resume t.k irq_cpu);
   t.poll_cb <-
     (fun () ->
       if (not t.stopped) && t.polling then begin

@@ -30,9 +30,10 @@ type thread = {
   mutable rem : int;
   mutable kind : Cpu.kind;
   mutable step : unit -> unit;
-  joiners : thread Queue.t;
-  (* Intrusive link for run queues and semaphore wait queues: a thread
-     sits on at most one of those at a time, so one field suffices and
+  joiners : tq;  (* threads blocked in a join on this one *)
+  (* Intrusive link for every thread queue: run queues and the wait
+     queues of joins, mutexes and semaphores.  A thread sits on at
+     most one of those at a time, so one field suffices and
      enqueue/dequeue never allocate.  [nil_thread] terminates lists. *)
   mutable wq_next : thread;
   (* Preallocated continuations for the per-request hot path: a thread
@@ -42,6 +43,9 @@ type thread = {
   mutable paid_cb : unit -> unit;
   mutable wake_cb : unit -> unit;
 }
+
+(* Allocation-free FIFO of threads via the intrusive [wq_next] link. *)
+and tq = { mutable qh : thread; mutable qt : thread; mutable qn : int }
 
 type flat = thread
 
@@ -56,8 +60,6 @@ type coroutine = {
   mutable spin_until : unit -> bool;
 }
 
-let nil_joiners : thread Queue.t = Queue.create ()
-
 let rec nil_thread =
   {
     tid = -1;
@@ -69,15 +71,14 @@ let rec nil_thread =
     rem = 0;
     kind = Cpu.Overhead;
     step = nop;
-    joiners = nil_joiners;
+    joiners = nil_tq;
     wq_next = nil_thread;
     resume_cb = nop;
     paid_cb = nop;
     wake_cb = nop;
   }
 
-(* Allocation-free FIFO of threads via the intrusive [wq_next] link. *)
-type tq = { mutable qh : thread; mutable qt : thread; mutable qn : int }
+and nil_tq = { qh = nil_thread; qt = nil_thread; qn = 0 }
 
 let tq_create () = { qh = nil_thread; qt = nil_thread; qn = 0 }
 
@@ -107,7 +108,8 @@ let tq_pop q =
 
 let tq_is_empty q = q.qn = 0
 
-type mutex = { mutable owner : thread option; mwaiters : thread Queue.t }
+(* An unlocked mutex's [owner] is [nil_thread]. *)
+type mutex = { mutable owner : thread; mwaiters : tq }
 type semaphore = { mutable count : int; swaiters : tq }
 
 type t = {
@@ -125,6 +127,7 @@ type t = {
   obs : Iw_obs.Obs.t;
   mutable kick_cbs : (unit -> unit) array;
   mutable dispatch_cbs : (unit -> unit) array;
+  mutable eoi_cbs : (unit -> unit) array;  (* end of interrupt, per CPU *)
   mutable live : int;
   mutable next_tid : int;
   mutable ticking : bool;
@@ -144,7 +147,7 @@ type _ Coro.Request.t +=
   | R_kernel : t Coro.Request.t
   | R_spin : (int -> int) * (unit -> bool) -> unit Coro.Request.t
 
-let mutex () = { owner = None; mwaiters = Queue.create () }
+let mutex () = { owner = nil_thread; mwaiters = tq_create () }
 
 let semaphore ~init =
   if init < 0 then invalid_arg "Sched.semaphore: negative count";
@@ -262,14 +265,20 @@ and finish t th =
   th.state <- Dead;
   t.current.(cid) <- nil_thread;
   Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters Iw_obs.Counter.Thread_exits;
-  let waiters = Queue.fold (fun acc j -> j :: acc) [] th.joiners in
-  Queue.clear th.joiners;
   Cpu.grant t.cpus.(cid) ~cycles:t.p.exit ~kind:Overhead ~uninterruptible:true
     ~on_complete:(fun () ->
-      List.iter (make_runnable t) (List.rev waiters);
+      wake_all t th.joiners;
       t.live <- t.live - 1;
       if t.live = 0 then stop_ticks t;
       dispatch t cid)
+
+(* Wake every thread on [q], first in first. *)
+and wake_all t q =
+  let w = tq_pop q in
+  if w != nil_thread then begin
+    make_runnable t w;
+    wake_all t q
+  end
 
 (* A runnable thread whose [step] does nothing yet. *)
 and create_thread t spec =
@@ -305,7 +314,7 @@ and create_thread t spec =
       rem = 0;
       kind = Cpu.Overhead;
       step = nop;
-      joiners = Queue.create ();
+      joiners = tq_create ();
       wq_next = nil_thread;
       resume_cb = nop;
       paid_cb = nop;
@@ -362,31 +371,27 @@ and serve t th c (req : unit Coro.Request.t) =
       if target.state = Dead then
         flat_continue t th ~cost:t.p.uncontended_sync ~kind:Cpu.Overhead
       else begin
-        Queue.push th target.joiners;
+        tq_push target.joiners th;
         block_current t th
       end
   | R_sleep dt -> flat_sleep t th dt
-  | R_lock m -> (
-      match m.owner with
-      | None ->
-          m.owner <- Some th;
-          flat_continue t th ~cost:t.p.uncontended_sync ~kind:Cpu.Overhead
-      | Some _ ->
-          Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters Iw_obs.Counter.Lock_contended;
-          Queue.push th m.mwaiters;
-          block_current t th)
-  | R_unlock m -> (
-      (match m.owner with
-      | Some o when o.tid = th.tid -> ()
-      | _ -> invalid_arg "Sched: unlock by non-owner");
-      match Queue.take_opt m.mwaiters with
-      | None ->
-          m.owner <- None;
-          flat_continue t th ~cost:t.p.uncontended_sync ~kind:Cpu.Overhead
-      | Some w ->
-          m.owner <- Some w;
-          make_runnable t w;
-          flat_continue t th ~cost:t.p.wake ~kind:Cpu.Overhead)
+  | R_lock m when m.owner == nil_thread ->
+      m.owner <- th;
+      flat_continue t th ~cost:t.p.uncontended_sync ~kind:Cpu.Overhead
+  | R_lock m ->
+      Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters Iw_obs.Counter.Lock_contended;
+      tq_push m.mwaiters th;
+      block_current t th
+  | R_unlock m ->
+      if m.owner != th then invalid_arg "Sched: unlock by non-owner";
+      let w = tq_pop m.mwaiters in
+      m.owner <- w;
+      if w == nil_thread then
+        flat_continue t th ~cost:t.p.uncontended_sync ~kind:Cpu.Overhead
+      else begin
+        make_runnable t w;
+        flat_continue t th ~cost:t.p.wake ~kind:Cpu.Overhead
+      end
   | R_sem_wait sem -> flat_sem_wait t th sem
   | R_sem_post sem -> flat_sem_post t th sem
   | R_spin (poll, until) ->
@@ -474,11 +479,40 @@ and stop_ticks t =
     Array.iter Lapic.stop t.lapics
   end
 
+(* The end of every interrupt on [cid]: if higher-priority work is
+   queued, preempt the interrupted thread, otherwise resume it. *)
+let end_of_interrupt t cid =
+  let th = t.current.(cid) in
+  if th == nil_thread then maybe_dispatch t cid
+  else if queue_nonempty t cid then begin
+    Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters Iw_obs.Counter.Preemptions;
+    let tr = t.obs.Iw_obs.Obs.trace in
+    if tr.Iw_obs.Trace.enabled then
+      Iw_obs.Trace.instant tr ~name:"preempt" ~cat:"sched" ~cpu:cid
+        ~ts:(Sim.now t.s) ();
+    enqueue t th;
+    t.current.(cid) <- nil_thread;
+    dispatch t cid
+  end
+  else resume_thread t th
+
+(* Record that the thread running on [cid] is still owed [remaining]
+   cycles of the grant an interrupt cut short. *)
+let owe current cid remaining =
+  let th = current.(cid) in
+  if th != nil_thread then th.rem <- remaining
+
 let boot ?obs ?(seed = 42) ?(quantum_us = 1000.0) ~personality plat =
   let obs = match obs with Some o -> o | None -> Iw_obs.Obs.inherit_trace () in
   let s = Sim.create ~seed () in
-  let cpus = Array.init plat.Platform.cores (fun id -> Cpu.create ~obs s ~id) in
-  let lapics = Array.map (fun c -> Lapic.create s plat c) cpus in
+  let costs = plat.Platform.costs in
+  let current = Array.make plat.Platform.cores nil_thread in
+  let cpus =
+    Array.init plat.Platform.cores (fun id ->
+        Cpu.create ~obs s ~id ~interrupt_dispatch:costs.interrupt_dispatch
+          ~interrupt_return:costs.interrupt_return ~on_preempt:(owe current id))
+  in
+  let lapics = Array.map (Lapic.create s) cpus in
   let t =
     {
       s;
@@ -488,13 +522,14 @@ let boot ?obs ?(seed = 42) ?(quantum_us = 1000.0) ~personality plat =
       lapics;
       rt_q = Array.init plat.Platform.cores (fun _ -> tq_create ());
       norm_q = Array.init plat.Platform.cores (fun _ -> tq_create ());
-      current = Array.make plat.Platform.cores nil_thread;
+      current;
       kick_pending = Array.make plat.Platform.cores false;
       quantum = Platform.cycles_of_us plat quantum_us;
       krng = Rng.split (Sim.rng s);
       obs;
       kick_cbs = [||];
       dispatch_cbs = [||];
+      eoi_cbs = [||];
       live = 0;
       next_tid = 0;
       ticking = false;
@@ -506,6 +541,8 @@ let boot ?obs ?(seed = 42) ?(quantum_us = 1000.0) ~personality plat =
         maybe_dispatch t cid);
   t.dispatch_cbs <-
     Array.init plat.Platform.cores (fun cid () -> dispatch t cid);
+  t.eoi_cbs <-
+    Array.init plat.Platform.cores (fun cid () -> end_of_interrupt t cid);
   t
 
 let spawn t ?(spec = default_spec) body = spawn_coroutine t spec body
@@ -539,25 +576,8 @@ let flat_exit = finish
 let sem_signal t sem = ignore (post t sem)
 
 let is_running t cid th = t.current.(cid) == th
-
-let stash_preempted t cid remaining =
-  let th = t.current.(cid) in
-  if th != nil_thread then th.rem <- remaining
-
-let resched_or_resume t cid =
-  let th = t.current.(cid) in
-  if th == nil_thread then maybe_dispatch t cid
-  else if queue_nonempty t cid then begin
-    Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters Iw_obs.Counter.Preemptions;
-    let tr = t.obs.Iw_obs.Obs.trace in
-    if tr.Iw_obs.Trace.enabled then
-      Iw_obs.Trace.instant tr ~name:"preempt" ~cat:"sched" ~cpu:cid
-        ~ts:(Sim.now t.s) ();
-    enqueue t th;
-    t.current.(cid) <- nil_thread;
-    dispatch t cid
-  end
-  else resume_thread t th
+let stash_preempted t cid remaining = owe t.current cid remaining
+let resched_or_resume t cid = t.eoi_cbs.(cid)
 
 (* ------------------------------------------------------------------ *)
 (* Ticks and the run loop                                              *)
@@ -565,19 +585,17 @@ let resched_or_resume t cid =
 let start_ticks t =
   if not t.ticking then begin
     t.ticking <- true;
+    let tick ~preempted:_ =
+      Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters Iw_obs.Counter.Ticks;
+      t.p.tick_cost + t.p.tick_noise t.krng
+    in
     let ncpus = Array.length t.lapics in
     Array.iteri
       (fun cid l ->
         (* Stagger tick phases across CPUs, as real kernels do. *)
         let phase = max 1 ((cid + 1) * t.quantum / ncpus) in
-        Lapic.periodic l ~phase ~period:t.quantum
-          ~handler:(fun ~preempted ->
-            Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters
-              Iw_obs.Counter.Ticks;
-            if preempted >= 0 then stash_preempted t cid preempted;
-            t.p.tick_cost + t.p.tick_noise t.krng)
-          ~after:(fun () -> resched_or_resume t cid)
-          ())
+        Lapic.periodic l ~phase ~period:t.quantum ~handler:tick
+          ~after:t.eoi_cbs.(cid) ())
       t.lapics
   end
 

@@ -196,12 +196,18 @@ val is_running : t -> int -> thread -> bool
     handler: the preempted thread) what runs on [cpu]. *)
 
 val stash_preempted : t -> int -> int -> unit
-(** [stash_preempted t cpu remaining]: record that the running
-    thread's current quantum was cut short with [remaining] cycles
-    owed.  Interrupt handlers that received [~preempted:(Some r)]
-    must call this before the kernel resumes the thread. *)
+(** [stash_preempted t cpu remaining]: change what the thread an
+    interrupt preempted on [cpu] is still owed to [remaining] cycles.
+    The kernel already records what a preempted thread is owed when
+    its CPU cuts the grant short, so only a handler that changes the
+    amount calls this (a heartbeat promotion splitting off part of
+    the running range). *)
 
-val resched_or_resume : t -> int -> unit
-(** Standard end-of-interrupt path: if higher-priority work is queued,
-    preempt the interrupted thread, otherwise resume it.  Use as the
-    [after] callback of {!Iw_hw.Cpu.interrupt}. *)
+val resched_or_resume : t -> int -> unit -> unit
+(** [resched_or_resume t cpu] is [cpu]'s end-of-interrupt path, built
+    once at boot: if higher-priority work is queued, preempt the
+    interrupted thread, otherwise resume it.  Pass it as the [after]
+    callback of {!Iw_hw.Cpu.interrupt}, so a delivery allocates no
+    closure; an [after] that does more keeps it and calls it last
+    ([resched_or_resume t cpu ()] in one call allocates a partial
+    application under separate compilation). *)

@@ -17,6 +17,7 @@ type t = {
   mutable overruns : int;
   mutable deadline : int;  (* the grid point of the next expiry *)
   rng : Rng.t;
+  eoi : unit -> unit;  (* the kernel's end of interrupt on [cpu] *)
   on_signal : preempted:int -> int;
   on_return : unit -> unit;
   on_expiry : unit -> unit;
@@ -30,13 +31,12 @@ let signal t ~preempted =
 
 let resume t =
   t.pending <- false;
-  Sched.resched_or_resume t.k t.cpu
+  t.eoi ()
 
 let deliver t =
-  let costs = (Sched.platform t.k).Iw_hw.Platform.costs in
   t.pending <- true;
-  Iw_hw.Cpu.interrupt (Sched.cpu t.k t.cpu) ~dispatch:costs.interrupt_dispatch
-    ~return_cost:costs.interrupt_return ~handler:t.on_signal ~after:t.on_return
+  Iw_hw.Cpu.interrupt (Sched.cpu t.k t.cpu) ~handler:t.on_signal
+    ~after:t.on_return
 
 (* Queue the expiry for [deadline], late by the personality's jitter. *)
 let arm t =
@@ -68,6 +68,7 @@ let create k ~cpu ~period ?(handler_cost = 50) ~handler () =
       overruns = 0;
       deadline = 0;
       rng;
+      eoi = Sched.resched_or_resume k cpu;
       on_signal = (fun ~preempted -> signal t ~preempted);
       on_return = (fun () -> resume t);
       on_expiry = (fun () -> expire t);

@@ -21,10 +21,8 @@ val create :
   unit ->
   t
 (** The handler runs in "signal context" on [cpu]; [preempted] follows
-    {!Iw_hw.Cpu.interrupt} semantics (the handler must arrange
-    stashing via {!Iw_kernel.Sched.stash_preempted} when it receives
-    [preempted >= 0] — see {!Iw_heartbeat} for the canonical use).
-    An expiry and a delivery allocate nothing. *)
+    {!Iw_hw.Cpu.interrupt} semantics.  An expiry and a delivery
+    allocate nothing. *)
 
 val start : t -> unit
 val stop : t -> unit

@@ -18,12 +18,11 @@ type row = {
 
 (* EPCC's delay(): a fixed chunk of work per thread per repetition. *)
 let delay_cycles = 20_000
+let reps = 50
 
-let measure ?(seed = 42) ?(reps = 50) plat mode ~nthreads construct =
+let measure plat mode ~nthreads construct =
   let plat = Platform.with_cores plat nthreads in
-  let k =
-    Sched.boot ~seed ~personality:(Runtime.personality_of_mode mode plat) plat
-  in
+  let k = Sched.boot ~personality:(Runtime.personality_of_mode mode plat) plat in
   let finish = ref 0 in
   ignore
     (Sched.spawn k
@@ -69,10 +68,10 @@ let measure ?(seed = 42) ?(reps = 50) plat mode ~nthreads construct =
       float_of_int (!finish - ideal) /. float_of_int reps;
   }
 
-let table ?(seed = 42) plat ~modes ~nthreads =
+let table plat ~modes ~nthreads =
   List.concat_map
     (fun construct ->
       List.map
-        (fun mode -> measure ~seed plat mode ~nthreads construct)
+        (fun mode -> measure plat mode ~nthreads construct)
         modes)
     [ Parallel_region; Barrier_only; Dynamic_for; Static_for ]

@@ -2,8 +2,9 @@
     implementations run the full Edinburgh suite).
 
     Measures the overhead of the core OpenMP constructs under each
-    execution mode, the EPCC way: time R repetitions of a construct
-    wrapping a fixed delay, subtract the ideal time, divide by R. *)
+    execution mode, the EPCC way: time R = 50 repetitions of a
+    construct wrapping a fixed delay, subtract the ideal time, divide
+    by R. *)
 
 type construct = Parallel_region | Barrier_only | Dynamic_for | Static_for
 
@@ -17,8 +18,6 @@ type row = {
 }
 
 val measure :
-  ?seed:int ->
-  ?reps:int ->
   Iw_hw.Platform.t ->
   Runtime.mode ->
   nthreads:int ->
@@ -26,7 +25,6 @@ val measure :
   row
 
 val table :
-  ?seed:int ->
   Iw_hw.Platform.t ->
   modes:Runtime.mode list ->
   nthreads:int ->

@@ -114,9 +114,9 @@ type result = {
   regions_run : int;
 }
 
-let run ?(seed = 42) plat mode ~nthreads b =
+let run plat mode ~nthreads b =
   let plat = Platform.with_cores plat nthreads in
-  let k = Sched.boot ~seed ~personality:(Runtime.personality_of_mode mode plat) plat in
+  let k = Sched.boot ~personality:(Runtime.personality_of_mode mode plat) plat in
   let penalty = memory_penalty_per_iter plat mode b in
   let finish = ref 0 in
   let regions_run = ref 0 in
@@ -153,10 +153,10 @@ let run ?(seed = 42) plat mode ~nthreads b =
     regions_run = !regions_run;
   }
 
-let relative_performance ?(seed = 42) plat ~modes ~scales b =
+let relative_performance plat ~modes ~scales b =
   let linux_times =
     List.map
-      (fun n -> (n, (run ~seed plat Runtime.Linux_user ~nthreads:n b).elapsed_cycles))
+      (fun n -> (n, (run plat Runtime.Linux_user ~nthreads:n b).elapsed_cycles))
       scales
   in
   List.map
@@ -164,7 +164,7 @@ let relative_performance ?(seed = 42) plat ~modes ~scales b =
       let series =
         List.map
           (fun n ->
-            let r = run ~seed plat mode ~nthreads:n b in
+            let r = run plat mode ~nthreads:n b in
             let lx = List.assoc n linux_times in
             (n, float_of_int lx /. float_of_int (max 1 r.elapsed_cycles)))
           scales

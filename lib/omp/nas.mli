@@ -42,7 +42,6 @@ type result = {
 }
 
 val run :
-  ?seed:int ->
   Iw_hw.Platform.t ->
   Runtime.mode ->
   nthreads:int ->
@@ -50,7 +49,6 @@ val run :
   result
 
 val relative_performance :
-  ?seed:int ->
   Iw_hw.Platform.t ->
   modes:Runtime.mode list ->
   scales:int list ->

@@ -64,15 +64,10 @@ let stages config =
     { stage_name = "pool-dispatch"; stage_us = 9.0; elided = not pooled };
   ]
 
-let spawn_latency_us ?jitter config =
-  let base =
-    List.fold_left
-      (fun acc s -> if s.elided then acc else acc +. s.stage_us)
-      0.0 (stages config)
-  in
-  match jitter with
-  | None -> base
-  | Some rng -> base *. (1.0 +. Rng.float rng 0.08)
+let spawn_latency_us config =
+  List.fold_left
+    (fun acc s -> if s.elided then acc else acc +. s.stage_us)
+    0.0 (stages config)
 
 (* The call path is allocation-conscious: a serving plane makes one
    [call_at] per request, so per-config latencies are computed once at
@@ -224,10 +219,9 @@ let schedule_refill t now_us =
       rf_sift t.rf_buf cap t.rf_head tail at
   end
 
-(* One launch attempt.  Top-level (passing [now] explicitly) so the
-   per-call closure the old inner definition allocated is gone; the
-   jitter expression replicates [spawn_latency_us ~jitter] exactly —
-   one RNG draw, same arithmetic — on the precomputed base. *)
+(* One launch attempt, top-level (passing [now] explicitly) so it
+   allocates no closure: the precomputed base latency, jittered up by
+   at most 8 % with one RNG draw. *)
 let launch_once t now =
   if t.config.pooled && t.pool > 0 then begin
     t.pool <- t.pool - 1;
@@ -318,7 +312,7 @@ module Faas = struct
   }
 
   let run ?(seed = 7) ~name config ~requests ~work_us =
-    if requests <= 0 then invalid_arg "Faas.run: requests <= 0";
+    if requests < 1 then invalid_arg "Wasp.Faas.run: requests must be >= 1";
     let t = create ~seed config in
     let samples = Stats.create () in
     for _ = 1 to requests do
@@ -343,10 +337,12 @@ module Faas = struct
     utilization : float;
   }
 
-  let run_load ?(seed = 7) ~name config ~rate_per_s ~duration_s ~concurrency
-      ~work_us =
-    if rate_per_s <= 0.0 || duration_s <= 0.0 || concurrency <= 0 then
-      invalid_arg "Faas.run_load: non-positive parameter";
+  let run_load ~name config ~rate_per_s ~duration_s ~concurrency ~work_us =
+    let reject what = invalid_arg ("Wasp.Faas.run_load: " ^ what) in
+    if not (rate_per_s > 0.0) then reject "rate_per_s must be > 0";
+    if not (duration_s > 0.0) then reject "duration_s must be > 0";
+    if concurrency < 1 then reject "concurrency must be >= 1";
+    let seed = 7 in
     let t = create ~seed config in
     let rng = Iw_engine.Rng.create ~seed:(seed + 101) in
     (* Poisson arrivals over the duration. *)
@@ -388,21 +384,21 @@ module Faas = struct
         !busy_us /. (duration_s *. 1e6 *. float_of_int concurrency);
     }
 
-  let table ?(seed = 7) () =
+  let table () =
     let work = 150.0 in
     let requests = 500 in
     [
-      run ~seed ~name:"full-linux-boot"
+      run ~name:"full-linux-boot"
         { default with profile = Full_linux_boot; mem_mb = 128 }
         ~requests ~work_us:work;
-      run ~seed ~name:"minimal-64" default ~requests ~work_us:work;
-      run ~seed ~name:"minimal-64+snapshot"
+      run ~name:"minimal-64" default ~requests ~work_us:work;
+      run ~name:"minimal-64+snapshot"
         { default with snapshot = true }
         ~requests ~work_us:work;
-      run ~seed ~name:"bespoke-16"
+      run ~name:"bespoke-16"
         { default with profile = Bespoke_16 }
         ~requests ~work_us:work;
-      run ~seed ~name:"bespoke-16+pool"
+      run ~name:"bespoke-16+pool"
         { default with profile = Bespoke_16; pooled = true }
         ~requests ~work_us:work;
     ]

@@ -43,8 +43,9 @@ type stage = {
 val stages : config -> stage list
 (** The stage-by-stage latency breakdown. *)
 
-val spawn_latency_us : ?jitter:Iw_engine.Rng.t -> config -> float
-(** One virtine creation, start to first guest instruction. *)
+val spawn_latency_us : config -> float
+(** One virtine creation, start to first guest instruction, unjittered:
+    the sum of the stages [config] does not elide. *)
 
 type t
 (** A Wasp instance: owns the snapshot cache and context pool. *)
@@ -97,8 +98,11 @@ module Faas : sig
 
   val run :
     ?seed:int -> name:string -> config -> requests:int -> work_us:float -> result
+  (** [requests] calls of a [work_us] body on one Wasp instance seeded
+      with [seed] (default 7).  Refuses [requests < 1] with
+      [Invalid_argument "Wasp.Faas.run: requests must be >= 1"]. *)
 
-  val table : ?seed:int -> unit -> result list
+  val table : unit -> result list
   (** The standard comparison: full boot, minimal, minimal+snapshot,
       bespoke 16-bit, pooled bespoke. *)
 
@@ -112,7 +116,6 @@ module Faas : sig
   }
 
   val run_load :
-    ?seed:int ->
     name:string ->
     config ->
     rate_per_s:float ->
@@ -123,5 +126,10 @@ module Faas : sig
   (** The serverless motivation (§IV-D): Poisson arrivals served by at
       most [concurrency] simultaneous contexts.  Start-up cost is part
       of the service time, so a slow context design saturates at a far
-      lower request rate; the queueing delay makes that visible. *)
+      lower request rate; the queueing delay makes that visible.
+      Refuses, naming the field, a [rate_per_s] or [duration_s] that
+      is not positive and a [concurrency] below 1
+      ([Invalid_argument "Wasp.Faas.run_load: rate_per_s must be >
+      0"], ["... duration_s must be > 0"], ["... concurrency must be
+      >= 1"]). *)
 end

@@ -16,9 +16,7 @@ let test_itimer_delivers_periodically () =
   let hits = ref 0 in
   let tm =
     Iw_linuxsim.Itimer.create k ~cpu:0 ~period:200_000
-      ~handler:(fun ~preempted ->
-        incr hits;
-        if preempted >= 0 then Sched.stash_preempted k 0 preempted)
+      ~handler:(fun ~preempted:_ -> incr hits)
       ()
   in
   ignore
@@ -40,9 +38,7 @@ let test_itimer_jitter_positive () =
   let times = ref [] in
   let tm =
     Iw_linuxsim.Itimer.create k ~cpu:0 ~period:100_000
-      ~handler:(fun ~preempted ->
-        times := Sched.now k :: !times;
-        if preempted >= 0 then Sched.stash_preempted k 0 preempted)
+      ~handler:(fun ~preempted:_ -> times := Sched.now k :: !times)
       ()
   in
   Iw_linuxsim.Itimer.start tm;
@@ -64,8 +60,7 @@ let test_itimer_coalesces_overruns () =
   let k = Sched.boot ~seed:1 ~personality:(Os.linux plat4) plat4 in
   let tm =
     Iw_linuxsim.Itimer.create k ~cpu:0 ~period:1_000 ~handler_cost:4_000
-      ~handler:(fun ~preempted ->
-        if preempted >= 0 then Sched.stash_preempted k 0 preempted)
+      ~handler:(fun ~preempted:_ -> ())
       ()
   in
   Iw_linuxsim.Itimer.start tm;

@@ -9,12 +9,23 @@ let check_bool = Alcotest.(check bool)
 
 let plat = Platform.small
 
+(* A core that charges [dispatch] and [return_cost] per interrupt and
+   ignores what a preemption leaves owed. *)
+let core s ~id ~dispatch ~return_cost =
+  Cpu.create s ~id ~interrupt_dispatch:dispatch ~interrupt_return:return_cost
+    ~on_preempt:ignore
+
+(* A core with the platform's interrupt costs. *)
+let plat_core s ~id =
+  core s ~id ~dispatch:plat.costs.interrupt_dispatch
+    ~return_cost:plat.costs.interrupt_return
+
 (* ------------------------------------------------------------------ *)
 (* Cpu *)
 
 let test_grant_completes () =
   let s = Sim.create () in
-  let cpu = Cpu.create s ~id:0 in
+  let cpu = plat_core s ~id:0 in
   let completed_at = ref (-1) in
   Cpu.grant cpu ~cycles:100 ~kind:Cpu.Work ~uninterruptible:false
     ~on_complete:(fun () -> completed_at := Sim.now s);
@@ -26,7 +37,7 @@ let test_grant_completes () =
 
 let test_grant_zero_cycles_async () =
   let s = Sim.create () in
-  let cpu = Cpu.create s ~id:0 in
+  let cpu = plat_core s ~id:0 in
   let done_ = ref false in
   Cpu.grant cpu ~cycles:0 ~kind:Cpu.Work ~uninterruptible:false
     ~on_complete:(fun () -> done_ := true);
@@ -36,7 +47,7 @@ let test_grant_zero_cycles_async () =
 
 let test_grant_while_busy_rejected () =
   let s = Sim.create () in
-  let cpu = Cpu.create s ~id:0 in
+  let cpu = plat_core s ~id:0 in
   Cpu.grant cpu ~cycles:100 ~kind:Cpu.Work ~uninterruptible:false
     ~on_complete:(fun () -> ());
   Alcotest.check_raises "busy" (Invalid_argument "Cpu.grant: core 0 is busy")
@@ -46,14 +57,14 @@ let test_grant_while_busy_rejected () =
 
 let test_interrupt_preempts_grant () =
   let s = Sim.create () in
-  let cpu = Cpu.create s ~id:0 in
+  let cpu = core s ~id:0 ~dispatch:50 ~return_cost:10 in
   let grant_completed = ref false in
   let seen_remaining = ref (-1) in
   let after_at = ref (-1) in
   Cpu.grant cpu ~cycles:1000 ~kind:Cpu.Work ~uninterruptible:false
     ~on_complete:(fun () -> grant_completed := true);
   Sim.schedule_unit s ~at:400 (fun () ->
-      Cpu.interrupt cpu ~dispatch:50 ~return_cost:10
+      Cpu.interrupt cpu
         ~handler:(fun ~preempted ->
           if preempted < 0 then Alcotest.fail "expected preemption"
           else seen_remaining := preempted;
@@ -69,9 +80,9 @@ let test_interrupt_preempts_grant () =
 
 let test_interrupt_on_idle_cpu () =
   let s = Sim.create () in
-  let cpu = Cpu.create s ~id:0 in
+  let cpu = core s ~id:0 ~dispatch:30 ~return_cost:5 in
   let got = ref min_int in
-  Cpu.interrupt cpu ~dispatch:30 ~return_cost:5
+  Cpu.interrupt cpu
     ~handler:(fun ~preempted ->
       got := preempted;
       0)
@@ -81,12 +92,12 @@ let test_interrupt_on_idle_cpu () =
 
 let test_uninterruptible_grant_defers_irq () =
   let s = Sim.create () in
-  let cpu = Cpu.create s ~id:0 in
+  let cpu = core s ~id:0 ~dispatch:10 ~return_cost:0 in
   let handler_at = ref (-1) in
   Cpu.grant cpu ~cycles:100 ~kind:Cpu.Work ~uninterruptible:true
     ~on_complete:(fun () -> ());
   Sim.schedule_unit s ~at:20 (fun () ->
-      Cpu.interrupt cpu ~dispatch:10 ~return_cost:0
+      Cpu.interrupt cpu
         ~handler:(fun ~preempted ->
           if preempted >= 0 then
             Alcotest.fail "must not preempt uninterruptible";
@@ -99,10 +110,10 @@ let test_uninterruptible_grant_defers_irq () =
 
 let test_interrupts_queue_fifo () =
   let s = Sim.create () in
-  let cpu = Cpu.create s ~id:0 in
+  let cpu = core s ~id:0 ~dispatch:10 ~return_cost:0 in
   let order = ref [] in
   let inject tag =
-    Cpu.interrupt cpu ~dispatch:10 ~return_cost:0
+    Cpu.interrupt cpu
       ~handler:(fun ~preempted:_ ->
         order := tag :: !order;
         100)
@@ -116,20 +127,25 @@ let test_interrupts_queue_fifo () =
     (List.rev !order)
 
 let test_resume_after_preemption () =
-  (* The kernel pattern: re-grant the remainder after the interrupt. *)
+  (* The kernel pattern: the core reports what a preemption leaves
+     owed, and the remainder is re-granted after the interrupt. *)
   let s = Sim.create () in
-  let cpu = Cpu.create s ~id:0 in
-  let finished_at = ref (-1) in
   let remaining = ref 0 in
+  let cpu =
+    Cpu.create s ~id:0 ~interrupt_dispatch:100 ~interrupt_return:0
+      ~on_preempt:(fun r -> remaining := r)
+  in
+  let finished_at = ref (-1) in
   let give n =
     Cpu.grant cpu ~cycles:n ~kind:Cpu.Work ~uninterruptible:false
       ~on_complete:(fun () -> finished_at := Sim.now s)
   in
   give 1000;
   Sim.schedule_unit s ~at:300 (fun () ->
-      Cpu.interrupt cpu ~dispatch:100 ~return_cost:0
+      Cpu.interrupt cpu
         ~handler:(fun ~preempted ->
-          if preempted >= 0 then remaining := preempted;
+          check_int "the hook ran first, with the same remainder" preempted
+            !remaining;
           0)
         ~after:(fun () -> give !remaining));
   Sim.run s;
@@ -137,13 +153,24 @@ let test_resume_after_preemption () =
   check_int "resumed to completion" 1100 !finished_at;
   check_int "full work accounted" 1000 (Cpu.work_cycles cpu)
 
+(* A negative interrupt cost (which `sweep --values` can ask for) is
+   refused where the core is built, naming the field. *)
+let test_negative_cost_rejected () =
+  let s = Sim.create () in
+  Alcotest.check_raises "dispatch"
+    (Invalid_argument "Cpu.create: interrupt_dispatch must be >= 0")
+    (fun () -> ignore (core s ~id:0 ~dispatch:(-1) ~return_cost:0));
+  Alcotest.check_raises "return"
+    (Invalid_argument "Cpu.create: interrupt_return must be >= 0")
+    (fun () -> ignore (core s ~id:0 ~dispatch:0 ~return_cost:(-1)))
+
 (* ------------------------------------------------------------------ *)
 (* Lapic *)
 
 let test_lapic_periodic_and_stop () =
   let s = Sim.create () in
-  let cpu = Cpu.create s ~id:0 in
-  let lapic = Lapic.create s plat cpu in
+  let cpu = plat_core s ~id:0 in
+  let lapic = Lapic.create s cpu in
   let count = ref 0 in
   Lapic.periodic lapic ~period:100
     ~handler:(fun ~preempted:_ ->
@@ -160,7 +187,7 @@ let test_lapic_periodic_and_stop () =
 
 let test_ipi_latency () =
   let s = Sim.create () in
-  let target = Cpu.create s ~id:1 in
+  let target = plat_core s ~id:1 in
   let at = ref (-1) in
   Ipi.send
     (Ipi.delivery s plat ~target
@@ -180,7 +207,7 @@ let test_ipi_broadcast_reaches_all () =
   let hit = Array.make 3 (-1) in
   for cid = 0 to 2 do
     Ipi.send
-      (Ipi.delivery s plat ~target:(Cpu.create s ~id:cid)
+      (Ipi.delivery s plat ~target:(plat_core s ~id:cid)
          ~handler:(fun ~preempted:_ ->
            hit.(cid) <- Sim.now s;
            0)
@@ -276,6 +303,8 @@ let () =
           Alcotest.test_case "irq queue fifo" `Quick test_interrupts_queue_fifo;
           Alcotest.test_case "resume after preemption" `Quick
             test_resume_after_preemption;
+          Alcotest.test_case "negative cost rejected" `Quick
+            test_negative_cost_rejected;
         ] );
       ( "lapic",
         [

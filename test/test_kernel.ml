@@ -537,16 +537,58 @@ let test_device_irq_steered_hits_one () =
 
 let test_device_irq_bad_args_rejected () =
   let k = nk () in
-  check_bool "bad rate" true
-    (try
-       ignore (Device_irq.start k ~rate_hz:0.0 Device_irq.Spread);
-       false
-     with Invalid_argument _ -> true);
-  check_bool "bad steering target" true
-    (try
-       ignore (Device_irq.start k ~rate_hz:1e5 (Device_irq.Steered 99));
-       false
-     with Invalid_argument _ -> true)
+  let refuses what msg rate policy =
+    Alcotest.check_raises what (Invalid_argument ("Device_irq.start: " ^ msg))
+      (fun () -> ignore (Device_irq.start k ~rate_hz:rate policy))
+  in
+  refuses "zero rate" "rate_hz must be > 0" 0.0 Device_irq.Spread;
+  refuses "nan rate" "rate_hz must be > 0" Float.nan Device_irq.Spread;
+  refuses "steered past the last cpu" "Steered cpu must be in [0,4)" 1e5
+    (Device_irq.Steered 99);
+  refuses "steered below cpu 0" "Steered cpu must be in [0,4)" 1e5
+    (Device_irq.Steered (-1))
+
+(* A delivery allocates nothing: the handler is built at start and the
+   end of interrupt is the kernel's.  The difference of two runs
+   cancels the fixed setup.  Building both closures per delivery read
+   10 words. *)
+let test_device_irq_words () =
+  let words work =
+    let k = nk () in
+    let w0 = Gc.minor_words () in
+    let dev = Device_irq.start k ~rate_hz:1e6 Device_irq.Spread in
+    ignore
+      (Sched.spawn k (fun () ->
+           Api.work work;
+           Device_irq.stop dev));
+    Sched.run k;
+    (Gc.minor_words () -. w0, Device_irq.delivered dev)
+  in
+  let ws, ds = words 2_000_000 and wl, dl = words 4_000_000 in
+  let per = (wl -. ws) /. float_of_int (dl - ds) in
+  check_bool
+    (Printf.sprintf "%.2f minor words per delivery < 1" per)
+    true (per < 1.0)
+
+(* An interrupt whose handler records nothing still leaves the thread
+   it preempted owed exactly what it had not run: the kernel records
+   the remainder when the CPU cuts the grant short, so the work is
+   charged once. *)
+let test_preempted_work_charged_once () =
+  let k = nk () in
+  let n = 1_000_000 in
+  ignore
+    (Sched.spawn k ~spec:{ Sched.default_spec with sp_cpu = Some 0 } (fun () ->
+         Api.work n));
+  Sim.schedule_unit (Sched.sim k) ~at:5_000 (fun () ->
+      check_bool "a thread is mid-grant" true (Cpu.busy (Sched.cpu k 0));
+      Cpu.interrupt (Sched.cpu k 0)
+        ~handler:(fun ~preempted ->
+          check_bool "the interrupt cut the grant short" true (preempted > 0);
+          100)
+        ~after:(Sched.resched_or_resume k 0));
+  Sched.run k;
+  check_int "work charged once" n (Sched.total_work_cycles k)
 
 let test_device_irq_slows_victim () =
   let elapsed steer =
@@ -733,5 +775,9 @@ let () =
           Alcotest.test_case "victim slowed" `Quick test_device_irq_slows_victim;
           Alcotest.test_case "bad args rejected" `Quick
             test_device_irq_bad_args_rejected;
+          Alcotest.test_case "words per delivery" `Quick
+            test_device_irq_words;
+          Alcotest.test_case "preempted work charged once" `Quick
+            test_preempted_work_charged_once;
         ] );
     ]

@@ -125,6 +125,26 @@ let test_deterministic () =
   let b = Wasp.Faas.run ~seed:9 ~name:"x" Wasp.default ~requests:50 ~work_us:10.0 in
   Alcotest.(check (float 1e-9)) "same mean" a.mean_us b.mean_us
 
+(* A run it cannot make is refused at entry, naming the field. *)
+let test_faas_rejections_name_the_field () =
+  Alcotest.check_raises "requests"
+    (Invalid_argument "Wasp.Faas.run: requests must be >= 1") (fun () ->
+      ignore (Wasp.Faas.run ~name:"x" Wasp.default ~requests:0 ~work_us:1.0));
+  let load ?(rate = 100.0) ?(duration = 0.01) ?(concurrency = 1) () =
+    ignore
+      (Wasp.Faas.run_load ~name:"x" Wasp.default ~rate_per_s:rate
+         ~duration_s:duration ~concurrency ~work_us:1.0)
+  in
+  let refuses what msg f =
+    Alcotest.check_raises what
+      (Invalid_argument ("Wasp.Faas.run_load: " ^ msg))
+      f
+  in
+  refuses "zero rate" "rate_per_s must be > 0" (load ~rate:0.0);
+  refuses "nan rate" "rate_per_s must be > 0" (load ~rate:Float.nan);
+  refuses "negative duration" "duration_s must be > 0" (load ~duration:(-1.0));
+  refuses "no contexts" "concurrency must be >= 1" (load ~concurrency:0)
+
 let () =
   Alcotest.run "virtine"
     [
@@ -157,5 +177,7 @@ let () =
           Alcotest.test_case "load: overload explodes" `Quick
             test_load_overload_explodes;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+          Alcotest.test_case "rejections name the field" `Quick
+            test_faas_rejections_name_the_field;
         ] );
     ]

@@ -21,17 +21,24 @@ type result = {
 }
 
 (* Zipf sampling over [1..n] with exponent [s], via inverse CDF on a
-   precomputed table. *)
+   precomputed table.  Plain float loops keep every sum unboxed; the
+   weights, their total and the running sum are added in index order,
+   as a left fold would add them. *)
 let zipf_cdf n s =
-  let weights = Array.init n (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) s) in
-  let total = Array.fold_left ( +. ) 0.0 weights in
   let cdf = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    cdf.(i) <- 1.0 /. Float.pow (float_of_int (i + 1)) s
+  done;
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    total := !total +. cdf.(i)
+  done;
+  let total = !total in
   let acc = ref 0.0 in
-  Array.iteri
-    (fun i w ->
-      acc := !acc +. (w /. total);
-      cdf.(i) <- !acc)
-    weights;
+  for i = 0 to n - 1 do
+    acc := !acc +. (cdf.(i) /. total);
+    cdf.(i) <- !acc
+  done;
   cdf
 
 (* The draw is [Rng.float rng 1.0] inlined, bit for bit: a float
@@ -46,11 +53,20 @@ let sample_zipf rng cdf =
   done;
   !lo
 
-let simulate ~objects ~object_words ~accesses ~zipf config =
-  if objects <= 0 || object_words <= 0 || accesses <= 0 then
-    invalid_arg "Far_memory.simulate: non-positive size";
+(* Refuse a shape no heap has, naming the field and the caller. *)
+let check fn ~objects ~object_words ~accesses ~zipf =
+  let refuse field rule =
+    invalid_arg (Printf.sprintf "Far_memory.%s: %s must be %s" fn field rule)
+  in
+  if objects <= 0 then refuse "objects" "> 0";
+  if object_words <= 0 then refuse "object_words" "> 0";
+  if accesses <= 0 then refuse "accesses" "> 0";
+  if not (Float.is_finite zipf && zipf >= 0.0) then
+    refuse "zipf" "finite and >= 0"
+
+(* [simulate] on a heap whose Zipf table [cdf] is already built. *)
+let simulate_cdf ~cdf ~objects ~object_words ~accesses config =
   let rng = Rng.create ~seed:13 in
-  let cdf = zipf_cdf objects zipf in
   (* Objects are allocated in a shuffled order, as real allocation
      interleaves hot and cold objects on the same pages. *)
   let placement = Array.init objects Fun.id in
@@ -123,18 +139,32 @@ let simulate ~objects ~object_words ~accesses ~zipf config =
     slowdown_vs_all_local = float_of_int !total_cost /. float_of_int all_local;
   }
 
+let simulate ~objects ~object_words ~accesses ~zipf (config : config) =
+  check "simulate" ~objects ~object_words ~accesses ~zipf;
+  (* A page of no words would hold every object in no capacity. *)
+  (match config.granularity with
+  | Page words when words <= 0 ->
+      invalid_arg
+        "Far_memory.simulate: granularity must be Object or Page n with n > 0"
+  | Page _ | Object -> ());
+  simulate_cdf ~cdf:(zipf_cdf objects zipf) ~objects ~object_words ~accesses
+    config
+
 let sweep ~objects ~object_words ~accesses ~zipf ~fractions () =
+  check "sweep" ~objects ~object_words ~accesses ~zipf;
+  if List.exists (fun f -> not (f >= 0.0 && f <= 1.0)) fractions then
+    invalid_arg "Far_memory.sweep: fractions must lie in [0, 1]";
+  (* Every run samples the same heap: one table serves them all. *)
+  let cdf = zipf_cdf objects zipf in
   let heap = objects * object_words in
   List.map
     (fun frac ->
       let capacity = int_of_float (frac *. float_of_int heap) in
-      let page =
-        simulate ~objects ~object_words ~accesses ~zipf
-          (default ~local_capacity_words:capacity (Page 512))
+      let run granularity =
+        simulate_cdf ~cdf ~objects ~object_words ~accesses
+          (default ~local_capacity_words:capacity granularity)
       in
-      let obj =
-        simulate ~objects ~object_words ~accesses ~zipf
-          (default ~local_capacity_words:capacity Object)
-      in
+      let page = run (Page 512) in
+      let obj = run Object in
       (frac, page, obj))
     fractions

@@ -43,7 +43,10 @@ val simulate :
   result
 (** Build the heap, sample [accesses] object references from a Zipf
     distribution with exponent [zipf], choose the resident set under
-    the policy, and measure. *)
+    the policy, and measure.
+    @raise Invalid_argument naming [objects], [object_words] or
+    [accesses] when not positive, [zipf] when negative or not finite,
+    or [granularity] for a page of no words. *)
 
 val sweep :
   objects:int ->
@@ -54,4 +57,6 @@ val sweep :
   unit ->
   (float * result * result) list
 (** For each local-capacity fraction: (fraction, page-granular result,
-    object-granular result). *)
+    object-granular result).  All the runs sample one Zipf table.
+    @raise Invalid_argument as {!simulate} does, or naming [fractions]
+    when an entry lies outside [\[0, 1\]]. *)

@@ -1,7 +1,5 @@
 open Iw_ir
 
-module IntMap = Map.Make (Int)
-
 type region = {
   logical : int;  (* allocation-time base; what the program holds *)
   size : int;  (* requested words *)
@@ -9,13 +7,17 @@ type region = {
 }
 
 (* What a lookup returns when no region contains the address: it
-   contains nothing itself. *)
+   contains nothing itself.  It also fills the table's unused cells. *)
 let no_region = { logical = 0; size = 0; phys = 0 }
 
 type t = {
   heap : Iw_mem.Buddy.t;
   obs : Iw_obs.Obs.t;
-  mutable regions : region IntMap.t;  (* keyed by logical base *)
+  (* The region table: the live regions in [table.(0 .. count-1)],
+     sorted by logical base.  Bases only grow, so an allocation
+     appends. *)
+  mutable table : region array;
+  mutable count : int;
   mutable last : region;  (* the last region a lookup found, or [no_region] *)
   mutable next_logical : int;
   mutable ctx : Interp.ctx option;
@@ -24,14 +26,23 @@ type t = {
   mutable vclock : int;  (* span clock; words moved stand in for cycles *)
 }
 
+(* The buddy heap's smallest block, in words. *)
+let min_block = 16
+
 let create ?(heap_size = 1 lsl 22) () =
+  if heap_size < min_block || heap_size land (heap_size - 1) <> 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Runtime.create: heap_size must be a power of two >= %d, got %d"
+         min_block heap_size);
   {
     (* Physical heap sits at [heap_size, 2*heap_size); logical bases
        start far above it and are never reused, so the two spaces
        cannot collide. *)
-    heap = Iw_mem.Buddy.create ~base:heap_size ~size:heap_size ~min_block:16;
+    heap = Iw_mem.Buddy.create ~base:heap_size ~size:heap_size ~min_block;
     obs = Iw_obs.Obs.inherit_trace ();
-    regions = IntMap.empty;
+    table = Array.make 16 no_region;
+    count = 0;
     last = no_region;
     next_logical = 16 * heap_size;
     ctx = None;
@@ -40,8 +51,24 @@ let create ?(heap_size = 1 lsl 22) () =
     vclock = 0;
   }
 
-(* The map is the only source of truth; [last] is the record of the
-   region a lookup last found, which a hit reads without allocating.
+(* The index of the last region in [lo, hi) whose base is at most
+   [addr], or [lo - 1]; every region below [lo] starts at or below
+   [addr]. *)
+let rec floor_index table addr lo hi =
+  if lo >= hi then lo - 1
+  else
+    let mid = (lo + hi) lsr 1 in
+    if (Array.unsafe_get table mid).logical <= addr then
+      floor_index table addr (mid + 1) hi
+    else floor_index table addr lo mid
+
+(* The index of the region whose base is [base], or -1. *)
+let index_of t base =
+  let i = floor_index t.table base 0 t.count in
+  if i >= 0 && t.table.(i).logical = base then i else -1
+
+(* The table is the only source of truth; [last] is the record of the
+   region a lookup last found, which a hit reads without searching.
    Freeing that region clears it.  A move rewrites [phys] in that same
    record, and logical bases are never reused, so nothing else can make
    it stale. *)
@@ -49,18 +76,30 @@ let region_containing t addr =
   let r = t.last in
   if r.logical <= addr && addr < r.logical + r.size then r
   else
-    match IntMap.find_last_opt (fun b -> b <= addr) t.regions with
-    | Some (_, r) when addr < r.logical + r.size ->
+    let i = floor_index t.table addr 0 t.count in
+    if i < 0 then no_region
+    else
+      let r = t.table.(i) in
+      if addr < r.logical + r.size then begin
         t.last <- r;
         r
-    | _ -> no_region
+      end
+      else no_region
 
 let regions t =
-  IntMap.fold (fun _ r acc -> (r.logical, r.size) :: acc) t.regions []
-  |> List.rev
+  List.init t.count (fun i ->
+      let r = t.table.(i) in
+      (r.logical, r.size))
 
-let region_count t = IntMap.cardinal t.regions
-let live_words t = IntMap.fold (fun _ r acc -> acc + r.size) t.regions 0
+let region_count t = t.count
+
+let live_words t =
+  let sum = ref 0 in
+  for i = 0 to t.count - 1 do
+    sum := !sum + t.table.(i).size
+  done;
+  !sum
+
 let count t id = Iw_obs.Counter.get t.obs.Iw_obs.Obs.counters id
 let guard_checks t = count t Iw_obs.Counter.Guard_checks
 let guard_faults t = count t Iw_obs.Counter.Guard_faults
@@ -76,16 +115,24 @@ let alloc t size =
   | Some phys ->
       let logical = t.next_logical in
       t.next_logical <- logical + size;
-      t.regions <- IntMap.add logical { logical; size; phys } t.regions;
+      if t.count = Array.length t.table then begin
+        let bigger = Array.make (2 * t.count) no_region in
+        Array.blit t.table 0 bigger 0 t.count;
+        t.table <- bigger
+      end;
+      t.table.(t.count) <- { logical; size; phys };
+      t.count <- t.count + 1;
       logical
 
 let free t logical =
-  match IntMap.find_opt logical t.regions with
-  | None -> raise (Interp.Fault "carat: free of untracked base")
-  | Some r ->
-      Iw_mem.Buddy.free t.heap r.phys;
-      t.regions <- IntMap.remove logical t.regions;
-      if t.last == r then t.last <- no_region
+  let i = index_of t logical in
+  if i < 0 then raise (Interp.Fault "carat: free of untracked base");
+  let r = t.table.(i) in
+  Iw_mem.Buddy.free t.heap r.phys;
+  Array.blit t.table (i + 1) t.table i (t.count - i - 1);
+  t.count <- t.count - 1;
+  t.table.(t.count) <- no_region;
+  if t.last == r then t.last <- no_region
 
 let translate t addr =
   let r = region_containing t addr in
@@ -120,72 +167,72 @@ let hooks t =
         | _ -> None);
   }
 
-let move_region t ~base =
-  match IntMap.find_opt base t.regions with
+(* Migrate region [r], which is in the table. *)
+let move t r =
+  match Iw_mem.Buddy.alloc t.heap r.size with
   | None -> None
-  | Some r -> (
-      match Iw_mem.Buddy.alloc t.heap r.size with
-      | None -> None
-      | Some new_phys
-        when
-          (let plan = Iw_faults.Plan.ambient () in
-           Iw_faults.Plan.enabled plan
-           && Iw_faults.Plan.fire plan t.obs
-                ~kind:Iw_faults.Plan.Move_interrupt ~cpu:(-1) ~ts:t.vclock) ->
-          (* The move was interrupted mid-copy (a guard violation hit
-             the half-written destination).  Quarantine: release the
-             partial destination and roll back.  The region still
-             points at its intact source, so the address space never
-             sees the tear — the move just didn't happen. *)
-          Iw_mem.Buddy.free t.heap new_phys;
-          Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters
-            Iw_obs.Counter.Move_rollback;
-          (let tr = t.obs.Iw_obs.Obs.trace in
-           if tr.Iw_obs.Trace.enabled then
-             Iw_obs.Trace.instant tr ~name:"carat_rollback" ~cat:"carat"
-               ~cpu:(-1) ~ts:t.vclock ());
-          None
-      | Some new_phys ->
-          (match t.ctx with
-          | Some ctx ->
-              for i = 0 to r.size - 1 do
-                ctx.Interp.write (new_phys + i) (ctx.Interp.read (r.phys + i))
-              done
-          | None -> ());
-          Iw_mem.Buddy.free t.heap r.phys;
-          t.n_moves <- t.n_moves + 1;
-          t.n_moved_words <- t.n_moved_words + r.size;
-          (* One span per copy; the words moved stand in for cycles on
-             the runtime's private span clock. *)
-          (let tr = t.obs.Iw_obs.Obs.trace in
-           if tr.Iw_obs.Trace.enabled then begin
-             Iw_obs.Trace.span tr ~name:"carat_move" ~cat:"carat" ~cpu:(-1)
-               ~ts:t.vclock ~dur:(max 1 r.size) ();
-             t.vclock <- t.vclock + max 1 r.size
-           end);
-          r.phys <- new_phys;
-          Some new_phys)
+  | Some new_phys
+    when
+      (let plan = Iw_faults.Plan.ambient () in
+       Iw_faults.Plan.enabled plan
+       && Iw_faults.Plan.fire plan t.obs
+            ~kind:Iw_faults.Plan.Move_interrupt ~cpu:(-1) ~ts:t.vclock) ->
+      (* The move was interrupted mid-copy (a guard violation hit
+         the half-written destination).  Quarantine: release the
+         partial destination and roll back.  The region still
+         points at its intact source, so the address space never
+         sees the tear — the move just didn't happen. *)
+      Iw_mem.Buddy.free t.heap new_phys;
+      Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters
+        Iw_obs.Counter.Move_rollback;
+      (let tr = t.obs.Iw_obs.Obs.trace in
+       if tr.Iw_obs.Trace.enabled then
+         Iw_obs.Trace.instant tr ~name:"carat_rollback" ~cat:"carat"
+           ~cpu:(-1) ~ts:t.vclock ());
+      None
+  | Some new_phys ->
+      (match t.ctx with
+      | Some ctx ->
+          for i = 0 to r.size - 1 do
+            ctx.Interp.write (new_phys + i) (ctx.Interp.read (r.phys + i))
+          done
+      | None -> ());
+      Iw_mem.Buddy.free t.heap r.phys;
+      t.n_moves <- t.n_moves + 1;
+      t.n_moved_words <- t.n_moved_words + r.size;
+      (* One span per copy; the words moved stand in for cycles on
+         the runtime's private span clock. *)
+      (let tr = t.obs.Iw_obs.Obs.trace in
+       if tr.Iw_obs.Trace.enabled then begin
+         Iw_obs.Trace.span tr ~name:"carat_move" ~cat:"carat" ~cpu:(-1)
+           ~ts:t.vclock ~dur:(max 1 r.size) ();
+         t.vclock <- t.vclock + max 1 r.size
+       end);
+      r.phys <- new_phys;
+      Some new_phys
+
+let move_region t ~base =
+  let i = index_of t base in
+  if i < 0 then None else move t t.table.(i)
 
 let defragment t =
   let tr = t.obs.Iw_obs.Obs.trace in
   let pass_start = t.vclock in
   (* Ascending physical order; the buddy hands out the lowest free
      block, so each move either compacts or is undone. *)
-  let by_phys =
-    IntMap.fold (fun _ r acc -> r :: acc) t.regions []
-    |> List.sort (fun a b -> compare a.phys b.phys)
-  in
+  let by_phys = Array.sub t.table 0 t.count in
+  Array.sort (fun a b -> Int.compare a.phys b.phys) by_phys;
   let moved = ref 0 in
-  List.iter
+  Array.iter
     (fun r ->
       let old_phys = r.phys in
-      match move_region t ~base:r.logical with
+      match move t r with
       | Some new_phys when new_phys < old_phys -> incr moved
       | Some _ ->
           (* Went up: undo by moving back is wasteful; accept only
              downward moves by moving again (the old block is free
              now, so this lands at or below). *)
-          (match move_region t ~base:r.logical with
+          (match move t r with
           | Some p when p < old_phys -> incr moved
           | _ -> ())
       | None -> ())

@@ -9,30 +9,42 @@ open Iw_ir
     addresses; no paging hardware is involved anywhere.
 
     Allocation is backed by a real buddy allocator, so fragmentation
-    and compaction are observable, not simulated. *)
+    and compaction are observable, not simulated.
+
+    The runtime addresses words: sizes, region extents, moved counts
+    and both address spaces count words, never bytes.  Its region
+    table is one array sorted by logical base, searched by bisection
+    behind a last-hit check.  A guard, a lookup or a free allocates
+    nothing, and an allocation only its answers and its region record
+    (the table doubles when full). *)
 
 type t
 
 val create : ?heap_size:int -> unit -> t
-(** [heap_size] (bytes/words, default [1 lsl 22]) sizes the physical
-    heap.  The runtime counts guard checks, guard faults and rolled-back
+(** [heap_size] (words, default [1 lsl 22]) sizes the physical heap:
+    a power of two of at least 16 words, the heap's smallest block.
+    The runtime counts guard checks, guard faults and rolled-back
     moves ([guard_checks], [guard_faults], [move_rollback]) on a
     counter set of its own that shares the ambient trace
     ({!Iw_obs.Obs.inherit_trace}); {!guard_checks}, {!guard_faults}
-    and {!rollbacks} read it. *)
+    and {!rollbacks} read it.
+    @raise Invalid_argument naming [heap_size] when it is not such a
+    power of two. *)
 
 val hooks : t -> Interp.hooks
 (** Interpreter hooks wiring this runtime into compiled code:
     allocation, tracking, guard validation, and address
     translation. *)
 
-(** {1 Region map} *)
+(** {1 Region table} *)
 
 val region_count : t -> int
+
 val live_words : t -> int
+(** Words requested by the live regions. *)
 
 val regions : t -> (int * int) list
-(** All live regions as [(logical_base, size)], ascending. *)
+(** All live regions as [(logical_base, size in words)], ascending. *)
 
 val guard_checks : t -> int
 val guard_faults : t -> int
@@ -54,7 +66,9 @@ val fragmentation : t -> float
 (** Buddy-level external fragmentation, 0..1. *)
 
 val moves : t -> int
+
 val moved_words : t -> int
+(** Words copied by the moves. *)
 
 val rollbacks : t -> int
 (** Moves rolled back by the guard-violation quarantine path: the

@@ -1,3 +1,5 @@
+open Iw_engine
+
 exception Fault of string
 exception Out_of_fuel
 
@@ -43,7 +45,7 @@ type result = {
 type state = {
   hooks : hooks;
   modul : Ir.modul;
-  mem : (int, int) Hashtbl.t;
+  mem : int Itbl.t;  (* address -> word; absent words read 0 *)
   mutable depth : int;  (* call depth, guarded *)
   mutable brk : int;  (* bump allocator cursor *)
   mutable fuel : int;
@@ -76,6 +78,20 @@ let eval_binop op a b =
   | Ir.Le -> if a <= b then 1 else 0
   | Ir.Eq -> if a = b then 1 else 0
   | Ir.Ne -> if a <> b then 1 else 0
+
+(* The memory table reserves its two lowest keys, so no run can hold a
+   word there: an access to either is a wild access. *)
+let check_addr addr =
+  if addr <= min_int + 1 then
+    raise (Fault (Printf.sprintf "wild access at address %d" addr))
+
+let read mem addr =
+  check_addr addr;
+  Itbl.find mem addr
+
+let write mem addr v =
+  check_addr addr;
+  Itbl.set mem addr v
 
 let charge st n =
   st.cycles <- st.cycles + n;
@@ -130,11 +146,11 @@ and exec_func st f args =
         | Ir.Load { dst; base; offset } ->
             st.loads <- st.loads + 1;
             let addr = st.hooks.translate (value base + value offset) in
-            regs.(dst) <- (try Hashtbl.find st.mem addr with Not_found -> 0)
+            regs.(dst) <- read st.mem addr
         | Ir.Store { base; offset; value = v } ->
             st.stores <- st.stores + 1;
             let addr = st.hooks.translate (value base + value offset) in
-            Hashtbl.replace st.mem addr (value v)
+            write st.mem addr (value v)
         | Ir.Alloc { dst; size } -> (
             st.allocs <- st.allocs + 1;
             match call st "malloc" [ value size ] with
@@ -190,7 +206,7 @@ let run ?(hooks = default_hooks) ?(fuel = 50_000_000) modul name args =
     {
       hooks;
       modul;
-      mem = Hashtbl.create 1024;
+      mem = Itbl.create ~capacity:1024 ~dummy:0 ();
       depth = 0;
       brk = 0x1000;
       fuel;
@@ -208,10 +224,7 @@ let run ?(hooks = default_hooks) ?(fuel = 50_000_000) modul name args =
     }
   in
   hooks.on_init
-    {
-      read = (fun a -> try Hashtbl.find st.mem a with Not_found -> 0);
-      write = (fun a v -> Hashtbl.replace st.mem a v);
-    };
+    { read = (fun a -> read st.mem a); write = (fun a v -> write st.mem a v) };
   let ret = call st name args in
   let final_gap = st.cycles - st.last_callback in
   if final_gap > st.max_gap then st.max_gap <- final_gap;

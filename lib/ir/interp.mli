@@ -1,15 +1,17 @@
 (** A counting interpreter for the IR.
 
-    Executes a module's function with a real (hash-table) memory and
-    charges every instruction its {!Cost} model price.  Runtime hooks
-    observe the injected instructions — guards, tracking calls, timing
-    callbacks, device polls — so runtime systems (CARAT, the timer
-    framework, blended drivers) can be driven by actual compiled
-    code. *)
+    Executes a module's function with a real memory (an open-addressing
+    int table, {!Iw_engine.Itbl}, so a load or store allocates
+    nothing) and charges every instruction its {!Cost} model price.
+    Runtime hooks observe the injected instructions — guards, tracking
+    calls, timing callbacks, device polls — so runtime systems (CARAT,
+    the timer framework, blended drivers) can be driven by actual
+    compiled code. *)
 
 exception Fault of string
 (** Raised by hooks (e.g. a CARAT guard rejecting an access) or the
-    interpreter (division by zero, unknown callee). *)
+    interpreter (division by zero, unknown callee, a load or store at
+    [min_int] or [min_int + 1], which the memory cannot hold). *)
 
 exception Out_of_fuel
 

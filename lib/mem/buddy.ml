@@ -1,13 +1,27 @@
+open Iw_engine
+
+(* Blocks are named by their offset from [base] inside the tables, so
+   no key is ever one of [Itbl]'s reserved values. *)
 type t = {
   base : int;
   size : int;
-  min_block : int;
   min_order : int;
   max_order : int;
-  (* free.(o - min_order) holds base addresses of free blocks of 2^o. *)
-  free : (int, unit) Hashtbl.t array;
-  live : (int, int) Hashtbl.t;  (* base -> order *)
+  (* Per-order free lists: the offsets of the free blocks of 2^o sit,
+     in no particular order, in the first [len.(o - min_order)] cells
+     of [free.(o - min_order)]. *)
+  free : int array array;
+  len : int array;
+  (* A free block's offset -> its cell in its order's list; -1 for
+     any other offset.  Makes a buddy's membership test O(1). *)
+  cell : int Itbl.t;
+  live : int Itbl.t;  (* live offset -> order; -1 when not live *)
   mutable allocated : int;
+  (* State of the lowest-address search: the best offset so far,
+     its order and its cell. *)
+  mutable hit : int;
+  mutable hit_order : int;
+  mutable hit_cell : int;
 }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
@@ -15,6 +29,37 @@ let is_pow2 n = n > 0 && n land (n - 1) = 0
 let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
+
+(* Add the free block at [off] to the list of order [o]. *)
+let push t o off =
+  let k = o - t.min_order in
+  let n = t.len.(k) in
+  let cells = t.free.(k) in
+  let cells =
+    if n < Array.length cells then cells
+    else begin
+      let bigger = Array.make (2 * n) 0 in
+      Array.blit cells 0 bigger 0 n;
+      t.free.(k) <- bigger;
+      bigger
+    end
+  in
+  cells.(n) <- off;
+  t.len.(k) <- n + 1;
+  Itbl.set t.cell off n
+
+(* Take the block in cell [i] of list [k] off it; the list's last
+   block moves into the hole. *)
+let unlink t k i =
+  let cells = t.free.(k) in
+  let n = t.len.(k) - 1 in
+  Itbl.remove t.cell cells.(i);
+  if i < n then begin
+    let last = cells.(n) in
+    cells.(i) <- last;
+    Itbl.set t.cell last i
+  end;
+  t.len.(k) <- n
 
 let create ~base ~size ~min_block =
   if not (is_pow2 size) then invalid_arg "Buddy.create: size not a power of two";
@@ -24,81 +69,104 @@ let create ~base ~size ~min_block =
   if base land (size - 1) <> 0 then
     invalid_arg "Buddy.create: base not aligned to size";
   let min_order = log2 min_block and max_order = log2 size in
-  let free = Array.init (max_order - min_order + 1) (fun _ -> Hashtbl.create 16) in
-  Hashtbl.replace free.(max_order - min_order) base ();
-  { base; size; min_block; min_order; max_order; free; live = Hashtbl.create 64; allocated = 0 }
+  let t =
+    {
+      base;
+      size;
+      min_order;
+      max_order;
+      free = Array.init (max_order - min_order + 1) (fun _ -> Array.make 4 0);
+      len = Array.make (max_order - min_order + 1) 0;
+      cell = Itbl.create ~capacity:64 ~dummy:(-1) ();
+      live = Itbl.create ~capacity:64 ~dummy:(-1) ();
+      allocated = 0;
+      hit = max_int;
+      hit_order = 0;
+      hit_cell = 0;
+    }
+  in
+  push t max_order 0;
+  t
 
-let slot t order = t.free.(order - t.min_order)
+let rec order_from o n = if 1 lsl o >= n then o else order_from (o + 1) n
 
-let order_for t n =
-  let rec go o = if 1 lsl o >= n then o else go (o + 1) in
-  go t.min_order
+(* Lowest offset in cells [i, n) of list [k], against the best so far. *)
+let rec lowest_in t k cells n i =
+  if i < n then begin
+    let off = Array.unsafe_get cells i in
+    if off < t.hit then begin
+      t.hit <- off;
+      t.hit_order <- k + t.min_order;
+      t.hit_cell <- i
+    end;
+    lowest_in t k cells n (i + 1)
+  end
+
+(* Split the block at [off] from order [o] down to [want], freeing the
+   upper half at each step. *)
+let rec split t off o want =
+  if o > want then begin
+    let o' = o - 1 in
+    push t o' (off + (1 lsl o'));
+    split t off o' want
+  end
 
 let alloc t n =
   if n <= 0 then invalid_arg "Buddy.alloc: n <= 0";
-  let want = order_for t n in
+  let want = order_from t.min_order n in
   if want > t.max_order then None
   else begin
     (* Lowest-address fit across all sufficient orders: keeps
        allocation deterministic and makes compaction converge. *)
-    let find want =
-      let best = ref None in
-      for o = want to t.max_order do
-        Hashtbl.iter
-          (fun addr () ->
-            match !best with
-            | Some (a, _) when a <= addr -> ()
-            | _ -> best := Some (addr, o))
-          (slot t o)
-      done;
-      match !best with
-      | None -> None
-      | Some (addr, o) ->
-          Hashtbl.remove (slot t o) addr;
-          Some (addr, o)
-    in
-    match find want with
-    | None -> None
-    | Some (addr, o) ->
-        (* Split down to the wanted order, freeing the upper halves. *)
-        let rec split o =
-          if o > want then begin
-            let o' = o - 1 in
-            let buddy = addr + (1 lsl o') in
-            Hashtbl.replace (slot t o') buddy ();
-            split o'
-          end
-        in
-        split o;
-        Hashtbl.replace t.live addr want;
-        t.allocated <- t.allocated + (1 lsl want);
-        Some addr
+    t.hit <- max_int;
+    for k = want - t.min_order to t.max_order - t.min_order do
+      lowest_in t k t.free.(k) t.len.(k) 0
+    done;
+    if t.hit = max_int then None
+    else begin
+      let off = t.hit in
+      unlink t (t.hit_order - t.min_order) t.hit_cell;
+      split t off t.hit_order want;
+      Itbl.set t.live off want;
+      t.allocated <- t.allocated + (1 lsl want);
+      Some (t.base + off)
+    end
   end
 
+(* Merge the freed block at [off] with its buddy while the buddy is
+   free at the same order. *)
+let rec coalesce t off o =
+  if o >= t.max_order then push t o off
+  else begin
+    let buddy = off lxor (1 lsl o) in
+    let k = o - t.min_order in
+    let i = Itbl.find t.cell buddy in
+    if i >= 0 && i < t.len.(k) && t.free.(k).(i) = buddy then begin
+      unlink t k i;
+      coalesce t (min off buddy) (o + 1)
+    end
+    else push t o off
+  end
+
+(* The order of the live block at [addr], or -1. *)
+let live_order t addr =
+  let off = addr - t.base in
+  if off < 0 || off >= t.size then -1 else Itbl.find t.live off
+
 let free t addr =
-  match Hashtbl.find_opt t.live addr with
-  | None -> invalid_arg (Printf.sprintf "Buddy.free: %#x is not live" addr)
-  | Some order ->
-      Hashtbl.remove t.live addr;
-      t.allocated <- t.allocated - (1 lsl order);
-      (* Coalesce with the buddy while possible. *)
-      let rec coalesce addr order =
-        if order >= t.max_order then Hashtbl.replace (slot t order) addr ()
-        else begin
-          let buddy = t.base + ((addr - t.base) lxor (1 lsl order)) in
-          if Hashtbl.mem (slot t order) buddy then begin
-            Hashtbl.remove (slot t order) buddy;
-            coalesce (min addr buddy) (order + 1)
-          end
-          else Hashtbl.replace (slot t order) addr ()
-        end
-      in
-      coalesce addr order
+  let order = live_order t addr in
+  if order < 0 then
+    invalid_arg (Printf.sprintf "Buddy.free: %#x is not live" addr);
+  let off = addr - t.base in
+  Itbl.remove t.live off;
+  t.allocated <- t.allocated - (1 lsl order);
+  coalesce t off order
 
 let block_size t addr =
-  match Hashtbl.find_opt t.live addr with
-  | None -> invalid_arg (Printf.sprintf "Buddy.block_size: %#x is not live" addr)
-  | Some order -> 1 lsl order
+  let order = live_order t addr in
+  if order < 0 then
+    invalid_arg (Printf.sprintf "Buddy.block_size: %#x is not live" addr);
+  1 lsl order
 
 let allocated_bytes t = t.allocated
 let free_bytes t = t.size - t.allocated
@@ -106,7 +174,7 @@ let free_bytes t = t.size - t.allocated
 let largest_free_block t =
   let rec go o =
     if o < t.min_order then 0
-    else if Hashtbl.length (slot t o) > 0 then 1 lsl o
+    else if t.len.(o - t.min_order) > 0 then 1 lsl o
     else go (o - 1)
   in
   go t.max_order
@@ -117,5 +185,8 @@ let external_fragmentation t =
   else 1.0 -. (float_of_int (largest_free_block t) /. float_of_int free)
 
 let live_blocks t =
-  Hashtbl.fold (fun base order acc -> (base, 1 lsl order) :: acc) t.live []
-  |> List.sort compare
+  let acc = ref [] in
+  Itbl.iter
+    (fun off order -> acc := (t.base + off, 1 lsl order) :: !acc)
+    t.live;
+  List.sort compare !acc

@@ -4,7 +4,17 @@
     allocators selected by target NUMA zone (§III).  This is a real
     buddy system: power-of-two blocks, split on allocation, coalesce
     with the buddy on free.  Addresses are plain integers into the
-    simulated physical space. *)
+    simulated physical space.
+
+    Sizes and addresses count whatever unit the caller addresses;
+    the allocator never assumes bytes.  The CARAT runtime
+    ([Iw_carat.Runtime]) addresses words, so its sizes are words,
+    and so are the figures the [_bytes]-named readers return for it.
+
+    Free blocks sit in per-order free lists, and a block's membership
+    in its list is a table lookup.  {!free} allocates nothing and
+    {!alloc} only its [Some], once the lists have grown to their
+    high-water marks. *)
 
 type t
 
@@ -16,8 +26,9 @@ val create : base:int -> size:int -> min_block:int -> t
 
 val alloc : t -> int -> int option
 (** [alloc t n] returns the base address of a block of at least [n]
-    bytes (rounded up to a power of two >= min_block), or [None] when
-    no block is available. *)
+    units (rounded up to a power of two >= min_block), or [None] when
+    no block is available.  Of the free blocks large enough, it takes
+    the one at the lowest address, splitting it down to size. *)
 
 val free : t -> int -> unit
 (** Free a previously allocated block by its base address.
@@ -28,6 +39,7 @@ val block_size : t -> int -> int
     @raise Invalid_argument if not live. *)
 
 val allocated_bytes : t -> int
+(** Units in live blocks (block sizes, not the sizes requested). *)
 
 val largest_free_block : t -> int
 (** Size of the largest currently allocatable block (0 when full). *)

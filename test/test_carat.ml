@@ -153,6 +153,18 @@ let test_moved_region_translation () =
   check_int "translate follows the move" new_phys (hooks.translate base);
   check_int "data copied" 99 (Hashtbl.find mem new_phys)
 
+(* The physical heap is a buddy heap of 16-word minimum blocks. *)
+let test_create_refuses_heap_size () =
+  List.iter
+    (fun n ->
+      let msg =
+        Printf.sprintf
+          "Runtime.create: heap_size must be a power of two >= 16, got %d" n
+      in
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          ignore (Runtime.create ~heap_size:n ())))
+    [ 1000; 8; 0; -16 ]
+
 (* Lookups answer from the last region they found; freeing that region
    must take it out of the answer, so translation passes the address
    through and a guard on it faults. *)
@@ -169,6 +181,236 @@ let test_freed_region_faults () =
   Alcotest.check_raises "guard on a freed region"
     (Interp.Fault (Printf.sprintf "carat: protection fault at %#x" (base + 3)))
     (fun () -> hooks.on_guard ~base ~offset:3 ~length:None)
+
+(* A lookup that misses the last-hit region bisects the region table
+   and allocates nothing.  Guards alternate between the first and the
+   last of 64 regions, so every lookup misses; the difference of two
+   run lengths cancels the setup.  The map the table replaced built a
+   closure and an option per miss, 9 words. *)
+let test_words_per_lookup_miss () =
+  let words guards =
+    let rt = Runtime.create () in
+    let hooks = Runtime.hooks rt in
+    let bases =
+      Array.init 64 (fun _ -> Option.get (hooks.extern "malloc" [ 8 ]))
+    in
+    let a = bases.(0) and b = bases.(63) in
+    let w0 = Gc.minor_words () in
+    for i = 1 to guards do
+      hooks.on_guard
+        ~base:(if i land 1 = 0 then a else b)
+        ~offset:5 ~length:None
+    done;
+    Gc.minor_words () -. w0
+  in
+  let per = (words 200_000 -. words 100_000) /. 100_000.0 in
+  check_bool
+    (Printf.sprintf "%.3f minor words per lookup miss <= 0.5" per)
+    true (per <= 0.5)
+
+(* A malloc and a free through the hooks allocate 11 words: the free's
+   argument list (3), the malloc's [Some] (2), the buddy's [Some] (2)
+   and the region record (4).  Over the default 4M-word heap, the
+   buddy's hash-set free lists and the region map took 318. *)
+let test_words_per_malloc_free () =
+  let words pairs =
+    let rt = Runtime.create () in
+    let hooks = Runtime.hooks rt in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to pairs do
+      let base = Option.get (hooks.extern "malloc" [ 8 ]) in
+      ignore (hooks.extern "free" [ base ])
+    done;
+    Gc.minor_words () -. w0
+  in
+  let per = (words 20_000 -. words 10_000) /. 10_000.0 in
+  check_bool
+    (Printf.sprintf "%.3f minor words per malloc/free pair <= 11" per)
+    true (per <= 11.0)
+
+(* ------------------------------------------------------------------ *)
+(* Region table against a naive model *)
+
+(* The runtime's bookkeeping, naively: regions in a list searched from
+   the front, the heap the reference buddy (test/buddy_ref.ml), and the
+   same move and defragmentation rules. *)
+type mregion = { ml : int; ms : int; mutable mp : int }
+
+type model = {
+  heap : Buddy_ref.t;
+  mutable live : mregion list;  (* ascending logical base *)
+  mutable next : int;
+  mutable freed : int list;  (* bases of freed regions *)
+}
+
+let model_heap = 1 lsl 12
+
+let model_create () =
+  {
+    heap = Buddy_ref.create ~base:model_heap ~size:model_heap ~min_block:16;
+    live = [];
+    next = 16 * model_heap;
+    freed = [];
+  }
+
+let model_find md addr =
+  List.find_opt (fun r -> r.ml <= addr && addr < r.ml + r.ms) md.live
+
+let model_translate md addr =
+  match model_find md addr with Some r -> r.mp + (addr - r.ml) | None -> addr
+
+let model_malloc md n =
+  let size = max 1 n in
+  match Buddy_ref.alloc md.heap size with
+  | None -> Error "carat: out of physical memory"
+  | Some phys ->
+      let logical = md.next in
+      md.next <- logical + size;
+      md.live <- md.live @ [ { ml = logical; ms = size; mp = phys } ];
+      Ok logical
+
+let model_free md base =
+  match List.find_opt (fun r -> r.ml = base) md.live with
+  | None -> Error "carat: free of untracked base"
+  | Some r ->
+      Buddy_ref.free md.heap r.mp;
+      md.live <- List.filter (fun r' -> r' != r) md.live;
+      md.freed <- r.ml :: md.freed;
+      Ok 0
+
+let model_move md r =
+  match Buddy_ref.alloc md.heap r.ms with
+  | None -> None
+  | Some p ->
+      Buddy_ref.free md.heap r.mp;
+      r.mp <- p;
+      Some p
+
+let model_defragment md =
+  List.fold_left
+    (fun moved r ->
+      let old = r.mp in
+      match model_move md r with
+      | Some p when p < old -> moved + 1
+      | Some _ -> (
+          match model_move md r with
+          | Some p when p < old -> moved + 1
+          | _ -> moved)
+      | None -> moved)
+    0
+    (List.sort (fun a b -> compare a.mp b.mp) md.live)
+
+type region_op =
+  | Malloc of int
+  | Free_live of int
+  | Free_dead of int
+  | Move of int
+  | Defrag
+
+let region_ops =
+  let open QCheck in
+  let op =
+    Gen.frequency
+      [
+        (5, Gen.map (fun n -> Malloc n) (Gen.int_range 1 200));
+        (2, Gen.map (fun k -> Free_live k) Gen.nat);
+        (1, Gen.map (fun k -> Free_dead k) Gen.nat);
+        (2, Gen.map (fun k -> Move k) Gen.nat);
+        (1, Gen.return Defrag);
+      ]
+  in
+  make
+    ~print:
+      (Print.list (function
+        | Malloc n -> Printf.sprintf "malloc %d" n
+        | Free_live k -> Printf.sprintf "free live #%d" k
+        | Free_dead k -> Printf.sprintf "free dead #%d" k
+        | Move k -> Printf.sprintf "move #%d" k
+        | Defrag -> "defragment"))
+    Gen.(list_size (1 -- 120) op)
+
+let nth_mod l k = List.nth l (k mod List.length l)
+
+(* Every lookup answer the model predicts: each live region's first
+   and last word and one past its end, the word below the first base,
+   and the first word of every freed region.  [translate] and a guard
+   must agree with the model there, and each region's first word must
+   still hold the value written at allocation, wherever it moved. *)
+let agrees rt hooks mem md =
+  let probe addr =
+    let want = model_translate md addr in
+    let faulted =
+      try
+        hooks.Interp.on_guard ~base:addr ~offset:0 ~length:None;
+        false
+      with Interp.Fault msg ->
+        msg = Printf.sprintf "carat: protection fault at %#x" addr
+        || failwith ("unexpected fault: " ^ msg)
+    in
+    hooks.translate addr = want && faulted = (model_find md addr = None)
+  in
+  List.for_all
+    (fun r ->
+      probe r.ml && probe (r.ml + r.ms - 1) && probe (r.ml + r.ms)
+      && Hashtbl.find_opt mem (hooks.translate r.ml) = Some r.ml)
+    md.live
+  && probe ((16 * model_heap) - 1)
+  && List.for_all probe md.freed
+  && Runtime.regions rt = List.map (fun r -> (r.ml, r.ms)) md.live
+  && Runtime.region_count rt = List.length md.live
+  && Runtime.live_words rt = List.fold_left (fun a r -> a + r.ms) 0 md.live
+
+let prop_region_table_matches_model =
+  QCheck.Test.make ~name:"region table agrees with a naive model" ~count:200
+    region_ops (fun ops ->
+      let rt = Runtime.create ~heap_size:model_heap () in
+      let hooks = Runtime.hooks rt in
+      let mem = Hashtbl.create 64 in
+      hooks.on_init
+        {
+          Interp.read =
+            (fun a -> Option.value ~default:0 (Hashtbl.find_opt mem a));
+          write = (fun a v -> Hashtbl.replace mem a v);
+        };
+      let md = model_create () in
+      let call name arg =
+        match hooks.extern name [ arg ] with
+        | Some v -> Ok v
+        | None -> Error "no answer"
+        | exception Interp.Fault msg -> Error msg
+      in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Malloc n ->
+                let got = call "malloc" n in
+                Result.iter
+                  (fun b -> Hashtbl.replace mem (hooks.translate b) b)
+                  got;
+                got = model_malloc md n
+            | Free_live k -> (
+                match md.live with
+                | [] -> true
+                | l ->
+                    let b = (nth_mod l k).ml in
+                    call "free" b = model_free md b)
+            | Free_dead k -> (
+                match md.freed with
+                | [] -> true
+                | l ->
+                    let b = nth_mod l k in
+                    call "free" b = model_free md b)
+            | Move k -> (
+                match md.live with
+                | [] -> true
+                | l ->
+                    let r = nth_mod l k in
+                    Runtime.move_region rt ~base:r.ml = model_move md r)
+            | Defrag -> Runtime.defragment rt = model_defragment md
+          in
+          same && agrees rt hooks mem md)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Far memory (SecV-C) *)
@@ -221,6 +463,41 @@ let test_far_memory_words_per_access () =
     (Printf.sprintf "%.3f minor words per access <= 0.5" per)
     true (per <= 0.5)
 
+(* A heap no run can sample is refused, naming the field and the
+   function that refused it. *)
+let test_far_memory_refuses_bad_shapes () =
+  let config = Far_memory.default ~local_capacity_words:100 Far_memory.Object in
+  let simulate ?(objects = 10) ?(object_words = 4) ?(accesses = 10)
+      ?(zipf = 0.9) () =
+    ignore (Far_memory.simulate ~objects ~object_words ~accesses ~zipf config)
+  in
+  let sweep ?(objects = 10) ?(zipf = 0.9) ?(fractions = [ 0.5 ]) () =
+    ignore
+      (Far_memory.sweep ~objects ~object_words:4 ~accesses:10 ~zipf ~fractions
+         ())
+  in
+  let refused msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
+  refused "Far_memory.simulate: objects must be > 0" (simulate ~objects:0);
+  refused "Far_memory.simulate: object_words must be > 0"
+    (simulate ~object_words:(-1));
+  refused "Far_memory.simulate: accesses must be > 0" (simulate ~accesses:0);
+  refused "Far_memory.simulate: zipf must be finite and >= 0"
+    (simulate ~zipf:(-0.5));
+  refused "Far_memory.simulate: zipf must be finite and >= 0"
+    (simulate ~zipf:Float.nan);
+  refused "Far_memory.simulate: granularity must be Object or Page n with n > 0"
+    (fun () ->
+      ignore
+        (Far_memory.simulate ~objects:10 ~object_words:4 ~accesses:10 ~zipf:0.9
+           (Far_memory.default ~local_capacity_words:0 (Far_memory.Page 0))));
+  refused "Far_memory.sweep: objects must be > 0" (sweep ~objects:(-3));
+  refused "Far_memory.sweep: zipf must be finite and >= 0"
+    (sweep ~zipf:Float.infinity);
+  refused "Far_memory.sweep: fractions must lie in [0, 1]"
+    (sweep ~fractions:[ 0.5; 1.5 ]);
+  refused "Far_memory.sweep: fractions must lie in [0, 1]"
+    (sweep ~fractions:[ Float.nan ])
+
 (* ------------------------------------------------------------------ *)
 (* Overhead study *)
 
@@ -256,6 +533,8 @@ let () =
             test_wild_access_faults;
           Alcotest.test_case "unguarded wild access passes" `Quick
             test_wild_access_unguarded_passes;
+          Alcotest.test_case "bad heap_size" `Quick
+            test_create_refuses_heap_size;
         ] );
       ( "movement",
         [
@@ -269,6 +548,11 @@ let () =
             test_moved_region_translation;
           Alcotest.test_case "freed region faults" `Quick
             test_freed_region_faults;
+          QCheck_alcotest.to_alcotest prop_region_table_matches_model;
+          Alcotest.test_case "words per lookup miss" `Quick
+            test_words_per_lookup_miss;
+          Alcotest.test_case "words per malloc/free pair" `Quick
+            test_words_per_malloc_free;
         ] );
       ( "far-memory",
         [
@@ -282,6 +566,8 @@ let () =
             test_far_memory_respects_capacity;
           Alcotest.test_case "words per access" `Quick
             test_far_memory_words_per_access;
+          Alcotest.test_case "bad shapes named" `Quick
+            test_far_memory_refuses_bad_shapes;
         ] );
       ( "overhead",
         [

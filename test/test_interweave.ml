@@ -115,16 +115,23 @@ let test_cheap_experiments_run () =
     [ "E3"; "E7"; "E8"; "E9"; "E11"; "E12"; "E13"; "E14"; "E15"; "E16"; "A2" ]
 
 (* Minor words one whole run allocates, exactly: [run_with_counters]
-   reads [Gc.minor_words].  E14's store buffer is a ring, A2 runs the
-   interpreter's instruction loop, and E7 adds CARAT's region lookups
-   and coroutine pauses; none of them allocates per step.  With a list
-   buffer, a closure per block, and an allocating lookup and pause they
-   took 41.6M, 2.44M and 20.7M words.  E1, A5 and R1 run the heartbeat,
-   whose beat allocates only the workers' coroutine pauses: a ring
-   deque of int tasks, one execution slot per worker, a prebuilt IPI
-   delivery per target and an itimer's callbacks built once.  With a
-   list deque, an execution record per task, a closure per IPI send and
-   three per itimer expiry they took 20.8M, 8.72M and 468k words. *)
+   reads [Gc.minor_words].  E14's store buffer is a ring and A2 runs the
+   interpreter's instruction loop; neither allocates per step.  With a
+   list buffer and a closure per block they took 41.6M and 2.44M words.
+   E7 and A1 run CARAT-guarded programs: a region lookup bisects a
+   sorted array, the buddy heap keeps per-order free lists, and the
+   interpreter's memory is an [Itbl], so guards, lookups, allocations
+   and memory accesses allocate nothing but an allocation's answers.
+   With a map lookup that built a closure and an option per miss,
+   hash-set free lists scanned through a closure and a [Hashtbl] memory
+   they took 8.70M and 13.00M words.  E15 builds one Zipf table per
+   sweep in unboxed float loops; a boxed table per run took 1.94M.
+   E1, A5 and R1 run the heartbeat, whose beat allocates only the
+   workers' coroutine pauses: a ring deque of int tasks, one execution
+   slot per worker, a prebuilt IPI delivery per target and an itimer's
+   callbacks built once.  With a list deque, an execution record per
+   task, a closure per IPI send and three per itimer expiry they took
+   20.8M, 8.72M and 468k words. *)
 let test_allocation_caps () =
   List.iter
     (fun (id, cap) ->
@@ -139,7 +146,9 @@ let test_allocation_caps () =
     [
       ("E14", 20_000.);
       ("A2", 300_000.);
-      ("E7", 10_500_000.);
+      ("E7", 335_000.);
+      ("A1", 640_000.);
+      ("E15", 370_000.);
       ("E1", 7_000_000.);
       ("A5", 7_000_000.);
       ("R1", 410_000.);

@@ -117,6 +117,29 @@ let test_interp_div_by_zero () =
        false
      with Interp.Fault _ -> true)
 
+(* The memory table cannot hold [min_int] or [min_int + 1]: a store or
+   load there is a wild access and faults naming the address, with no
+   runtime hooked in. *)
+let test_interp_wild_address () =
+  let m = Ir.create_module () in
+  let bld = Ir.Build.start ~name:"wild" ~nparams:0 in
+  let _ = Ir.Build.new_block bld in
+  Ir.Build.store bld ~base:(Ir.Imm min_int) ~offset:(Ir.Imm 0)
+    ~value:(Ir.Imm 7);
+  Ir.Build.terminate bld (Ir.Ret None);
+  Ir.add_func m (Ir.Build.finish bld);
+  let bld = Ir.Build.start ~name:"wild_load" ~nparams:0 in
+  let _ = Ir.Build.new_block bld in
+  let v = Ir.Build.load bld ~base:(Ir.Imm min_int) ~offset:(Ir.Imm 1) in
+  Ir.Build.terminate bld (Ir.Ret (Some (Ir.Reg v)));
+  Ir.add_func m (Ir.Build.finish bld);
+  Alcotest.check_raises "store at min_int"
+    (Interp.Fault (Printf.sprintf "wild access at address %d" min_int))
+    (fun () -> ignore (Interp.run m "wild" []));
+  Alcotest.check_raises "load at min_int + 1"
+    (Interp.Fault (Printf.sprintf "wild access at address %d" (min_int + 1)))
+    (fun () -> ignore (Interp.run m "wild_load" []))
+
 let test_programs_compute_correctly () =
   List.iter
     (fun (p : Programs.program) ->
@@ -445,6 +468,7 @@ let () =
           Alcotest.test_case "cost counting" `Quick test_interp_counts_cost;
           Alcotest.test_case "fuel" `Quick test_interp_fuel;
           Alcotest.test_case "div by zero" `Quick test_interp_div_by_zero;
+          Alcotest.test_case "wild address" `Quick test_interp_wild_address;
         ] );
       ( "programs",
         [

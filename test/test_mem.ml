@@ -92,6 +92,62 @@ let prop_buddy_alloc_free_restores =
       List.iter (Buddy.free b) live;
       Buddy.largest_free_block b = 4096 && Buddy.allocated_bytes b = 0)
 
+(* The buddy against the reference model (test/buddy_ref.ml) on one
+   random sequence of allocations and frees, run to exhaustion: at
+   every step both pick the same block (or both find none), and they
+   agree on the bytes allocated, the largest free block and the live
+   blocks.  The lowest-address choice is what makes CARAT's
+   defragmentation converge, so the block chosen is checked, not just
+   that blocks do not overlap. *)
+type buddy_op = Alloc of int | Free of int
+
+let buddy_ops =
+  let open QCheck in
+  let op =
+    Gen.frequency
+      [
+        (3, Gen.map (fun n -> Alloc n) (Gen.int_range 1 300));
+        (2, Gen.map (fun k -> Free k) Gen.nat);
+      ]
+  in
+  make
+    ~print:
+      (Print.list (function
+        | Alloc n -> Printf.sprintf "alloc %d" n
+        | Free k -> Printf.sprintf "free #%d" k))
+    Gen.(list_size (1 -- 300) op)
+
+let prop_buddy_matches_reference =
+  QCheck.Test.make ~name:"buddy agrees with the reference model" ~count:300
+    buddy_ops (fun ops ->
+      let b = Buddy.create ~base:4096 ~size:4096 ~min_block:16 in
+      let r = Buddy_ref.create ~base:4096 ~size:4096 ~min_block:16 in
+      let live = ref [] in
+      List.for_all
+        (fun op ->
+          let same_pick =
+            match op with
+            | Alloc n ->
+                let got = Buddy.alloc b n in
+                let want = Buddy_ref.alloc r n in
+                Option.iter (fun a -> live := a :: !live) got;
+                got = want
+            | Free k -> (
+                match !live with
+                | [] -> true
+                | l ->
+                    let a = List.nth l (k mod List.length l) in
+                    live := List.filter (( <> ) a) l;
+                    Buddy.free b a;
+                    Buddy_ref.free r a;
+                    true)
+          in
+          same_pick
+          && Buddy.allocated_bytes b = Buddy_ref.allocated r
+          && Buddy.largest_free_block b = Buddy_ref.largest_free_block r
+          && Buddy.live_blocks b = Buddy_ref.live_blocks r)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Address spaces *)
 
@@ -135,6 +191,7 @@ let () =
             test_buddy_fragmentation_metric;
           q prop_buddy_no_overlap;
           q prop_buddy_alloc_free_restores;
+          q prop_buddy_matches_reference;
         ] );
       ( "address-space",
         [

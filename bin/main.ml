@@ -12,6 +12,17 @@ let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
    report it like a bad flag. *)
 let or_die cmd f = try f () with Invalid_argument msg -> die "%s: %s" cmd msg
 
+(* The ambient sampling period of [cmd]'s runs; like serve's flag, a
+   negative or NaN period exits 1 naming the flag. *)
+let set_sample_us cmd us =
+  if not (us >= 0.0) then die "%s: --sample-us must be >= 0" cmd;
+  Iw_obs.Series.set_period_us us
+
+(* A trace ring for [cmd]; a capacity below 1 exits 1 naming the flag. *)
+let ring cmd capacity =
+  if capacity < 1 then die "%s: --ring-capacity must be >= 1" cmd;
+  Iw_obs.Trace.ring ~capacity ()
+
 let find_experiment id =
   try Interweave.Experiments.find id
   with Not_found -> die "unknown experiment %s (try 'interweave list')" id
@@ -94,7 +105,7 @@ let run_cmd =
   in
   let run ids markdown jobs seed sample_us =
     Iw_engine.Rng.set_global_seed seed;
-    Iw_obs.Series.set_period_us sample_us;
+    set_sample_us "run" sample_us;
     let targets =
       if List.mem "all" ids then Interweave.Experiments.all ()
       else List.map find_experiment ids
@@ -228,9 +239,9 @@ let trace_cmd =
       | Some p -> p
       | None -> Printf.sprintf "%s.trace.json" id
     in
-    let tr = Iw_obs.Trace.ring ~capacity () in
+    let tr = ring "trace" capacity in
     Iw_obs.Trace.set_flows tr flows;
-    Iw_obs.Series.set_period_us sample_us;
+    set_sample_us "trace" sample_us;
     Iw_obs.Series.clear_published ();
     let obs = Iw_obs.Obs.create ~trace:tr () in
     (* Run serially under an ambient traced context: every kernel,
@@ -285,13 +296,6 @@ let profile_cmd =
       & info [ "folded" ] ~docv:"PATH"
           ~doc:"Write folded-stack lines for flamegraph.pl / speedscope")
   in
-  let speedscope_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "speedscope" ] ~docv:"PATH"
-          ~doc:"Write a speedscope JSON profile (one track per CPU)")
-  in
   let top =
     Arg.(
       value & opt int 20
@@ -323,14 +327,14 @@ let profile_cmd =
   in
   let profile_of id capacity =
     let e = find_experiment id in
-    let tr = Iw_obs.Trace.ring ~capacity () in
+    let tr = ring "profile" capacity in
     let obs = Iw_obs.Obs.create ~trace:tr () in
     ignore
       (Iw_obs.Obs.with_ambient obs (fun () ->
            Interweave.Experiments.run_to_string e));
     Iw_obs.Profile.of_trace tr
   in
-  let run id folded_out speedscope_out top capacity diff_id threshold =
+  let run id folded_out top capacity diff_id threshold =
     let p = profile_of id capacity in
     (match diff_id with
     | Some id2 ->
@@ -345,7 +349,7 @@ let profile_cmd =
         p.Iw_obs.Profile.dropped
         (p.Iw_obs.Profile.span_count + p.Iw_obs.Profile.instant_count
         + p.Iw_obs.Profile.dropped);
-    (match folded_out with
+    match folded_out with
     | None -> ()
     | Some path -> (
         Iw_obs.Folded.write_file p path;
@@ -353,25 +357,17 @@ let profile_cmd =
           Iw_obs.Folded.check_file path ~total:(Iw_obs.Profile.total_cycles p)
         with
         | Ok n -> Printf.printf "wrote %s: %d stacks (self sum = total)\n" path n
-        | Error msg -> die "folded check failed for %s: %s" path msg));
-    match speedscope_out with
-    | None -> ()
-    | Some path -> (
-        Iw_obs.Speedscope.write_file ~name:(id ^ " profile") p path;
-        match Iw_obs.Speedscope.validate_file path with
-        | Ok n -> Printf.printf "wrote %s: %d events ok\n" path n
-        | Error msg -> die "invalid speedscope file %s: %s" path msg)
+        | Error msg -> die "folded check failed for %s: %s" path msg)
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
          "Run one experiment under tracing, reconstruct per-CPU span stacks, \
           and print a self/total cycle profile (optionally exporting \
-          flamegraph.pl folded stacks and speedscope JSON); with --diff, \
+          folded stacks for flamegraph.pl or speedscope); with --diff, \
           compare two experiments' self-cycle shares frame by frame")
     Term.(
-      const run $ id $ folded_out $ speedscope_out $ top $ capacity $ diff_id
-      $ threshold)
+      const run $ id $ folded_out $ top $ capacity $ diff_id $ threshold)
 
 let golden_cmd =
   let id =
@@ -581,7 +577,15 @@ let faults_cmd =
                           (List.map Iw_faults.Plan.kind_name
                              Iw_faults.Plan.all_kinds)))
     in
-    if rate < 0.0 || rate > 1.0 then die "faults: --rate must be in [0,1]";
+    if not (rate >= 0.0 && rate <= 1.0) then
+      die "faults: --rate must be in [0,1]";
+    (* One run of [e] under its own fault plan: the output or the
+       error that stopped it, and the run's counter totals. *)
+    let run_at rate =
+      Interweave.Experiments.run_faulted ~rate ~seed ~kinds (fun () ->
+          try Ok (Interweave.Experiments.run_to_string e)
+          with Failure msg | Invalid_argument msg -> Error msg)
+    in
     let sweep_rates =
       match rates with
       | Some s ->
@@ -623,20 +627,12 @@ let faults_cmd =
         let rows =
           List.map
             (fun r ->
-              let plan = Iw_faults.Plan.create ~rate:r ~seed ~kinds () in
-              let obs = Iw_obs.Obs.create ~collect:true () in
-              let out =
-                Iw_obs.Obs.with_ambient obs (fun () ->
-                    Iw_faults.Plan.with_ambient plan (fun () ->
-                        try Ok (Interweave.Experiments.run_to_string e)
-                        with Failure msg | Invalid_argument msg -> Error msg))
-              in
+              let out, totals = run_at r in
               (match out with
               | Ok _ -> ()
               | Error msg ->
                   die "faults: %s run failed under injection at rate %g: %s"
                     e.id r msg);
-              let totals = Iw_obs.Obs.total_counters obs in
               (r, List.map (fun (_, c) -> Iw_obs.Counter.get totals c) counter_cols))
             sweep_rates
         in
@@ -663,18 +659,10 @@ let faults_cmd =
                (injection points not reached?)"
         end
     | None ->
-    let plan = Iw_faults.Plan.create ~rate ~seed ~kinds () in
-    let obs = Iw_obs.Obs.create ~collect:true () in
-    let out =
-      Iw_obs.Obs.with_ambient obs (fun () ->
-          Iw_faults.Plan.with_ambient plan (fun () ->
-              try Ok (Interweave.Experiments.run_to_string e)
-              with Failure msg | Invalid_argument msg -> Error msg))
-    in
+    let out, totals = run_at rate in
     (match out with
     | Ok text -> print_string text
     | Error msg -> die "faults: %s run failed under injection: %s" e.id msg);
-    let totals = Iw_obs.Obs.total_counters obs in
     let g id = Iw_obs.Counter.get totals id in
     Printf.printf
       "fault plan: rate %g, seed %d, kinds %s\n\

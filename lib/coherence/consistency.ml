@@ -121,7 +121,3 @@ let producer_consumer ?(params = default_params) ~iterations ~data_stores
     fence_stalls = sb.fence_stalls;
     store_stalls = sb.store_stalls;
   }
-
-let speedup ?params ~iterations ~data_stores ~unrelated_stores () =
-  let t = producer_consumer ?params ~iterations ~data_stores ~unrelated_stores in
-  float_of_int (t Tso).total_cycles /. float_of_int (t Selective).total_cycles

@@ -44,7 +44,3 @@ val producer_consumer :
     @raise Invalid_argument naming the field when [iterations] or
     [buffer_slots] is below 1, or [store_drain_cycles], [data_stores]
     or [unrelated_stores] is negative. *)
-
-val speedup : ?params:params -> iterations:int -> data_stores:int ->
-  unrelated_stores:int -> unit -> float
-(** Tso time / Selective time for the same workload. *)

@@ -1767,15 +1767,14 @@ let deg_cfg () =
       Workload.Dpareto { alpha = 1.5; xmin_us = 12.0; xmax_us = 240.0 };
   }
 
-(* Overall burn rate for the run: (bad/total) / (1 - target).  1.00 =
+(* Overall burn rate for the run against [deg_cfg]'s target.  1.00 =
    burning exactly the error budget. *)
 let deg_burn (r : Iw_service.Fleet.report) =
   if r.fr_slo_total = 0 then "0"
   else
     f2
-      (float_of_int (r.fr_slo_total - r.fr_slo_good)
-      /. float_of_int r.fr_slo_total
-      /. (1.0 -. 0.999))
+      (Iw_service.Fleet.burn ~target:(deg_cfg ()).fc_slo_target
+         ~good:r.fr_slo_good ~total:r.fr_slo_total)
 
 let deg_runs ~kinds ~with_cfg =
   let open Iw_service in

@@ -22,6 +22,18 @@ val find : string -> experiment
 val run_to_string : experiment -> string
 (** Header + every table, rendered. *)
 
+val run_faulted :
+  rate:float ->
+  seed:int ->
+  kinds:Iw_faults.Plan.kind list ->
+  (unit -> 'a) ->
+  'a * Iw_obs.Counter.set
+(** [f ()] under its own fault plan and a child collecting context on
+    the ambient trace: the result, plus the counter totals of every
+    component the run created.  The totals are also merged into the
+    enclosing ambient counters.  @raise Invalid_argument unless
+    [rate] is in [\[0,1\]]. *)
+
 type alloc = {
   alloc_minor_words : float;
       (** OCaml minor-heap words allocated while the experiment ran

@@ -152,9 +152,6 @@ module Sweep = struct
       f "tlb_miss_walk" "page-table walk on a TLB miss"
         (fun c -> c.Platform.tlb_miss_walk)
         (fun c v -> { c with Platform.tlb_miss_walk = v });
-      f "page_fault" "minor fault service"
-        (fun c -> c.Platform.page_fault)
-        (fun c v -> { c with Platform.page_fault = v });
       f "cache_line_local" "L1 hit"
         (fun c -> c.Platform.cache_line_local)
         (fun c v -> { c with Platform.cache_line_local = v });
@@ -202,6 +199,13 @@ module Sweep = struct
     let personality = { personality with Os.tick_noise = (fun _ -> 0) } in
     let obs = Iw_obs.Obs.create () in
     let k = Sched.boot ~obs ~seed:11 ~quantum_us:100.0 ~personality plat in
+    (* The cores refuse a negative interrupt cost as they are built;
+       any other negative cost is refused here, before the probe runs. *)
+    List.iter
+      (fun fd ->
+        if fd.get plat.Platform.costs < 0 then
+          invalid_arg (Printf.sprintf "Sweep: %s must be >= 0" fd.f_name))
+      fields;
     let m = Sched.mutex () in
     for i = 0 to 3 do
       ignore

@@ -61,15 +61,6 @@ let personality t =
 let boot ?seed t =
   Iw_kernel.Sched.boot ?seed ~personality:(personality t) t.platform
 
-let address_space t =
-  let regime =
-    match t.memory with
-    | Demand_paging -> Iw_mem.Address_space.Demand_paged
-    | Identity_mapped -> Iw_mem.Address_space.Identity_large
-    | Carat -> Iw_mem.Address_space.Carat_guarded
-  in
-  Iw_mem.Address_space.create t.platform regime
-
 let event_delivery_cycles t =
   let c = t.platform.Iw_hw.Platform.costs in
   match t.events with

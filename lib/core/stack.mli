@@ -45,8 +45,6 @@ val boot : ?seed:int -> t -> Iw_kernel.Sched.t
 (** A kernel of this stack's personality on its platform, with the
     default 1 ms quantum. *)
 
-val address_space : t -> Iw_mem.Address_space.t
-
 val event_delivery_cycles : t -> int
 (** Cost of delivering one asynchronous event to running code under
     this stack's event layer. *)

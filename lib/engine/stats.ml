@@ -1,14 +1,3 @@
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-}
-
 type t = { mutable data : float array; mutable size : int }
 
 let create () = { data = [||]; size = 0 }
@@ -77,35 +66,14 @@ let max_value t =
   done;
   !m
 
-(* Nearest-rank percentile over an already-sorted copy of the samples. *)
-let percentile_sorted sorted p =
-  let n = Array.length sorted in
-  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
-  let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-  sorted.(max 0 (min (n - 1) rank))
-
-let sorted_samples t =
-  let sorted = Array.sub t.data 0 t.size in
-  Array.sort Float.compare sorted;
-  sorted
-
+(* Nearest-rank percentile over a sorted copy of the samples. *)
 let percentile t p =
   require_nonempty t "percentile";
-  percentile_sorted (sorted_samples t) p
-
-let summary t =
-  require_nonempty t "summary";
-  let sorted = sorted_samples t in
-  {
-    n = t.size;
-    mean = mean t;
-    stddev = stddev t;
-    min = min_value t;
-    max = max_value t;
-    p50 = percentile_sorted sorted 50.0;
-    p90 = percentile_sorted sorted 90.0;
-    p99 = percentile_sorted sorted 99.0;
-  }
+  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
+  let sorted = Array.sub t.data 0 t.size in
+  Array.sort Float.compare sorted;
+  let rank = int_of_float (ceil (p /. 100.0 *. float_of_int t.size)) - 1 in
+  sorted.(max 0 (min (t.size - 1) rank))
 
 let coefficient_of_variation t =
   let m = mean t in

@@ -1,16 +1,5 @@
 (** Sample accumulators and summary statistics for experiments. *)
 
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-}
-
 type t
 (** A growable series of float samples. *)
 
@@ -34,9 +23,6 @@ val max_value : t -> float
 val percentile : t -> float -> float
 (** [percentile t p] with [p] in [\[0,100\]], nearest-rank on the
     sorted samples.  @raise Invalid_argument when empty. *)
-
-val summary : t -> summary
-(** @raise Invalid_argument when empty. *)
 
 val coefficient_of_variation : t -> float
 (** stddev / mean; 0 when the mean is 0. *)

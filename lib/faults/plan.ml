@@ -1,7 +1,7 @@
 (* Deterministic fault injection.
 
    A [t] is a seed-driven fault plan: every injection point in the
-   stack (IPI wires, local APICs, CPU grants, TLBs, cache lines, the
+   stack (IPI wires, local APICs, CPU grants, cache lines, the
    virtine pool, CARAT moves) asks the ambient plan whether a fault
    fires *here*, *now*.  Decisions come from the plan's own splitmix64
    stream, never from the workload RNG — so two runs with the same
@@ -159,7 +159,7 @@ let disabled =
   }
 
 let create ?(kinds = all_kinds) ~rate ~seed () =
-  if rate < 0.0 || rate > 1.0 then
+  if not (rate >= 0.0 && rate <= 1.0) then
     invalid_arg "Plan.create: rate must be in [0,1]";
   let armed = Array.make kind_count false in
   List.iter (fun k -> armed.(kind_index k) <- true) kinds;
@@ -194,9 +194,9 @@ let with_ambient plan f =
    [fault_injected] counter bump plus a trace instant naming the
    kind, so `trace`/`profile` show where resilience cycles go. *)
 
-let note (t : t) (obs : Obs.t) ~kind ~cpu ~ts n =
-  t.injected <- t.injected + n;
-  Counter.add obs.Obs.counters Counter.Fault_injected n;
+let note (t : t) (obs : Obs.t) ~kind ~cpu ~ts =
+  t.injected <- t.injected + 1;
+  Counter.incr obs.Obs.counters Counter.Fault_injected;
   let tr = obs.Obs.trace in
   if tr.Trace.enabled then
     Trace.instant tr ~name:("fault:" ^ kind_name kind) ~cat:"fault" ~cpu ~ts ()
@@ -212,24 +212,8 @@ let note (t : t) (obs : Obs.t) ~kind ~cpu ~ts n =
 let fire t obs ~kind ~cpu ~ts =
   armed t kind
   && float_of_int (Rng.raw53 t.rng) /. 9007199254740992.0 < t.rate
-  && (note t obs ~kind ~cpu ~ts 1;
+  && (note t obs ~kind ~cpu ~ts;
       true)
-
-(* Bulk form for analytic sites (the TLB charges a whole phase of
-   accesses at once): how many of [opportunities] fault?  Expected
-   value rate*opportunities with a single Bernoulli draw for the
-   fractional part — O(1) draws regardless of phase size. *)
-let count t obs ~kind ~opportunities ~cpu ~ts =
-  if (not (armed t kind)) || opportunities <= 0 then 0
-  else begin
-    let expect = t.rate *. float_of_int opportunities in
-    let base = int_of_float expect in
-    let frac = expect -. float_of_int base in
-    let n = base + (if Rng.float t.rng 1.0 < frac then 1 else 0) in
-    let n = min n opportunities in
-    if n > 0 then note t obs ~kind ~cpu ~ts n;
-    n
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Severity draws.  A site that just saw [fire] return true for a

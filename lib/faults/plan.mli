@@ -76,13 +76,8 @@ val with_ambient : t -> (unit -> 'a) -> 'a
 (* One opportunity: does a [kind] fault fire here?  Draws exactly one
    sample when the kind is armed, none otherwise.  Each injection bumps
    the [fault_injected] counter on [obs] and, when tracing, emits a
-   "fault:<kind>" instant; [count] records its faults the same way. *)
+   "fault:<kind>" instant. *)
 val fire : t -> Obs.t -> kind:kind -> cpu:int -> ts:int -> bool
-
-(* Bulk form for analytic sites: how many of [opportunities] fault?
-   O(1) draws regardless of phase size. *)
-val count :
-  t -> Obs.t -> kind:kind -> opportunities:int -> cpu:int -> ts:int -> int
 
 (* Severity draws, taken from the plan stream immediately after the
    firing draw so the full schedule (when *and* how bad) is a pure

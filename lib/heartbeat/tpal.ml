@@ -426,24 +426,6 @@ module Tree = struct
     in
     { tree_name = Printf.sprintf "fib-%d" n; root = gen n }
 
-  let fanout = 3
-
-  let skewed ?(depth = 4000) () =
-    (* A heavy spine: each spine node hangs [fanout-1] light leaves and
-       one deep continuation.  Eager forking would create thousands of
-       tiny tasks; heartbeat promotion creates a few big ones. *)
-    let leaf () = { work = 150; children = [] } in
-    let rec spine d () =
-      if d = 0 then { work = 150; children = [] }
-      else
-        {
-          work = 120;
-          children =
-            List.init fanout (fun i -> if i = 0 then spine (d - 1) else leaf);
-        }
-    in
-    { tree_name = "skewed-spine"; root = spine depth }
-
   let rec fold_tree f acc node =
     let acc = f acc node in
     List.fold_left (fun acc gen -> fold_tree f acc (gen ())) acc node.children

@@ -100,11 +100,6 @@ module Tree : sig
   (** The canonical heartbeat benchmark: binary recursion of depth
       [n], 90 cycles per inner node and 400 per leaf. *)
 
-  val skewed : ?depth:int -> unit -> bench
-  (** An unbalanced tree: one heavy spine (default 4000 deep), each
-      spine node hanging two light leaves — adversarial for eager task
-      creation. *)
-
   val total_nodes : bench -> int
   val total_work : bench -> int
   (** Both force the whole tree once (the trees are deterministic). *)

@@ -17,37 +17,3 @@ let misses t p =
     let cold_accesses = float_of_int p.accesses *. (1.0 -. p.locality) in
     int_of_float (cold_accesses *. uncovered)
   end
-
-let first_touch_faults t p = (p.footprint_kb + t.page_kb - 1) / t.page_kb
-
-let access_overhead_cycles ?obs t plat p ~demand_paged =
-  let obs = match obs with Some o -> o | None -> Iw_obs.Obs.ambient () in
-  let costs = plat.Platform.costs in
-  let nmisses = misses t p in
-  let miss_cost = nmisses * costs.tlb_miss_walk in
-  Iw_obs.Counter.add obs.Iw_obs.Obs.counters Iw_obs.Counter.Tlb_misses nmisses;
-  let fault_cost =
-    if demand_paged then begin
-      let nfaults = first_touch_faults t p in
-      Iw_obs.Counter.add obs.Iw_obs.Obs.counters Iw_obs.Counter.Page_faults
-        nfaults;
-      nfaults * costs.page_fault
-    end
-    else 0
-  in
-  (* Spurious remote shootdowns: each one costs an interrupt round
-     trip plus the walk to refill the flushed entry.  The phase is
-     charged analytically, so the fault count is drawn in bulk —
-     expected rate * accesses with O(1) draws. *)
-  let plan = Iw_faults.Plan.ambient () in
-  let shoot_cost =
-    if not (Iw_faults.Plan.enabled plan) then 0
-    else begin
-      let n =
-        Iw_faults.Plan.count plan obs ~kind:Iw_faults.Plan.Tlb_shootdown
-          ~opportunities:p.accesses ~cpu:(-1) ~ts:0
-      in
-      n * (costs.interrupt_dispatch + costs.interrupt_return + costs.tlb_miss_walk)
-    end
-  in
-  miss_cost + fault_cost + shoot_cost

@@ -12,7 +12,6 @@ let now () = Coro.query Sched.R_now
 let cpu_id () = Coro.query Sched.R_cpu
 let kernel () = Coro.query Sched.R_kernel
 let sleep n = Coro.request (Sched.R_sleep n)
-let rand bound = Coro.query (Sched.R_rand bound)
 let overhead n = if n > 0 then Coro.overhead n
 
 let spin_until ~poll until =

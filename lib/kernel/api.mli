@@ -24,9 +24,6 @@ val cpu_id : unit -> int
 val sleep : int -> unit
 (** Sleep for [n] cycles (arms a software timer). *)
 
-val rand : int -> int
-(** Deterministic per-kernel random int in [\[0, bound)]. *)
-
 val overhead : int -> unit
 (** Burn [n] cycles accounted as runtime overhead rather than work. *)
 

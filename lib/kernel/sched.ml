@@ -143,7 +143,6 @@ type _ Coro.Request.t +=
   | R_unlock : mutex -> unit Coro.Request.t
   | R_sem_wait : semaphore -> unit Coro.Request.t
   | R_sem_post : semaphore -> unit Coro.Request.t
-  | R_rand : int -> int Coro.Request.t
   | R_kernel : t Coro.Request.t
   | R_spin : (int -> int) * (unit -> bool) -> unit Coro.Request.t
 
@@ -411,7 +410,6 @@ and answer : type a.
   | R_now -> run_coroutine t th c (k (Sim.now t.s))
   | R_cpu -> run_coroutine t th c (k th.bound)
   | R_kernel -> run_coroutine t th c (k t)
-  | R_rand bound -> run_coroutine t th c (k (Rng.int t.krng bound))
   | R_spawn (spec, body) ->
       let child = spawn_coroutine t spec body in
       let resume = th.step in

@@ -112,7 +112,6 @@ type _ Iw_engine.Coro.Request.t +=
   | R_unlock : mutex -> unit Iw_engine.Coro.Request.t
   | R_sem_wait : semaphore -> unit Iw_engine.Coro.Request.t
   | R_sem_post : semaphore -> unit Iw_engine.Coro.Request.t
-  | R_rand : int -> int Iw_engine.Coro.Request.t
   | R_kernel : t Iw_engine.Coro.Request.t
   | R_spin : (int -> int) * (unit -> bool) -> unit Iw_engine.Coro.Request.t
 

@@ -19,8 +19,6 @@ type id =
   | Irq_dispatches
   | Ipi_sends
   | Timer_fires
-  | Tlb_misses
-  | Page_faults
   (* kernel services *)
   | Fiber_switches
   | Timing_checks
@@ -78,7 +76,7 @@ type id =
   | Nic_tx_pkts
   | Nic_irq_recover
 
-let count = 59
+let count = 57
 
 let index = function
   | Context_switches -> 0
@@ -90,56 +88,54 @@ let index = function
   | Irq_dispatches -> 6
   | Ipi_sends -> 7
   | Timer_fires -> 8
-  | Tlb_misses -> 9
-  | Page_faults -> 10
-  | Fiber_switches -> 11
-  | Timing_checks -> 12
-  | Device_irqs -> 13
-  | Promotions -> 14
-  | Steals -> 15
-  | Heartbeats -> 16
-  | Omp_regions -> 17
-  | Omp_chunks -> 18
-  | Guard_checks -> 19
-  | Guard_faults -> 20
-  | Virtine_spawns -> 21
-  | Virtine_pool_hits -> 22
-  | Dir_transitions -> 23
-  | Fault_injected -> 24
-  | Ipi_retry -> 25
-  | Watchdog_fire -> 26
-  | Virtine_relaunch -> 27
-  | Pool_evict -> 28
-  | Move_rollback -> 29
-  | Dir_ack_retry -> 30
-  | Dir_stale_refetch -> 31
-  | Barrier_recover -> 32
-  | Service_arrivals -> 33
-  | Service_admitted -> 34
-  | Service_completions -> 35
-  | Service_shed -> 36
-  | Service_backpressure -> 37
-  | Service_hi_prio -> 38
-  | Net_msgs -> 39
-  | Net_drops -> 40
-  | Net_retries -> 41
-  | Net_nacks -> 42
-  | Gossip_msgs -> 43
-  | Machine_ejects -> 44
-  | Service_failed -> 45
-  | Peer_steal -> 46
-  | Hedge_sent -> 47
-  | Hedge_won -> 48
-  | Hedge_cancel -> 49
-  | Admission_shed -> 50
-  | Corrupt_retry -> 51
-  | Nic_rx_pkts -> 52
-  | Nic_rx_drops -> 53
-  | Nic_irqs -> 54
-  | Nic_polls -> 55
-  | Nic_poll_empty -> 56
-  | Nic_tx_pkts -> 57
-  | Nic_irq_recover -> 58
+  | Fiber_switches -> 9
+  | Timing_checks -> 10
+  | Device_irqs -> 11
+  | Promotions -> 12
+  | Steals -> 13
+  | Heartbeats -> 14
+  | Omp_regions -> 15
+  | Omp_chunks -> 16
+  | Guard_checks -> 17
+  | Guard_faults -> 18
+  | Virtine_spawns -> 19
+  | Virtine_pool_hits -> 20
+  | Dir_transitions -> 21
+  | Fault_injected -> 22
+  | Ipi_retry -> 23
+  | Watchdog_fire -> 24
+  | Virtine_relaunch -> 25
+  | Pool_evict -> 26
+  | Move_rollback -> 27
+  | Dir_ack_retry -> 28
+  | Dir_stale_refetch -> 29
+  | Barrier_recover -> 30
+  | Service_arrivals -> 31
+  | Service_admitted -> 32
+  | Service_completions -> 33
+  | Service_shed -> 34
+  | Service_backpressure -> 35
+  | Service_hi_prio -> 36
+  | Net_msgs -> 37
+  | Net_drops -> 38
+  | Net_retries -> 39
+  | Net_nacks -> 40
+  | Gossip_msgs -> 41
+  | Machine_ejects -> 42
+  | Service_failed -> 43
+  | Peer_steal -> 44
+  | Hedge_sent -> 45
+  | Hedge_won -> 46
+  | Hedge_cancel -> 47
+  | Admission_shed -> 48
+  | Corrupt_retry -> 49
+  | Nic_rx_pkts -> 50
+  | Nic_rx_drops -> 51
+  | Nic_irqs -> 52
+  | Nic_polls -> 53
+  | Nic_poll_empty -> 54
+  | Nic_tx_pkts -> 55
+  | Nic_irq_recover -> 56
 
 (* Names match the strings the old hashtable counters used, so table
    rendering is unchanged. *)
@@ -153,8 +149,6 @@ let name = function
   | Irq_dispatches -> "irq_dispatches"
   | Ipi_sends -> "ipi_sends"
   | Timer_fires -> "timer_fires"
-  | Tlb_misses -> "tlb_misses"
-  | Page_faults -> "page_faults"
   | Fiber_switches -> "fiber_switches"
   | Timing_checks -> "timing_checks"
   | Device_irqs -> "device_irqs"
@@ -215,8 +209,6 @@ let all =
     Irq_dispatches;
     Ipi_sends;
     Timer_fires;
-    Tlb_misses;
-    Page_faults;
     Fiber_switches;
     Timing_checks;
     Device_irqs;

@@ -15,8 +15,6 @@ type id =
   | Irq_dispatches
   | Ipi_sends
   | Timer_fires
-  | Tlb_misses
-  | Page_faults
   | Fiber_switches
   | Timing_checks
   | Device_irqs

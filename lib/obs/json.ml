@@ -1,6 +1,6 @@
-(* Minimal hand-rolled JSON reader (the container has no JSON
-   library) shared by the Chrome and speedscope validators.  Just
-   enough of the grammar to read back what our exporters write. *)
+(* Minimal hand-rolled JSON reader (the project depends on no JSON
+   library) for the Chrome trace validator.  Just enough of the
+   grammar to read back what our exporter writes. *)
 
 type t =
   | Null
@@ -177,7 +177,7 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Shared string escaping for the exporters (Chrome + speedscope). *)
+(* String escaping for the Chrome exporter. *)
 let escape b s =
   String.iter
     (fun c ->

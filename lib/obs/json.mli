@@ -1,5 +1,5 @@
-(** Minimal JSON reader + escaping, shared by the trace exporters and
-    their validators (the container has no JSON library). *)
+(** Minimal JSON reader + escaping for the Chrome trace exporter and
+    its validator (the project depends on no JSON library). *)
 
 type t =
   | Null

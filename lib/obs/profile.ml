@@ -25,12 +25,9 @@ type row = {
   r_total : int;  (* cycles with nested spans included *)
 }
 
-type stream_ev = { s_open : bool; s_frame : string; s_at : int }
-
 type t = {
   rows : row list;  (* self desc, then (cpu, cat, name) asc *)
   folded : (string * int) list;  (* "cpu 0;hw:work;..." -> self, path asc *)
-  streams : (int * stream_ev list) list;  (* per CPU, time order *)
   total_cycles : int;
   span_count : int;
   instant_count : int;
@@ -43,7 +40,6 @@ let cpu_label cpu = if cpu < 0 then "machine" else Printf.sprintf "cpu %d" cpu
 (* One open span on the reconstruction stack. *)
 type open_span = {
   o_frame : frame;
-  o_ts : int;
   o_end : int;  (* effective end: clipped to the parent's *)
   o_dur : int;  (* effective duration *)
   o_path : string;  (* folded path down to and including this frame *)
@@ -74,77 +70,68 @@ let of_events ?(dropped = 0) (evs : Trace.event list) =
   let aggs : (frame, int ref * int ref * int ref) Hashtbl.t = Hashtbl.create 64 in
   let folded : (string, int ref) Hashtbl.t = Hashtbl.create 64 in
   let total_cycles = ref 0 in
-  let streams =
-    List.map
-      (fun cpu ->
-        let sorted =
-          List.sort
-            (fun ((a : Trace.event), ai) ((b : Trace.event), bi) ->
-              if a.ev_ts <> b.ev_ts then compare a.ev_ts b.ev_ts
-              else if a.ev_dur <> b.ev_dur then compare b.ev_dur a.ev_dur
-              else compare bi ai)
-            !(Hashtbl.find by_cpu cpu)
-        in
-        let evs_out = ref [] in
-        let emit ev = evs_out := ev :: !evs_out in
-        let stack = ref [] in
-        let close (o : open_span) =
-          let self = o.o_dur - o.o_child in
-          (let c, s, t =
-             match Hashtbl.find_opt aggs o.o_frame with
-             | Some cells -> cells
-             | None ->
-                 let cells = (ref 0, ref 0, ref 0) in
-                 Hashtbl.add aggs o.o_frame cells;
-                 cells
-           in
-           incr c;
-           s := !s + self;
-           t := !t + o.o_dur);
-          (if self > 0 then
-             match Hashtbl.find_opt folded o.o_path with
-             | Some r -> r := !r + self
-             | None -> Hashtbl.add folded o.o_path (ref self));
-          emit { s_open = false; s_frame = frame_label o.o_frame; s_at = o.o_end };
-          match !stack with
-          | parent :: _ -> parent.o_child <- parent.o_child + o.o_dur
-          | [] -> total_cycles := !total_cycles + o.o_dur
-        in
-        let rec pop_until ts =
-          match !stack with
-          | top :: rest when top.o_end <= ts ->
-              stack := rest;
-              close top;
-              pop_until ts
-          | _ -> ()
-        in
-        List.iter
-          (fun ((e : Trace.event), _) ->
-            pop_until e.ev_ts;
-            let frame = { f_cpu = cpu; f_cat = e.ev_cat; f_name = e.ev_name } in
-            let parent_end, parent_path =
-              match !stack with
-              | top :: _ -> (top.o_end, top.o_path)
-              | [] -> (max_int, cpu_label cpu)
-            in
-            let o_end = min (e.ev_ts + e.ev_dur) parent_end in
-            let o =
-              {
-                o_frame = frame;
-                o_ts = e.ev_ts;
-                o_end;
-                o_dur = max 0 (o_end - e.ev_ts);
-                o_path = parent_path ^ ";" ^ frame_label frame;
-                o_child = 0;
-              }
-            in
-            emit { s_open = true; s_frame = frame_label frame; s_at = o.o_ts };
-            stack := o :: !stack)
-          sorted;
-        pop_until max_int;
-        (cpu, List.rev !evs_out))
-      cpus
-  in
+  List.iter
+    (fun cpu ->
+      let sorted =
+        List.sort
+          (fun ((a : Trace.event), ai) ((b : Trace.event), bi) ->
+            if a.ev_ts <> b.ev_ts then compare a.ev_ts b.ev_ts
+            else if a.ev_dur <> b.ev_dur then compare b.ev_dur a.ev_dur
+            else compare bi ai)
+          !(Hashtbl.find by_cpu cpu)
+      in
+      let stack = ref [] in
+      let close (o : open_span) =
+        let self = o.o_dur - o.o_child in
+        (let c, s, t =
+           match Hashtbl.find_opt aggs o.o_frame with
+           | Some cells -> cells
+           | None ->
+               let cells = (ref 0, ref 0, ref 0) in
+               Hashtbl.add aggs o.o_frame cells;
+               cells
+         in
+         incr c;
+         s := !s + self;
+         t := !t + o.o_dur);
+        (if self > 0 then
+           match Hashtbl.find_opt folded o.o_path with
+           | Some r -> r := !r + self
+           | None -> Hashtbl.add folded o.o_path (ref self));
+        match !stack with
+        | parent :: _ -> parent.o_child <- parent.o_child + o.o_dur
+        | [] -> total_cycles := !total_cycles + o.o_dur
+      in
+      let rec pop_until ts =
+        match !stack with
+        | top :: rest when top.o_end <= ts ->
+            stack := rest;
+            close top;
+            pop_until ts
+        | _ -> ()
+      in
+      List.iter
+        (fun ((e : Trace.event), _) ->
+          pop_until e.ev_ts;
+          let frame = { f_cpu = cpu; f_cat = e.ev_cat; f_name = e.ev_name } in
+          let parent_end, parent_path =
+            match !stack with
+            | top :: _ -> (top.o_end, top.o_path)
+            | [] -> (max_int, cpu_label cpu)
+          in
+          let o_end = min (e.ev_ts + e.ev_dur) parent_end in
+          stack :=
+            {
+              o_frame = frame;
+              o_end;
+              o_dur = max 0 (o_end - e.ev_ts);
+              o_path = parent_path ^ ";" ^ frame_label frame;
+              o_child = 0;
+            }
+            :: !stack)
+        sorted;
+      pop_until max_int)
+    cpus;
   let rows =
     Hashtbl.fold
       (fun f (c, s, t) acc ->
@@ -164,7 +151,6 @@ let of_events ?(dropped = 0) (evs : Trace.event list) =
   {
     rows;
     folded;
-    streams;
     total_cycles = !total_cycles;
     span_count = !span_count;
     instant_count = !instant_count;

@@ -16,16 +16,11 @@ type row = {
   r_total : int;  (** cycles with nested spans included *)
 }
 
-type stream_ev = { s_open : bool; s_frame : string; s_at : int }
-
 type t = {
   rows : row list;  (** self descending, then (cpu, cat, name) *)
   folded : (string * int) list;
       (** ["cpu 0;hw:work;..." -> self cycles], path ascending; only
           frames with nonzero self *)
-  streams : (int * stream_ev list) list;
-      (** per CPU: balanced open/close frame events, [s_at] monotone
-          non-decreasing — the speedscope "evented" input *)
   total_cycles : int;  (** sum of root span durations = sum of selfs *)
   span_count : int;
   instant_count : int;
@@ -40,9 +35,6 @@ val of_trace : Trace.t -> t
 (** [of_events] on the ring's current contents, with its drop count. *)
 
 val total_cycles : t -> int
-
-val cpu_label : int -> string
-(** ["cpu N"], or ["machine"] for cpu [-1]. *)
 
 val render_top : ?top:int -> t -> string
 (** Plain-text top-N frames table (count/self/total/self%%), preceded

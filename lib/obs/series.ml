@@ -123,7 +123,10 @@ let write_csv t path =
    experiment driver's worker domains see the same period. *)
 
 let ambient_period_us = ref 0.0
-let set_period_us us = ambient_period_us := if us > 0.0 then us else 0.0
+let set_period_us us =
+  if not (us >= 0.0) then
+    invalid_arg (Printf.sprintf "Series: period_us %g must be >= 0" us);
+  ambient_period_us := us
 
 let period_cycles ~cyc =
   let us = !ambient_period_us in

@@ -59,6 +59,8 @@ val write_csv : t -> string -> unit
     every domain), so set it before spawning workers. *)
 
 val set_period_us : float -> unit
+(** 0 turns sampling off.  @raise Invalid_argument, naming
+    [period_us], on a negative or NaN period. *)
 
 val period_cycles : cyc:(float -> int) -> int
 (** The ambient period in cycles of a run's clock ([cyc] converts

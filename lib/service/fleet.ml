@@ -976,16 +976,16 @@ let barrier w f nodes h =
   if f.f_cfg.fc_bw_wjsq then observe_completions f nodes;
   route_all w f nodes h
 
-(* Burn rate: (bad/total) / (1 - target), scaled to an integer
-   (x1000) so the CSV stays int-exact.  1000 = burning exactly the
+(* Burn rate: (bad/total) / (1 - target).  1.0 = burning exactly the
    error budget; above = eating into it.  [run] refuses a target
-   outside (0,1), so the divisor is never 0. *)
+   outside (0,1), so the divisor is never 0.  The series scales it to
+   an integer (x1000) so the CSV stays int-exact. *)
+let burn ~target ~good ~total =
+  if total <= 0 then 0.0
+  else float_of_int (total - good) /. float_of_int total /. (1.0 -. target)
+
 let burn_x1000 ~target ~good ~total =
-  if total <= 0 then 0
-  else
-    int_of_float
-      (float_of_int (total - good) /. float_of_int total /. (1.0 -. target)
-      *. 1000.0)
+  int_of_float (burn ~target ~good ~total *. 1000.0)
 
 (* Fleet telemetry: one series sampled at window barriers on the
    coordinator (machines quiescent, their writes published by the

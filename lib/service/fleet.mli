@@ -183,11 +183,13 @@ val run : ?parallel:bool -> config -> report
     without workers or speed, or a value outside the range of
     [serve]'s matching flag. *)
 
+val burn : target:float -> good:int -> total:int -> float
+(** SLO burn rate: the bad fraction [(total - good) / total] over the
+    error budget [1 - target]; 0 when [total <= 0].  1.0 burns exactly
+    the budget. *)
+
 val burn_x1000 : target:float -> good:int -> total:int -> int
-(** SLO burn rate ×1000: the bad fraction [(total - good) / total]
-    over the error budget [1 - target], truncated to an int; 0 when
-    [total <= 0].  1000 burns exactly the budget.  The series'
-    [burn_x1000] column applies it per window, and [serve] to a
-    whole run. *)
+(** {!burn} ×1000, truncated to an int.  The series' [burn_x1000]
+    column applies it per window, and [serve] to a whole run. *)
 
 val percentile_us : report -> Hist.t -> float -> float

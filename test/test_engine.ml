@@ -540,8 +540,9 @@ let test_stats_percentile () =
 
 let test_stats_empty_raises () =
   let s = Stats.create () in
-  Alcotest.check_raises "empty" (Invalid_argument "Stats.summary: empty series")
-    (fun () -> ignore (Stats.summary s))
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Stats.percentile: empty series")
+    (fun () -> ignore (Stats.percentile s 50.0))
 
 (* [add_int] records without boxing a float: the words a longer run
    adds, per extra sample, stay near zero.  The difference of two run

@@ -347,8 +347,24 @@ let test_tree_single_worker () =
   check_bool "speedup ~1 serial" true
     (r.speedup_vs_serial > 0.8 && r.speedup_vs_serial <= 1.01)
 
+(* An unbalanced tree: a heavy spine [depth] deep, each spine node
+   hanging two light leaves beside one deep continuation.  Eager
+   forking would create thousands of tiny tasks; heartbeat promotion
+   creates a few big ones. *)
+let skewed depth =
+  let leaf () = { Tpal.Tree.work = 150; children = [] } in
+  let rec spine d () =
+    if d = 0 then { Tpal.Tree.work = 150; children = [] }
+    else
+      {
+        Tpal.Tree.work = 120;
+        children = List.init 3 (fun i -> if i = 0 then spine (d - 1) else leaf);
+      }
+  in
+  { Tpal.Tree.tree_name = "skewed-spine"; root = spine depth }
+
 let test_tree_skewed_completes () =
-  let b = Tpal.Tree.skewed ~depth:500 () in
+  let b = skewed 500 in
   let r =
     Tpal.Tree.run Iw_hw.Platform.knl
       {

@@ -238,21 +238,13 @@ let test_tlb_demand_paged_misses () =
   let profile =
     { Tlb.footprint_kb = 1024; accesses = 100_000; locality = 0.0 }
   in
-  check_bool "misses occur" true (Tlb.misses tlb profile > 0);
-  check_bool "faults occur" true (Tlb.first_touch_faults tlb profile > 0)
+  check_bool "misses occur" true (Tlb.misses tlb profile > 0)
 
 let test_tlb_locality_reduces_misses () =
   let tlb = Tlb.create plat ~page_kb:plat.page_size_kb in
   let base = { Tlb.footprint_kb = 2048; accesses = 1_000_000; locality = 0.0 } in
   let local = { base with locality = 0.9 } in
   check_bool "locality helps" true (Tlb.misses tlb local < Tlb.misses tlb base)
-
-let test_overhead_ordering () =
-  let tlb = Tlb.create plat ~page_kb:plat.page_size_kb in
-  let p = { Tlb.footprint_kb = 2048; accesses = 500_000; locality = 0.2 } in
-  let demand = Tlb.access_overhead_cycles tlb plat p ~demand_paged:true in
-  let no_demand = Tlb.access_overhead_cycles tlb plat p ~demand_paged:false in
-  check_bool "faults add cost" true (demand > no_demand)
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline interrupts *)
@@ -324,7 +316,6 @@ let () =
             test_tlb_demand_paged_misses;
           Alcotest.test_case "locality reduces misses" `Quick
             test_tlb_locality_reduces_misses;
-          Alcotest.test_case "fault cost ordering" `Quick test_overhead_ordering;
         ] );
       ( "pipeline-interrupt",
         [

@@ -68,12 +68,11 @@ let test_stack_boot_runs () =
     [ Interweave.Stack.commodity plat; Interweave.Stack.interwoven plat ]
 
 let test_stack_address_spaces () =
-  let c = Interweave.Stack.address_space (Interweave.Stack.commodity plat) in
-  let i = Interweave.Stack.address_space (Interweave.Stack.interwoven plat) in
+  let c = Interweave.Stack.commodity plat in
+  let i = Interweave.Stack.interwoven plat in
   check_bool "commodity demand-paged" true
-    (Iw_mem.Address_space.regime c = Iw_mem.Address_space.Demand_paged);
-  check_bool "interwoven carat" true
-    (Iw_mem.Address_space.regime i = Iw_mem.Address_space.Carat_guarded)
+    (c.memory = Interweave.Stack.Demand_paging);
+  check_bool "interwoven carat" true (i.memory = Interweave.Stack.Carat)
 
 (* ------------------------------------------------------------------ *)
 (* Experiments registry *)

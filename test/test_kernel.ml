@@ -386,14 +386,17 @@ let test_parallel_helper () =
   Sched.run k;
   Array.iter (fun h -> check_bool "every index ran" true h) hits
 
+(* Work sizes come from a test-local stream; Linux tick noise draws
+   from the kernel's own. *)
 let test_deterministic_replay () =
   let run_once () =
     let k = Sched.boot ~personality:(Os.linux plat) ~seed:123 plat in
+    let rng = Rng.create ~seed:123 in
     ignore
       (Sched.spawn k (fun () ->
            Api.parallel 4 (fun _ ->
                for _ = 1 to 50 do
-                 Api.work (100 + Api.rand 1000)
+                 Api.work (100 + Rng.int rng 1000)
                done)));
     Sched.run k;
     Sched.now k
@@ -691,11 +694,12 @@ let prop_deterministic_replay =
     (fun seed ->
       let once () =
         let k = Sched.boot ~seed ~personality:(Os.linux plat) plat in
+        let rng = Rng.create ~seed in
         ignore
           (Sched.spawn k (fun () ->
                Api.parallel 3 (fun _ ->
                    for _ = 1 to 20 do
-                     Api.work (500 + Api.rand 2_000)
+                     Api.work (500 + Rng.int rng 2_000)
                    done)));
         Sched.run k;
         (Sched.now k, Sched.total_overhead_cycles k)

@@ -1,5 +1,4 @@
-(* Tests for the memory substrate: buddy allocator and address-space
-   regimes. *)
+(* Tests for the memory substrate: the buddy allocator. *)
 
 open Iw_mem
 
@@ -148,32 +147,6 @@ let prop_buddy_matches_reference =
           && Buddy.live_blocks b = Buddy_ref.live_blocks r)
         ops)
 
-(* ------------------------------------------------------------------ *)
-(* Address spaces *)
-
-let plat = Iw_hw.Platform.small
-
-let profile =
-  { Iw_hw.Tlb.footprint_kb = 512 * 1024; accesses = 2_000_000; locality = 0.1 }
-
-let test_identity_no_faults () =
-  let asp = Address_space.create plat Address_space.Identity_large in
-  check_int "no page faults" 0 (Address_space.page_faults asp profile)
-
-let test_demand_paged_costs_more () =
-  let ident = Address_space.create plat Address_space.Identity_large in
-  let demand = Address_space.create plat Address_space.Demand_paged in
-  check_bool "demand paging strictly more expensive" true
-    (Address_space.overhead_cycles demand profile
-    > Address_space.overhead_cycles ident profile);
-  check_bool "demand faults" true (Address_space.page_faults demand profile > 0)
-
-let test_carat_no_hw_overhead () =
-  let carat = Address_space.create plat Address_space.Carat_guarded in
-  check_int "carat hardware overhead is zero"
-    0
-    (Address_space.overhead_cycles carat profile)
-
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "mem"
@@ -192,14 +165,5 @@ let () =
           q prop_buddy_no_overlap;
           q prop_buddy_alloc_free_restores;
           q prop_buddy_matches_reference;
-        ] );
-      ( "address-space",
-        [
-          Alcotest.test_case "identity: no faults" `Quick
-            test_identity_no_faults;
-          Alcotest.test_case "demand paging costs more" `Quick
-            test_demand_paged_costs_more;
-          Alcotest.test_case "carat: no hw overhead" `Quick
-            test_carat_no_hw_overhead;
         ] );
     ]

@@ -304,9 +304,8 @@ let test_percentile_negative_samples () =
   Alcotest.(check (float 1e-9)) "p90" 10.0 (Iw_engine.Stats.percentile t 90.0);
   Alcotest.(check (float 1e-9)) "p0 is min" (-5.0)
     (Iw_engine.Stats.percentile t 0.0);
-  let s = Iw_engine.Stats.summary t in
-  Alcotest.(check (float 1e-9)) "summary p50 agrees" 2.0 s.Iw_engine.Stats.p50;
-  Alcotest.(check (float 1e-9)) "summary p99 agrees" 10.0 s.Iw_engine.Stats.p99
+  Alcotest.(check (float 1e-9)) "p99 is max" 10.0
+    (Iw_engine.Stats.percentile t 99.0)
 
 (* ------------------------------------------------------------------ *)
 (* Sweepable cost model *)
@@ -432,7 +431,7 @@ let test_profile_ring_wrapped () =
   check_int "selfs still sum to total" 100 self_sum
 
 (* ------------------------------------------------------------------ *)
-(* Folded + speedscope exports *)
+(* Folded export *)
 
 let profile_of_pinned_run () = Profile.of_trace (traced_pinned_run ())
 
@@ -446,20 +445,6 @@ let test_folded_deterministic_and_checked () =
   | Error msg -> Alcotest.fail ("folded check: " ^ msg));
   match Folded.check s1 ~total:(Profile.total_cycles p1 + 1) with
   | Ok _ -> Alcotest.fail "wrong total accepted"
-  | Error _ -> ()
-
-let test_speedscope_round_trip () =
-  let p = profile_of_pinned_run () in
-  let doc = Speedscope.to_json ~name:"pinned" p in
-  (match Speedscope.validate doc with
-  | Ok n ->
-      let stream_events =
-        List.fold_left (fun a (_, evs) -> a + List.length evs) 0 p.streams
-      in
-      check_int "every open/close validated" stream_events n
-  | Error msg -> Alcotest.fail ("speedscope: " ^ msg));
-  match Speedscope.validate "{\"frames\": []}" with
-  | Ok _ -> Alcotest.fail "garbage accepted"
   | Error _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -614,8 +599,6 @@ let () =
         [
           Alcotest.test_case "folded deterministic + checked" `Quick
             test_folded_deterministic_and_checked;
-          Alcotest.test_case "speedscope round trip" `Quick
-            test_speedscope_round_trip;
         ] );
       ( "golden",
         [

@@ -243,13 +243,11 @@ let trace_cmd =
     Iw_obs.Trace.set_flows tr flows;
     set_sample_us "trace" sample_us;
     Iw_obs.Series.clear_published ();
-    let obs = Iw_obs.Obs.create ~trace:tr () in
     (* Run serially under an ambient traced context: every kernel,
        CPU, and runtime the experiment creates inherits the ring. *)
-    let text =
+    let text, _, _ =
       or_die "trace" (fun () ->
-          Iw_obs.Obs.with_ambient obs (fun () ->
-              Interweave.Experiments.run_to_string e))
+          Interweave.Experiments.run_with_counters ~trace:tr e)
     in
     print_string text;
     let series = Iw_obs.Series.published () in
@@ -328,10 +326,9 @@ let profile_cmd =
   let profile_of id capacity =
     let e = find_experiment id in
     let tr = ring "profile" capacity in
-    let obs = Iw_obs.Obs.create ~trace:tr () in
     ignore
-      (Iw_obs.Obs.with_ambient obs (fun () ->
-           Interweave.Experiments.run_to_string e));
+      (or_die "profile" (fun () ->
+           Interweave.Experiments.run_with_counters ~trace:tr e));
     Iw_obs.Profile.of_trace tr
   in
   let run id folded_out top capacity diff_id threshold =
@@ -487,6 +484,37 @@ let sweep_cmd =
           FIELD1,FIELD2 grid of elapsed cycles")
     Term.(const run $ field $ values $ values2 $ os $ list_fields)
 
+(* The fault and recovery counters [faults] reports, as (CSV column,
+   single-run label, counter); a single run prints one line per inner
+   list. *)
+let recovery_counters =
+  Iw_obs.Counter.
+    [
+      [
+        ("injected", "injected", Fault_injected);
+        ("ipi_retry", "ipi-retries", Ipi_retry);
+        ("watchdog_fire", "watchdog", Watchdog_fire);
+        ("virtine_relaunch", "relaunches", Virtine_relaunch);
+        ("pool_evict", "pool-evicts", Pool_evict);
+        ("move_rollback", "rollbacks", Move_rollback);
+      ];
+      [
+        ("dir_ack_retry", "dir-ack-retries", Dir_ack_retry);
+        ("dir_stale_refetch", "dir-stale-refetches", Dir_stale_refetch);
+        ("barrier_recover", "barrier-recoveries", Barrier_recover);
+      ];
+      [
+        ("peer_steal", "peer-steals", Peer_steal);
+        ("hedge_sent", "hedges", Hedge_sent);
+        ("admission_shed", "admission-sheds", Admission_shed);
+        ("corrupt_retry", "corrupt-retries", Corrupt_retry);
+      ];
+      [
+        ("nic_drop", "nic-drops", Nic_rx_drops);
+        ("nic_irq_recover", "nic-irq-recoveries", Nic_irq_recover);
+      ];
+    ]
+
 let faults_cmd =
   let id =
     Arg.(
@@ -605,25 +633,7 @@ let faults_cmd =
     | Some sweep_rates ->
         (* One row of recovery counters per rate; the run must survive
            every rate, which is the cross-layer recovery claim. *)
-        let counter_cols =
-          [
-            ("injected", Iw_obs.Counter.Fault_injected);
-            ("ipi_retry", Iw_obs.Counter.Ipi_retry);
-            ("watchdog_fire", Iw_obs.Counter.Watchdog_fire);
-            ("virtine_relaunch", Iw_obs.Counter.Virtine_relaunch);
-            ("pool_evict", Iw_obs.Counter.Pool_evict);
-            ("move_rollback", Iw_obs.Counter.Move_rollback);
-            ("dir_ack_retry", Iw_obs.Counter.Dir_ack_retry);
-            ("dir_stale_refetch", Iw_obs.Counter.Dir_stale_refetch);
-            ("barrier_recover", Iw_obs.Counter.Barrier_recover);
-            ("peer_steal", Iw_obs.Counter.Peer_steal);
-            ("hedge_sent", Iw_obs.Counter.Hedge_sent);
-            ("admission_shed", Iw_obs.Counter.Admission_shed);
-            ("corrupt_retry", Iw_obs.Counter.Corrupt_retry);
-            ("nic_drop", Iw_obs.Counter.Nic_rx_drops);
-            ("nic_irq_recover", Iw_obs.Counter.Nic_irq_recover);
-          ]
-        in
+        let counter_cols = List.concat recovery_counters in
         let rows =
           List.map
             (fun r ->
@@ -633,11 +643,14 @@ let faults_cmd =
               | Error msg ->
                   die "faults: %s run failed under injection at rate %g: %s"
                     e.id r msg);
-              (r, List.map (fun (_, c) -> Iw_obs.Counter.get totals c) counter_cols))
+              ( r,
+                List.map
+                  (fun (_, _, c) -> Iw_obs.Counter.get totals c)
+                  counter_cols ))
             sweep_rates
         in
         let table =
-          ("rate" :: List.map fst counter_cols)
+          ("rate" :: List.map (fun (col, _, _) -> col) counter_cols)
           :: List.map
                (fun (r, cs) -> Printf.sprintf "%g" r :: List.map string_of_int cs)
                rows
@@ -664,30 +677,17 @@ let faults_cmd =
     | Ok text -> print_string text
     | Error msg -> die "faults: %s run failed under injection: %s" e.id msg);
     let g id = Iw_obs.Counter.get totals id in
-    Printf.printf
-      "fault plan: rate %g, seed %d, kinds %s\n\
-      \  injected %d | ipi-retries %d | watchdog %d | relaunches %d | \
-       pool-evicts %d | rollbacks %d\n\
-      \  dir-ack-retries %d | dir-stale-refetches %d | barrier-recoveries %d\n\
-      \  peer-steals %d | hedges %d | admission-sheds %d | corrupt-retries %d\n\
-      \  nic-drops %d | nic-irq-recoveries %d\n"
-      rate seed
-      (String.concat "," (List.map Iw_faults.Plan.kind_name kinds))
-      (g Iw_obs.Counter.Fault_injected)
-      (g Iw_obs.Counter.Ipi_retry)
-      (g Iw_obs.Counter.Watchdog_fire)
-      (g Iw_obs.Counter.Virtine_relaunch)
-      (g Iw_obs.Counter.Pool_evict)
-      (g Iw_obs.Counter.Move_rollback)
-      (g Iw_obs.Counter.Dir_ack_retry)
-      (g Iw_obs.Counter.Dir_stale_refetch)
-      (g Iw_obs.Counter.Barrier_recover)
-      (g Iw_obs.Counter.Peer_steal)
-      (g Iw_obs.Counter.Hedge_sent)
-      (g Iw_obs.Counter.Admission_shed)
-      (g Iw_obs.Counter.Corrupt_retry)
-      (g Iw_obs.Counter.Nic_rx_drops)
-      (g Iw_obs.Counter.Nic_irq_recover);
+    Printf.printf "fault plan: rate %g, seed %d, kinds %s\n" rate seed
+      (String.concat "," (List.map Iw_faults.Plan.kind_name kinds));
+    List.iter
+      (fun line ->
+        print_endline
+          ("  "
+          ^ String.concat " | "
+              (List.map
+                 (fun (_, label, c) -> Printf.sprintf "%s %d" label (g c))
+                 line)))
+      recovery_counters;
     if check && rate > 0.0 && g Iw_obs.Counter.Fault_injected = 0 then
       die
         "faults --check: no faults injected at rate %g (injection points not \

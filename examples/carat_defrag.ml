@@ -25,7 +25,7 @@ let () =
   let rt = Runtime.create () in
   let defrags = ref 0 and moved = ref 0 in
   let fw =
-    Iw_passes.Timing_pass.Framework.create ~period:15_000 ~fire_cost:100
+    Iw_passes.Timing_pass.Framework.create ~period:15_000
       ~on_fire:(fun ~now:_ ->
         incr defrags;
         moved := !moved + Runtime.defragment rt)

@@ -6,8 +6,6 @@ type row = {
   base_cycles : int;
   naive_pct : float;
   optimized_pct : float;
-  static_guards_naive : int;
-  static_guards_opt : int;
   dyn_guards_naive : int;
   dyn_guards_opt : int;
 }
@@ -18,13 +16,9 @@ let run_config ?(label = "baseline") (p : Programs.program) config =
   | Some c -> Iw_passes.Carat_pass.instrument ~config:c m
   | None -> ());
   let rt = Runtime.create () in
-  let result =
-    Runtime.traced_run rt
-      ~name:(p.name ^ ":" ^ label)
-      (fun () -> Interp.run ~hooks:(Runtime.hooks rt) m p.entry p.args)
-  in
-  let stats = Iw_passes.Carat_pass.guard_stats m in
-  (result, stats)
+  Runtime.traced_run rt
+    ~name:(p.name ^ ":" ^ label)
+    (fun () -> Interp.run ~hooks:(Runtime.hooks rt) m p.entry p.args)
 
 let check_result (p : Programs.program) label (r : Interp.result) =
   match (p.expected, r.ret) with
@@ -35,13 +29,11 @@ let check_result (p : Programs.program) label (r : Interp.result) =
   | _ -> ()
 
 let run_program (p : Programs.program) =
-  let base, _ = run_config p None in
+  let base = run_config p None in
   check_result p "baseline" base;
-  let naive, naive_stats =
-    run_config ~label:"naive" p (Some Iw_passes.Carat_pass.naive)
-  in
+  let naive = run_config ~label:"naive" p (Some Iw_passes.Carat_pass.naive) in
   check_result p "naive" naive;
-  let opt, opt_stats =
+  let opt =
     run_config ~label:"optimized" p (Some Iw_passes.Carat_pass.optimized)
   in
   check_result p "optimized" opt;
@@ -52,8 +44,6 @@ let run_program (p : Programs.program) =
     base_cycles = base.cycles;
     naive_pct = pct naive.cycles base.cycles;
     optimized_pct = pct opt.cycles base.cycles;
-    static_guards_naive = naive_stats.exact_guards + naive_stats.region_guards;
-    static_guards_opt = opt_stats.exact_guards + opt_stats.region_guards;
     dyn_guards_naive = naive.guards;
     dyn_guards_opt = opt.guards;
   }

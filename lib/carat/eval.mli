@@ -12,8 +12,6 @@ type row = {
   base_cycles : int;
   naive_pct : float;
   optimized_pct : float;
-  static_guards_naive : int;
-  static_guards_opt : int;  (** Exact + region guards after hoisting. *)
   dyn_guards_naive : int;
   dyn_guards_opt : int;
 }

@@ -16,7 +16,6 @@ type result = {
   granularity : granularity;
   local_fraction : float;
   local_hit_rate : float;
-  mean_access_cycles : float;
   slowdown_vs_all_local : float;
 }
 
@@ -135,7 +134,6 @@ let simulate_cdf ~cdf ~objects ~object_words ~accesses config =
     local_fraction =
       float_of_int resident_words /. float_of_int (objects * object_words);
     local_hit_rate = float_of_int !local_hits /. float_of_int accesses;
-    mean_access_cycles = float_of_int !total_cost /. float_of_int accesses;
     slowdown_vs_all_local = float_of_int !total_cost /. float_of_int all_local;
   }
 

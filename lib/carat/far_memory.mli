@@ -30,7 +30,6 @@ type result = {
   granularity : granularity;
   local_fraction : float;  (** Fraction of heap resident locally. *)
   local_hit_rate : float;  (** Fraction of accesses served locally. *)
-  mean_access_cycles : float;
   slowdown_vs_all_local : float;
 }
 

@@ -203,11 +203,7 @@ let run_bench ?(seed = 42) ~params deact bench =
 
 type row = {
   bench : string;
-  base_cycles : int;
-  deact_cycles : int;
   speedup : float;
-  base_energy : float;
-  deact_energy : float;
   energy_reduction_pct : float;
   base_invalidations : int;
   deact_invalidations : int;
@@ -223,11 +219,7 @@ let fig7 ~params () =
       let de = Machine.interconnect_energy deact in
       {
         bench = bench.bench_name;
-        base_cycles = bc;
-        deact_cycles = dc;
         speedup = float_of_int bc /. float_of_int (max 1 dc);
-        base_energy = be;
-        deact_energy = de;
         energy_reduction_pct = 100.0 *. (1.0 -. (de /. max 1e-9 be));
         base_invalidations = (Machine.counters base).invalidations;
         deact_invalidations = (Machine.counters deact).invalidations;

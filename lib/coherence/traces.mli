@@ -30,11 +30,7 @@ val pbbs_suite : bench list
 
 type row = {
   bench : string;
-  base_cycles : int;
-  deact_cycles : int;
   speedup : float;
-  base_energy : float;
-  deact_energy : float;
   energy_reduction_pct : float;
   base_invalidations : int;
   deact_invalidations : int;

@@ -2389,19 +2389,11 @@ let run_to_string e =
    its fresh counter set, so the totals cover all kernels/runtimes the
    experiment booted.  [trace] defaults to the null sink (counters
    still count), so this is also how golden snapshots are captured. *)
-type alloc = { alloc_minor_words : float; alloc_major_words : float }
+type alloc = { alloc_minor_words : float }
 
 let run_with_counters ?trace e =
   let obs = Iw_obs.Obs.create ?trace ~collect:true () in
-  let g0 = Gc.quick_stat () in
   let w0 = Gc.minor_words () in
   let out = Iw_obs.Obs.with_ambient obs (fun () -> run_to_string e) in
-  let w1 = Gc.minor_words () in
-  let g1 = Gc.quick_stat () in
-  let alloc =
-    {
-      alloc_minor_words = w1 -. w0;
-      alloc_major_words = g1.Gc.major_words -. g0.Gc.major_words;
-    }
-  in
+  let alloc = { alloc_minor_words = Gc.minor_words () -. w0 } in
   (out, Iw_obs.Counter.to_list (Iw_obs.Obs.total_counters obs), alloc)

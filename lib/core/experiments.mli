@@ -40,10 +40,6 @@ type alloc = {
           (current domain), exact: read with [Gc.minor_words], which,
           unlike [Gc.quick_stat], does not wait for a minor
           collection. *)
-  alloc_major_words : float;
-      (** Major-heap words over the same window: direct large-block
-          allocation plus promotions, so less stable run-to-run than
-          the minor figure. *)
 }
 
 val run_with_counters :

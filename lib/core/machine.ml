@@ -152,9 +152,6 @@ module Sweep = struct
       f "tlb_miss_walk" "page-table walk on a TLB miss"
         (fun c -> c.Platform.tlb_miss_walk)
         (fun c v -> { c with Platform.tlb_miss_walk = v });
-      f "cache_line_local" "L1 hit"
-        (fun c -> c.Platform.cache_line_local)
-        (fun c v -> { c with Platform.cache_line_local = v });
       f "cache_line_remote" "line transfer across the interconnect"
         (fun c -> c.Platform.cache_line_remote)
         (fun c v -> { c with Platform.cache_line_remote = v });

@@ -1,10 +1,10 @@
-type os_choice = Nautilus | Linux | Linux_rt
+type os_choice = Nautilus | Linux
 
-type memory_choice = Demand_paging | Identity_mapped | Carat
+type memory_choice = Demand_paging | Carat
 
 type timing_choice = Hardware_timer | Compiler_timed of { check_budget : int }
 
-type event_choice = Signal_chain | Ipi_broadcast | Pipeline_interrupts
+type event_choice = Signal_chain | Ipi_broadcast
 
 type t = {
   platform : Iw_hw.Platform.t;
@@ -34,14 +34,10 @@ let interwoven platform =
 
 let describe t =
   Printf.sprintf "%s on %s: %s memory, %s timing, %s events"
-    (match t.os with
-    | Nautilus -> "nautilus"
-    | Linux -> "linux"
-    | Linux_rt -> "linux-rt")
+    (match t.os with Nautilus -> "nautilus" | Linux -> "linux")
     t.platform.Iw_hw.Platform.name
     (match t.memory with
     | Demand_paging -> "demand-paged"
-    | Identity_mapped -> "identity-mapped"
     | Carat -> "carat-guarded")
     (match t.timing with
     | Hardware_timer -> "hw-timer"
@@ -49,14 +45,12 @@ let describe t =
         Printf.sprintf "compiler-timed(%d)" check_budget)
     (match t.events with
     | Signal_chain -> "signal-chain"
-    | Ipi_broadcast -> "ipi-broadcast"
-    | Pipeline_interrupts -> "pipeline-interrupt")
+    | Ipi_broadcast -> "ipi-broadcast")
 
 let personality t =
   match t.os with
   | Nautilus -> Iw_kernel.Os.nautilus t.platform
   | Linux -> Iw_kernel.Os.linux t.platform
-  | Linux_rt -> Iw_kernel.Os.linux_rt t.platform
 
 let boot ?seed t =
   Iw_kernel.Sched.boot ?seed ~personality:(personality t) t.platform
@@ -68,10 +62,6 @@ let event_delivery_cycles t =
       c.interrupt_dispatch + c.signal_deliver + c.signal_return
       + c.kernel_entry + c.kernel_exit
   | Ipi_broadcast -> c.ipi_send + c.ipi_latency + c.interrupt_dispatch
-  | Pipeline_interrupts ->
-      (Iw_hw.Pipeline_interrupt.deliver t.platform
-         Iw_hw.Pipeline_interrupt.Branch_injected)
-        .total_cycles
 
 let timer_mechanism_cost t =
   let c = t.platform.Iw_hw.Platform.costs in

@@ -9,11 +9,10 @@
     expose the layer objects so runtimes (heartbeat, OpenMP, fibers,
     CARAT) can be attached. *)
 
-type os_choice = Nautilus | Linux | Linux_rt
+type os_choice = Nautilus | Linux
 
 type memory_choice =
   | Demand_paging  (** Commodity: base pages, faults, TLB pressure. *)
-  | Identity_mapped  (** Nautilus: everything mapped at boot (§III). *)
   | Carat  (** Compiler/runtime translation, no paging (§IV-A). *)
 
 type timing_choice =
@@ -23,7 +22,6 @@ type timing_choice =
 type event_choice =
   | Signal_chain  (** Commodity user-level delivery (§IV-B right). *)
   | Ipi_broadcast  (** Kernel-level LAPIC broadcast (§IV-B left). *)
-  | Pipeline_interrupts  (** §V-D branch-injected delivery. *)
 
 type t = {
   platform : Iw_hw.Platform.t;

@@ -63,7 +63,6 @@ type report = {
   heartbeat_us : float;
   elapsed_cycles : int;
   work_cycles : int;
-  overhead_cycles : int;
   overhead_pct : float;
   promotions : int;
   steals : int;
@@ -395,7 +394,6 @@ let run ?(promote_div = 2) plat (config : config) bench =
     heartbeat_us = config.heartbeat_us;
     elapsed_cycles = c.finish;
     work_cycles = Sched.total_work_cycles k;
-    overhead_cycles = Sched.total_overhead_cycles k;
     overhead_pct = overhead_pct k;
     promotions = count Iw_obs.Counter.Promotions;
     steals = count Iw_obs.Counter.Steals;

@@ -56,7 +56,6 @@ type report = {
   heartbeat_us : float;
   elapsed_cycles : int;
   work_cycles : int;
-  overhead_cycles : int;  (** Kernel overhead + interrupt paths. *)
   overhead_pct : float;  (** overhead / (work + overhead). *)
   promotions : int;
   steals : int;

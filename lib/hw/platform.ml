@@ -25,7 +25,6 @@ type costs = {
   thread_create_user : int;
   thread_exit : int;
   tlb_miss_walk : int;
-  cache_line_local : int;
   cache_line_remote : int;
   atomic_rmw : int;
   tick_update : int;
@@ -76,7 +75,6 @@ let default_costs =
     thread_create_user = 28000;
     thread_exit = 600;
     tlb_miss_walk = 60;
-    cache_line_local = 4;
     cache_line_remote = 180;
     atomic_rmw = 24;
     tick_update = 120;

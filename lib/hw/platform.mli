@@ -48,7 +48,6 @@ type costs = {
   thread_exit : int;
   (* Memory system *)
   tlb_miss_walk : int;  (** Page-table walk on a TLB miss. *)
-  cache_line_local : int;  (** L1 hit. *)
   cache_line_remote : int;  (** Line transfer across the interconnect. *)
   atomic_rmw : int;  (** Uncontended atomic read-modify-write. *)
   (* Timer tick and timing-event paths (hoisted from per-module magic

@@ -70,12 +70,7 @@ let eval_binop op a b =
   | Ir.Div -> if b = 0 then raise (Fault "division by zero") else a / b
   | Ir.Rem -> if b = 0 then raise (Fault "remainder by zero") else a mod b
   | Ir.And -> a land b
-  | Ir.Or -> a lor b
-  | Ir.Xor -> a lxor b
-  | Ir.Shl -> a lsl b
-  | Ir.Shr -> a asr b
   | Ir.Lt -> if a < b then 1 else 0
-  | Ir.Le -> if a <= b then 1 else 0
   | Ir.Eq -> if a = b then 1 else 0
   | Ir.Ne -> if a <> b then 1 else 0
 

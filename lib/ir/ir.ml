@@ -10,12 +10,7 @@ type binop =
   | Div
   | Rem
   | And
-  | Or
-  | Xor
-  | Shl
-  | Shr
   | Lt
-  | Le
   | Eq
   | Ne
 

@@ -83,18 +83,3 @@ let linux plat =
         else 0);
     uncontended_sync = c.atomic_rmw;
   }
-
-let linux_rt plat =
-  let base = linux plat in
-  {
-    base with
-    os_name = "linux-rt";
-    pick = base.pick_rt;
-    timer_extra =
-      plat.Iw_hw.Platform.costs.timer_path_softirq
-      + plat.Iw_hw.Platform.costs.signal_deliver
-      + plat.Iw_hw.Platform.costs.signal_return;
-    timer_jitter =
-      (fun rng ->
-        max 0 (Iw_engine.Rng.gaussian_int rng ~mu:400.0 ~sigma:250.0));
-  }

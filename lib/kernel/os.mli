@@ -44,7 +44,3 @@ val linux : Iw_hw.Platform.t -> t
 (** Commodity baseline: CFS-weight picks, kernel crossings with
     speculation mitigations on every switch and blocking operation,
     futex block/wake, signal-path timers with slack. *)
-
-val linux_rt : Iw_hw.Platform.t -> t
-(** Linux with the real-time class: same crossings, slightly cheaper
-    and more predictable timers (no slack), priority picks. *)

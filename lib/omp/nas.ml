@@ -111,7 +111,6 @@ type result = {
   nthreads : int;
   elapsed_cycles : int;
   speedup_vs_serial : float;
-  regions_run : int;
 }
 
 let run plat mode ~nthreads b =
@@ -119,7 +118,6 @@ let run plat mode ~nthreads b =
   let k = Sched.boot ~personality:(Runtime.personality_of_mode mode plat) plat in
   let penalty = memory_penalty_per_iter plat mode b in
   let finish = ref 0 in
-  let regions_run = ref 0 in
   ignore
     (Sched.spawn k
        ~spec:
@@ -140,7 +138,6 @@ let run plat mode ~nthreads b =
              b.step_regions
          done;
          finish := Api.now ();
-         regions_run := Runtime.regions t;
          Runtime.shutdown t));
   Sched.run k;
   let serial = serial_cycles plat mode b in
@@ -150,7 +147,6 @@ let run plat mode ~nthreads b =
     nthreads;
     elapsed_cycles = !finish;
     speedup_vs_serial = float_of_int serial /. float_of_int (max 1 !finish);
-    regions_run = !regions_run;
   }
 
 let relative_performance plat ~modes ~scales b =

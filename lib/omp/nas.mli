@@ -38,7 +38,6 @@ type result = {
   nthreads : int;
   elapsed_cycles : int;
   speedup_vs_serial : float;
-  regions_run : int;
 }
 
 val run :

@@ -35,7 +35,6 @@ type t = {
   tasks : Task.t option;  (* CCK backend *)
   handles : Task.handle array;  (* CCK: one per chunk, reused each region *)
   mutable stopping : bool;
-  mutable nregions : int;
   mutable nchunks : int;
 }
 
@@ -185,7 +184,6 @@ let create k mode ~nthreads =
       tasks;
       handles;
       stopping = false;
-      nregions = 0;
       nchunks = 0;
     }
   in
@@ -216,7 +214,6 @@ let parallel_for t ?(schedule = Static) ~iters ~iter_cycles () =
   | Guided min_chunk ->
       if min_chunk < 1 then
         invalid_arg "Runtime.parallel_for: Guided min_chunk must be >= 1");
-  t.nregions <- t.nregions + 1;
   let obs = Sched.obs t.k in
   Iw_obs.Counter.incr obs.Iw_obs.Obs.counters Iw_obs.Counter.Omp_regions;
   let chunks_before = t.nchunks in
@@ -295,4 +292,5 @@ let shutdown t =
   List.iter Api.join t.team;
   match t.tasks with Some tf -> Task.shutdown tf | None -> ()
 
-let regions t = t.nregions
+let regions t =
+  Iw_obs.Counter.get (Sched.counters t.k) Iw_obs.Counter.Omp_regions

@@ -58,3 +58,5 @@ val shutdown : t -> unit
 (** Dismiss the team (call from the master thread). *)
 
 val regions : t -> int
+(** Worksharing regions run on this runtime's kernel: its
+    [omp_regions] counter. *)

@@ -34,7 +34,6 @@ end
 
 type result = {
   program : string;
-  poll_budget : int;
   polls_executed : int;
   completions : int;
   serviced : int;
@@ -61,7 +60,6 @@ let measure ~poll_budget ~completions ~plat (p : Programs.program) =
   let costs = plat.Iw_hw.Platform.costs in
   {
     program = p.name;
-    poll_budget;
     polls_executed = Device.polls dev;
     completions = List.length completions;
     serviced = n;

@@ -8,7 +8,6 @@
 
 type result = {
   program : string;
-  poll_budget : int;
   polls_executed : int;
   completions : int;
   serviced : int;

@@ -39,15 +39,14 @@ let measure ~check_budget (p : Iw_ir.Programs.program) =
 module Framework = struct
   type t = {
     period : int;
-    fire_cost : int;
     on_fire : now:int -> unit;
     mutable next_deadline : int;
     mutable fires : int;
   }
 
-  let create ~period ~fire_cost ~on_fire =
+  let create ~period ~on_fire =
     if period <= 0 then invalid_arg "Framework.create: period <= 0";
-    { period; fire_cost; on_fire; next_deadline = period; fires = 0 }
+    { period; on_fire; next_deadline = period; fires = 0 }
 
   let hook t (hooks : Iw_ir.Interp.hooks) =
     {

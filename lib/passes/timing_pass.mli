@@ -33,9 +33,8 @@ val measure : check_budget:int -> Programs.program -> accuracy
 module Framework : sig
   type t
 
-  val create : period:int -> fire_cost:int -> on_fire:(now:int -> unit) -> t
-  (** [period] is the desired firing rate in cycles; [fire_cost] the
-      cost of one framework invocation. *)
+  val create : period:int -> on_fire:(now:int -> unit) -> t
+  (** [period] is the desired firing rate in cycles. *)
 
   val hook : t -> Interp.hooks -> Interp.hooks
   (** Wrap interpreter hooks so injected checks drive this

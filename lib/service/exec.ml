@@ -17,7 +17,11 @@ type mode =
   | Standalone of Sched.semaphore array
   | Fleet of { fm_tx_c : int; fm_respond : reply:int -> unit }
 
-(* Max requests a worker drains per doorbell wake (Fifo only). *)
+(* Max requests a worker drains per doorbell wake (Fifo only).  A
+   [Worker_hang] draw happens once per pop (see [w_activation]), so
+   under a fault plan the hang rate is per batch of up to [batch_k]
+   requests, not per request: R5's and R8's tables depend on this
+   constant. *)
 let batch_k = 8
 
 (* [w_state] values: *)

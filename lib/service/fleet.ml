@@ -778,8 +778,7 @@ let make_front cfg ~ghz ~cyc ~w_c ~obs ~plan =
   let arrival_rng = Rng.split base in
   let balancer_rng = Rng.split base in
   let prio_rng = Rng.split base in
-  let gen = Workload.gen cfg.fc_workload ~rng:arrival_rng in
-  Workload.set_ghz gen ghz;
+  let gen = Workload.gen cfg.fc_workload ~rng:arrival_rng ~ghz in
   let deadline_c = cyc cfg.fc_deadline_us in
   let weight s =
     max 1 (int_of_float (float_of_int s.ms_workers *. s.ms_speed *. 16.0))

@@ -251,8 +251,9 @@ let run cfg =
                  Array.iter (fun d -> Api.sem_post d) doorbells))
       done
   | _ ->
-      let g = Workload.gen cfg.workload ~rng:arrival_rng in
-      Workload.set_ghz g plat.Iw_hw.Platform.ghz;
+      let g =
+        Workload.gen cfg.workload ~rng:arrival_rng ~ghz:plat.Iw_hw.Platform.ghz
+      in
       let lg =
         {
           l_fl =

@@ -120,7 +120,7 @@ let s_mean_on = 4 (* inter-arrival mean, on phase; <= 0 = silent *)
 let s_mean_off = 5 (* inter-arrival mean, off phase; <= 0 = silent *)
 let s_dwell_on = 6 (* phase-dwell means *)
 let s_dwell_off = 7
-let s_ghz = 8 (* clock rate for [next_cycles]; 0 = unset *)
+let s_ghz = 8 (* clock rate for [next_cycles] *)
 let s_scratch = 9
 let slots = 10
 
@@ -135,7 +135,8 @@ let rec exp_into rng (f : float array) ~mean ~dst =
   if u <= 1e-12 then exp_into rng f ~mean ~dst
   else f.(dst) <- -.f.(mean) *. log u
 
-let gen spec ~rng =
+let gen spec ~rng ~ghz =
+  if not (ghz > 0.0) then invalid_arg "Workload.gen: ghz must be positive";
   (match spec with
   | Poisson { rps; _ } when rps <= 0.0 ->
       invalid_arg "Workload.gen: Poisson rate must be positive"
@@ -147,6 +148,7 @@ let gen spec ~rng =
   | _ -> ());
   let f = Array.make slots 0.0 in
   f.(s_dur) <- duration_us spec;
+  f.(s_ghz) <- ghz;
   (match spec with
   | Poisson { rps; _ } -> f.(s_mean_on) <- 1e6 /. rps
   | Bursty { rps_on; rps_off; mean_on_us; mean_off_us; _ } ->
@@ -201,7 +203,9 @@ let rec bursty_next g =
 
 let next_into g =
   match g.g_spec with
-  | Closed _ -> invalid_arg "Workload.next: closed-loop spec has no open-loop arrivals"
+  | Closed _ ->
+      invalid_arg
+        "Workload.next_cycles: closed-loop spec has no open-loop arrivals"
   | Poisson _ ->
       let f = g.g_f in
       exp_into g.g_rng f ~mean:s_mean_on ~dst:s_scratch;
@@ -214,18 +218,11 @@ let next_into g =
       end
   | Bursty _ -> bursty_next g
 
-let next g = if next_into g then Some g.g_f.(s_out) else None
-
-let set_ghz g ghz =
-  if ghz <= 0.0 then invalid_arg "Workload.set_ghz: rate must be positive";
-  g.g_f.(s_ghz) <- ghz
-
 (* Units.cycles_of_us inlined over the slot array (the [Units] call
    would box the microsecond argument). *)
 let next_cycles g =
   if not (next_into g) then -1
   else begin
     let f = g.g_f in
-    if f.(s_ghz) <= 0.0 then invalid_arg "Workload.next_cycles: call set_ghz first";
     int_of_float (Float.round (f.(s_out) *. 1e3 *. f.(s_ghz)))
   end

@@ -57,20 +57,13 @@ val demand_cycles :
 
 type gen
 
-val gen : spec -> rng:Iw_engine.Rng.t -> gen
-(** @raise Invalid_argument on non-positive rates/phase means or when
-    pulled on a [Closed] spec. *)
-
-val next : gen -> float option
-(** Next absolute arrival time in microseconds, strictly increasing;
-    [None] once past the spec's duration. *)
-
-val set_ghz : gen -> float -> unit
-(** Set the clock rate used by {!next_cycles}.
-    @raise Invalid_argument on a non-positive rate. *)
+val gen : spec -> rng:Iw_engine.Rng.t -> ghz:float -> gen
+(** Arrivals of [spec] drawn from [rng], on a [ghz] clock.
+    @raise Invalid_argument on a non-positive [ghz], rate or phase
+    mean, or when pulled on a [Closed] spec. *)
 
 val next_cycles : gen -> int
-(** The next arrival as an absolute cycle count at the {!set_ghz}
+(** The next arrival time, drawn in microseconds (strictly
+    increasing) and returned as an absolute cycle count at the {!gen}
     clock ([Units.cycles_of_us] semantics), or [-1] once past the
-    duration.  Same draws as {!next}; allocation-free.
-    @raise Invalid_argument if the rate was never set. *)
+    spec's duration.  Allocation-free. *)

@@ -87,6 +87,7 @@ type t = {
   mutable rf_buf : float array;
   mutable rf_head : int;
   mutable rf_n : int;
+  last_now : float array;  (* [| the previous [call_at]'s now_us |] *)
   mutable vclock : int;  (* span clock in virtual cycles; see below *)
 }
 
@@ -105,6 +106,7 @@ let create ?obs ?(seed = 7) ?(pool_size = 16) config =
     rf_buf = Array.make 8 0.0;
     rf_head = 0;
     rf_n = 0;
+    last_now = [| Float.neg_infinity |];
     vclock = 0;
   }
 
@@ -187,36 +189,21 @@ let rf_grow t =
   t.rf_buf <- nb;
   t.rf_head <- 0
 
-(* Insert keeping ascending order.  Refill latency is a constant, so
-   [at] is monotone in practice and the backward sift never moves;
-   stability (new entry lands after equal ones) matches the old
-   sorted-list insert. *)
-let rec rf_sift buf cap head i at =
-  if i = head then Array.unsafe_set buf i at
-  else begin
-    let prev = (i + cap - 1) mod cap in
-    if Array.unsafe_get buf prev > at then begin
-      Array.unsafe_set buf i (Array.unsafe_get buf prev);
-      rf_sift buf cap head prev at
-    end
-    else Array.unsafe_set buf i at
-  end
-
 (* [now_us = nan] means the caller has no clock ([call]): consumed
    entries refill instantly, the historical behavior.  The sentinel
    (instead of a [float option]) keeps the per-request path from
-   boxing a [Some] per call. *)
+   boxing a [Some] per call.  Otherwise the ready time goes at the
+   tail: [call_at] refuses a clock that goes back and the refill
+   latency is a constant, so appending keeps the ring ascending. *)
 let schedule_refill t now_us =
   if Float.is_nan now_us then begin
     if t.pool < t.pool_size then t.pool <- t.pool + 1
   end
   else begin
-    let at = now_us +. refill_us t in
-      if t.rf_n = Array.length t.rf_buf then rf_grow t;
-      let cap = Array.length t.rf_buf in
-      let tail = (t.rf_head + t.rf_n) mod cap in
-      t.rf_n <- t.rf_n + 1;
-      rf_sift t.rf_buf cap t.rf_head tail at
+    if t.rf_n = Array.length t.rf_buf then rf_grow t;
+    t.rf_buf.((t.rf_head + t.rf_n) mod Array.length t.rf_buf) <-
+      now_us +. refill_us t;
+    t.rf_n <- t.rf_n + 1
   end
 
 (* One launch attempt, top-level (passing [now] explicitly) so it
@@ -285,7 +272,11 @@ let call_clocked t ~now ~work_us =
   evict_us +. launch t plan now 0 +. marshal_us +. work_us +. teardown_us
 
 let call t ~work_us = call_clocked t ~now:Float.nan ~work_us
-let call_at t ~now_us ~work_us = call_clocked t ~now:now_us ~work_us
+let call_at t ~now_us ~work_us =
+  if not (now_us >= t.last_now.(0)) then
+    invalid_arg "Wasp.call_at: now_us must not be earlier than the last call's";
+  t.last_now.(0) <- now_us;
+  call_clocked t ~now:now_us ~work_us
 
 let count t id = Iw_obs.Counter.get t.obs.Iw_obs.Obs.counters id
 let spawned t = count t Iw_obs.Counter.Virtine_spawns
@@ -304,7 +295,6 @@ let call_program t ~ghz (p : Iw_ir.Programs.program) =
 module Faas = struct
   type result = {
     config_name : string;
-    requests : int;
     mean_us : float;
     p50_us : float;
     p99_us : float;
@@ -320,7 +310,6 @@ module Faas = struct
     done;
     {
       config_name = name;
-      requests;
       mean_us = Stats.mean samples;
       p50_us = Stats.percentile samples 50.0;
       p99_us = Stats.percentile samples 99.0;
@@ -330,7 +319,6 @@ module Faas = struct
 
   type load_result = {
     lname : string;
-    offered_per_s : float;
     served : int;
     mean_wait_us : float;
     p99_total_us : float;
@@ -374,7 +362,6 @@ module Faas = struct
       arrivals;
     {
       lname = name;
-      offered_per_s = rate_per_s;
       served = List.length arrivals;
       mean_wait_us = Iw_engine.Stats.mean waits;
       p99_total_us =

@@ -71,7 +71,8 @@ val call_at : t -> now_us:float -> work_us:float -> float
     calls (a burst) can drain the pool and fall back to cold boots.
     Callers that serve requests on a simulated timeline (the service
     plane) use this; [call] keeps the clock-free instant-refill
-    behavior. *)
+    behavior.  @raise Invalid_argument naming [now_us] when it is
+    earlier than the last [call_at]'s, or NaN. *)
 
 val spawned : t -> int
 val pool_hits : t -> int
@@ -89,7 +90,6 @@ val call_program :
 module Faas : sig
   type result = {
     config_name : string;
-    requests : int;
     mean_us : float;
     p50_us : float;
     p99_us : float;
@@ -108,7 +108,6 @@ module Faas : sig
 
   type load_result = {
     lname : string;
-    offered_per_s : float;
     served : int;
     mean_wait_us : float;  (** Queueing delay before a context frees up. *)
     p99_total_us : float;  (** Queueing + spawn + body + teardown. *)

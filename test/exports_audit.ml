@@ -1,9 +1,10 @@
 (* Export audit: print every [val] of a library interface that no
-   other source file reaches.
+   other source file reaches, then every record field that no source
+   file reads and every variant constructor that none builds.
 
    Usage: exports_audit.exe DIR...  (run from the repository root; the
-   interfaces audited are lib/*/*.mli, the files searched every .ml and
-   .mli under the DIRs).
+   declarations audited are those of lib/*/*.ml{,i}, the files
+   searched every .ml and .mli under the DIRs).
 
    A [val v] of m.mli counts as used when some other file names it
    qualified, as [M.v] (or [Lib.M.v]), or through [A.v] where the file
@@ -164,17 +165,106 @@ let rec sources dir =
          then [ p ]
          else [])
 
+(* Record fields and variant constructors, from the parse tree.  A
+   field counts as read when some file projects it ([e.f]) or names it
+   in a record pattern; a write ([e.f <- v]), a record literal and a
+   [{ r with f = v }] copy do not count.  A constructor counts as built
+   when it appears in an expression; a pattern does not count.  Both
+   match by name alone, so a clash can hide a dead one but never mark
+   a live one dead.  Unlike a value, a field or constructor that only
+   its own module uses still counts as used. *)
+
+let walk (it : Ast_iterator.iterator) path =
+  let lexbuf = Lexing.from_string (read_file path) in
+  Location.init lexbuf path;
+  if Filename.check_suffix path ".mli" then
+    it.signature it (Parse.interface lexbuf)
+  else it.structure it (Parse.implementation lexbuf)
+
+let reads = Hashtbl.create 1024
+let builds = Hashtbl.create 1024
+
+let collect_uses =
+  let open Ast_iterator in
+  let name lid = Longident.last lid.Location.txt in
+  {
+    default_iterator with
+    expr =
+      (fun it e ->
+        (match e.pexp_desc with
+        | Pexp_field (_, f) -> Hashtbl.replace reads (name f) ()
+        | Pexp_construct (c, _) -> Hashtbl.replace builds (name c) ()
+        | _ -> ());
+        default_iterator.expr it e);
+    pat =
+      (fun it p ->
+        (match p.ppat_desc with
+        | Ppat_record (fs, _) ->
+            List.iter (fun (f, _) -> Hashtbl.replace reads (name f) ()) fs
+        | _ -> ());
+        default_iterator.pat it p);
+  }
+
+(* The fields that a file declares and no file reads, and the
+   constructors it declares that no file builds, as [N.ty.name] through
+   the nested modules they sit in. *)
+let unused path =
+  let acc = ref [] and inside = ref [] in
+  let nested m k =
+    inside := Option.value m ~default:"_" :: !inside;
+    k ();
+    inside := List.tl !inside
+  in
+  let open Ast_iterator in
+  let it =
+    {
+      default_iterator with
+      module_binding =
+        (fun it mb ->
+          nested mb.pmb_name.txt (fun () ->
+              default_iterator.module_binding it mb));
+      module_declaration =
+        (fun it md ->
+          nested md.pmd_name.txt (fun () ->
+              default_iterator.module_declaration it md));
+      type_declaration =
+        (fun it td ->
+          let owner = List.rev (td.ptype_name.txt :: !inside) in
+          let check used n =
+            if not (Hashtbl.mem used n) then
+              acc := String.concat "." (owner @ [ n ]) :: !acc
+          in
+          let fields =
+            List.iter (fun (ld : Parsetree.label_declaration) ->
+                check reads ld.pld_name.txt)
+          in
+          (match td.ptype_kind with
+          | Ptype_record lds -> fields lds
+          | Ptype_variant cds ->
+              List.iter
+                (fun (cd : Parsetree.constructor_declaration) ->
+                  check builds cd.pcd_name.txt;
+                  match cd.pcd_args with
+                  | Pcstr_record lds -> fields lds
+                  | Pcstr_tuple _ -> ())
+                cds
+          | Ptype_abstract | Ptype_open -> ());
+          default_iterator.type_declaration it td);
+    }
+  in
+  walk it path;
+  List.rev !acc
+
 let () =
   let dirs = List.tl (Array.to_list Sys.argv) in
   let files = List.concat_map sources dirs in
   let scanned = List.map (fun f -> (Filename.remove_extension f, scan f)) files in
-  let mlis =
+  let lib =
     List.filter
-      (fun f ->
-        Filename.check_suffix f ".mli"
-        && List.length (String.split_on_char '/' f) = 3)
+      (fun f -> List.length (String.split_on_char '/' f) = 3)
       (sources "lib")
   in
+  let mlis = List.filter (fun f -> Filename.check_suffix f ".mli") lib in
   List.iter
     (fun mli ->
       let base = Filename.remove_extension mli in
@@ -198,4 +288,18 @@ let () =
             | Some n -> Printf.printf "%s.%s.%s\n" base n v
             | None -> Printf.printf "%s.%s\n" base v)
         (vals_of_mli mli))
-    mlis
+    mlis;
+  List.iter (walk collect_uses) files;
+  (* A type both m.ml and m.mli declare is reported once. *)
+  let reported = Hashtbl.create 64 in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun n ->
+          let n = Filename.remove_extension f ^ "." ^ n in
+          if not (Hashtbl.mem reported n) then begin
+            Hashtbl.replace reported n ();
+            print_endline n
+          end)
+        (unused f))
+    lib

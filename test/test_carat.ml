@@ -83,7 +83,7 @@ let test_translation_transparent () =
   let rt = Runtime.create () in
   let moved = ref 0 in
   let fw =
-    Iw_passes.Timing_pass.Framework.create ~period:10_000 ~fire_cost:100
+    Iw_passes.Timing_pass.Framework.create ~period:10_000
       ~on_fire:(fun ~now:_ -> moved := !moved + Runtime.defragment rt)
   in
   let hooks = Iw_passes.Timing_pass.Framework.hook fw (Runtime.hooks rt) in
@@ -101,7 +101,7 @@ let test_explicit_move_preserves_data () =
   let rt = Runtime.create () in
   let moves_done = ref false in
   let fw =
-    Iw_passes.Timing_pass.Framework.create ~period:50_000 ~fire_cost:100
+    Iw_passes.Timing_pass.Framework.create ~period:50_000
       ~on_fire:(fun ~now:_ ->
         if not !moves_done then begin
           moves_done := true;

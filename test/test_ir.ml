@@ -240,7 +240,7 @@ let test_timing_framework_fires_at_period () =
   ignore (Iw_passes.Timing_pass.instrument ~check_budget:500 m);
   let fired_at = ref [] in
   let fw =
-    Iw_passes.Timing_pass.Framework.create ~period:10_000 ~fire_cost:50
+    Iw_passes.Timing_pass.Framework.create ~period:10_000
       ~on_fire:(fun ~now -> fired_at := now :: !fired_at)
   in
   let hooks = Iw_passes.Timing_pass.Framework.hook fw Interp.default_hooks in

@@ -310,22 +310,23 @@ let test_dispatch_deterministic () =
 (* ------------------------------------------------------------------ *)
 (* Workload generators *)
 
+(* Arrival times in cycles of a 1 GHz clock, i.e. in nanoseconds. *)
 let drain spec seed =
-  let g = Workload.gen spec ~rng:(Rng.create ~seed) in
-  let rec go acc = match Workload.next g with None -> List.rev acc | Some t -> go (t :: acc) in
+  let g = Workload.gen spec ~rng:(Rng.create ~seed) ~ghz:1.0 in
+  let rec go acc =
+    match Workload.next_cycles g with -1 -> List.rev acc | t -> go (t :: acc)
+  in
   go []
 
 let test_workload_poisson_deterministic () =
   let spec = Workload.Poisson { rps = 50_000.0; duration_us = 10_000.0 } in
   let a = drain spec 3 and b = drain spec 3 in
   check_bool "nonempty" true (a <> []);
-  Alcotest.(check (list (float 0.0))) "byte-identical arrivals" a b;
+  Alcotest.(check (list int)) "byte-identical arrivals" a b;
   check_bool "strictly increasing" true
     (fst
-       (List.fold_left
-          (fun (ok, prev) t -> (ok && t > prev, t))
-          (true, -1.0) a));
-  check_bool "within duration" true (List.for_all (fun t -> t <= 10_000.0) a)
+       (List.fold_left (fun (ok, prev) t -> (ok && t > prev, t)) (true, -1) a));
+  check_bool "within duration" true (List.for_all (fun t -> t <= 10_000_000) a)
 
 let test_workload_poisson_rate () =
   let spec = Workload.Poisson { rps = 50_000.0; duration_us = 100_000.0 } in
@@ -351,10 +352,11 @@ let test_workload_bursty_modulates () =
   let gaps =
     List.rev
       (fst
-         (List.fold_left (fun (gs, prev) t -> ((t -. prev) :: gs, t)) ([], 0.0) arr))
+         (List.fold_left (fun (gs, prev) t -> ((t - prev) :: gs, t)) ([], 0) arr))
   in
-  check_bool "has a silent gap" true (List.exists (fun g -> g > 1_000.0) gaps);
-  check_bool "has burst arrivals" true (List.exists (fun g -> g < 100.0) gaps)
+  check_bool "has a silent gap" true
+    (List.exists (fun g -> g > 1_000_000) gaps);
+  check_bool "has burst arrivals" true (List.exists (fun g -> g < 100_000) gaps)
 
 let test_workload_offered_rps () =
   Alcotest.(check (float 1e-6))

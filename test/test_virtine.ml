@@ -65,6 +65,19 @@ let test_negative_work_rejected () =
        false
      with Invalid_argument _ -> true)
 
+let test_clock_goes_forward () =
+  let t = Wasp.create { Wasp.default with pooled = true } in
+  ignore (Wasp.call_at t ~now_us:100.0 ~work_us:1.0);
+  ignore (Wasp.call_at t ~now_us:100.0 ~work_us:1.0);
+  let refused what now_us =
+    Alcotest.check_raises what
+      (Invalid_argument
+         "Wasp.call_at: now_us must not be earlier than the last call's")
+      (fun () -> ignore (Wasp.call_at t ~now_us ~work_us:1.0))
+  in
+  refused "now_us went back" 99.0;
+  refused "now_us is nan" Float.nan
+
 let test_call_program_runs_fib () =
   let t = Wasp.create { Wasp.default with profile = Wasp.Bespoke_16 } in
   let ret, latency = Wasp.call_program t ~ghz:1.3 (Iw_ir.Programs.fib_rec 12) in
@@ -161,6 +174,8 @@ let () =
           Alcotest.test_case "pool hits" `Quick test_pool_hits_and_fallback;
           Alcotest.test_case "work included" `Quick test_call_includes_work;
           Alcotest.test_case "negative work" `Quick test_negative_work_rejected;
+          Alcotest.test_case "clock goes forward" `Quick
+            test_clock_goes_forward;
         ] );
       ( "fig5",
         [

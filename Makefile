@@ -1,4 +1,4 @@
-.PHONY: all build test check bench csv clean
+.PHONY: all build test check bench csv loc clean
 
 all: build
 
@@ -26,6 +26,12 @@ bench:
 
 csv:
 	dune exec bin/main.exe -- csv out
+
+# The two sizes a simplicity change is counted by: the lines of lib's
+# .ml, .mli and dune files, and the vals its interfaces export.
+loc:
+	@echo "lib lines: $$(cat lib/*/*.ml lib/*/*.mli lib/*/dune | wc -l)"
+	@echo "lib vals:  $$(cat lib/*/*.mli | grep -c '^ *val ')"
 
 clean:
 	dune clean

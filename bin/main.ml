@@ -876,8 +876,13 @@ let serve_cmd =
         "Request body service demand" Arg.(opt float d.work_us)
         (fun s work_us -> { s with plane = { s.plane with work_us } });
       knob ~docv:"N" ~range:(at_least 1) "cap"
-        "Per-worker queue bound (drop-tail)" Arg.(opt int d.queue_cap)
-        (fun s queue_cap -> { s with plane = { s.plane with queue_cap } });
+        (Printf.sprintf "Per-worker queue bound (drop-tail), at most %d"
+           Squeue.max_cap)
+        Arg.(opt int d.queue_cap)
+        (fun s queue_cap ->
+          if queue_cap > Squeue.max_cap then
+            die "serve: --cap must be <= %d" Squeue.max_cap;
+          { s with plane = { s.plane with queue_cap } });
       knob ~docv:"F" ~range:fraction "hi-frac"
         "Fraction of requests marked high priority" Arg.(opt float d.hi_frac)
         (fun s hi_frac -> { s with plane = { s.plane with hi_frac } });

@@ -52,9 +52,9 @@ val disabled : t
 (* [create ~rate ~seed ()] builds a plan that fires each armed kind
    (default: all) with per-opportunity probability [rate].  What an
    opportunity is belongs to the injection point: a [Worker_hang]
-   opportunity is a worker's pop of its next batch of up to
-   [Exec.batch_k] requests, not each request.  Raises
-   [Invalid_argument] unless rate is in [0,1]. *)
+   opportunity is a worker's pop with work waiting; under FIFO order
+   one covers a run of up to [hang_run] = 8 pops (exec.ml), not each
+   request.  Raises [Invalid_argument] unless rate is in [0,1]. *)
 val create : ?kinds:kind list -> rate:float -> seed:int -> unit -> t
 
 val enabled : t -> bool

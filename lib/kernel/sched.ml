@@ -553,10 +553,6 @@ let set_flat_step th step = th.step <- step
 let flat_work t th n = flat_continue t th ~cost:(max 0 n) ~kind:Cpu.Work
 let flat_overhead t th n = flat_continue t th ~cost:(max 0 n) ~kind:Cpu.Overhead
 
-let flat_sem_take t th sem =
-  assert (sem.count > 0);
-  flat_sem_wait t th sem
-
 let sem_value sem = sem.count
 
 let sem_clear sem =

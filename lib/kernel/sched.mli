@@ -134,9 +134,8 @@ type _ Iw_engine.Coro.Request.t +=
     thread's own step function (i.e. while it is Running), and the
     step function must end each activation with exactly one of them —
     continue ([flat_work] / [flat_overhead] / a non-blocking
-    [flat_sem_wait] / [flat_sem_take] / [flat_sem_post]), park
-    ([flat_sleep] / a blocking [flat_sem_wait]), or die
-    ([flat_exit]). *)
+    [flat_sem_wait] / [flat_sem_post]), park ([flat_sleep] / a
+    blocking [flat_sem_wait]), or die ([flat_exit]). *)
 
 type flat = thread
 
@@ -159,10 +158,6 @@ val flat_sleep : t -> flat -> int -> unit
 val flat_sem_wait : t -> flat -> semaphore -> unit
 (** {!Api.sem_wait}: take a count (paying the uncontended-sync cost)
     or park until posted. *)
-
-val flat_sem_take : t -> flat -> semaphore -> unit
-(** The non-blocking half of {!flat_sem_wait}: the caller has already
-    checked {!sem_value}[ > 0]. *)
 
 val flat_sem_post : t -> flat -> semaphore -> unit
 (** {!Api.sem_post}: wake a waiter (wake cost) or bump the count

@@ -17,24 +17,21 @@ type mode =
   | Standalone of Sched.semaphore array
   | Fleet of { fm_tx_c : int; fm_respond : reply:int -> unit }
 
-(* Max requests a worker drains per doorbell wake (Fifo only).  A
-   [Worker_hang] draw happens once per pop (see [w_activation]), so
-   under a fault plan the hang rate is per batch of up to [batch_k]
-   requests, not per request: R5's and R8's tables depend on this
+(* The most pops one [Worker_hang] opportunity covers under Fifo
+   order (see [w_activation]).  R5's and R8's tables depend on this
    constant. *)
-let batch_k = 8
+let hang_run = 8
 
 (* [w_state] values: *)
 let st_start = 0 (* first activation: wait on the doorbell *)
 
 let st_pop = 1 (* own one doorbell count: pop and execute *)
-let st_staged = 2 (* sem cost paid: settle the lease, execute *)
-let st_vwork = 3 (* virtine overhead paid: run the body *)
-let st_done = 4 (* body finished: account and complete *)
-let st_replied = 5 (* reply posted: finish bookkeeping *)
-let st_bcast = 6 (* stop: posting every doorbell in turn *)
-let st_tx = 7 (* fleet: serialization paid, hand off the response *)
-let st_unhang = 8 (* clocked hang served: clear the flag, resume *)
+let st_vwork = 2 (* virtine overhead paid: run the body *)
+let st_done = 3 (* body finished: account and complete *)
+let st_replied = 4 (* reply posted: finish bookkeeping *)
+let st_bcast = 5 (* stop: posting every doorbell in turn *)
+let st_tx = 6 (* fleet: serialization paid, hand off the response *)
+let st_unhang = 7 (* clocked hang served: clear the flag, resume *)
 
 type worker = {
   w_id : int;
@@ -43,9 +40,7 @@ type worker = {
   mutable w_req : int;  (* arena index under execution *)
   mutable w_start : int;  (* cycle execution started *)
   mutable w_resp : int;  (* fleet: reply handle awaiting tx *)
-  w_scratch : int array;  (* leased arena indices (batched drain) *)
-  mutable w_sc_n : int;
-  mutable w_sc_i : int;
+  mutable w_run : int;  (* pops left before the next hang draw *)
   mutable w_bc : int;  (* stop-broadcast cursor *)
   mutable w_hung : bool;  (* injected hang: not draining its queue *)
 }
@@ -61,9 +56,9 @@ type t = {
   ex_queues : Squeue.t array;
   ex_doorbells : Sched.semaphore array;
   ex_disp : Dispatch.t;
-  ex_h_queue : Hist.t array;
-  ex_h_service : Hist.t array;
-  ex_h_total : Hist.t array;
+  ex_h_queue : Hist.t;
+  ex_h_service : Hist.t;
+  ex_h_total : Hist.t;
   ex_arena : Request_arena.t;
   ex_wasp : Iw_virtine.Wasp.t option;
   ex_ctr : Iw_obs.Counter.set;  (* the kernel's: admitted, completed, steals *)
@@ -87,33 +82,6 @@ type t = {
   mutable ex_wd_stop : unit -> unit;
   ex_ws : worker array;
 }
-
-(* Batched drain (Fifo only): pop up to [batch_k - 1] extra requests
-   now, leased so length probes still see them, and consume their
-   doorbell counts one by one between executions — byte-identical to
-   popping them one at a time.  Priority queues drain per-item: a
-   high-priority arrival during execution must still overtake a
-   queued low one. *)
-let stage_extras t w =
-  w.w_sc_n <- 0;
-  w.w_sc_i <- 0;
-  match t.ex_order with
-  | Squeue.Priority -> ()
-  | Squeue.Fifo ->
-      let q = t.ex_queues.(w.w_id) and db = t.ex_doorbells.(w.w_id) in
-      while
-        w.w_sc_n < batch_k - 1
-        && Sched.sem_value db > w.w_sc_n
-        && (let v = Squeue.lease_pop q in
-            v >= 0
-            && begin
-                 w.w_scratch.(w.w_sc_n) <- v;
-                 w.w_sc_n <- w.w_sc_n + 1;
-                 true
-               end)
-      do
-        ()
-      done
 
 (* The cycles one request body costs this worker right now: the
    arena's per-request demand when one was drawn ([Dfixed] leaves the
@@ -146,18 +114,15 @@ let end_generation t =
 
 let rec w_activation t w =
   let k = t.ex_k in
-  if w.w_state = st_start then begin
-    w.w_state <- st_pop;
-    Sched.flat_sem_wait k w.w_fl t.ex_doorbells.(w.w_id)
-  end
+  if w.w_state = st_start then next_item t w
   else if w.w_state = st_pop then begin
+    let q = t.ex_queues.(w.w_id) in
     (* Hang injection: drawn only with work waiting (an idle worker
-       "hanging" is unobservable), before the pop so no request or
-       lease is held while hung. *)
+       "hanging" is unobservable), before the pop so no request is held
+       while hung, and only once the last draw's run of pops is spent. *)
     if
-      t.ex_hang_armed
-      && (not w.w_hung)
-      && (not (Squeue.is_empty t.ex_queues.(w.w_id)))
+      t.ex_hang_armed && w.w_run = 0
+      && (not (Squeue.is_empty q))
       && Iw_faults.Plan.fire t.ex_plan (Sched.obs k)
            ~kind:Iw_faults.Plan.Worker_hang ~cpu:w.w_id ~ts:(Sched.now k)
     then begin
@@ -173,25 +138,32 @@ let rec w_activation t w =
       end
     end
     else begin
-      let v = Squeue.pop_idx t.ex_queues.(w.w_id) in
+      let v = Squeue.pop_idx q in
       if v >= 0 then begin
-        stage_extras t w;
+        (* A drawing pop covers, under Fifo, the requests already
+           waiting behind it — as many as its doorbell has counts for,
+           at most [hang_run - 1]; a Priority pop covers only itself, as
+           a high-priority arrival may overtake what is waiting. *)
+        (if w.w_run > 0 then w.w_run <- w.w_run - 1
+         else
+           match t.ex_order with
+           | Squeue.Fifo ->
+               w.w_run <-
+                 min (hang_run - 1)
+                   (min
+                      (Sched.sem_value t.ex_doorbells.(w.w_id))
+                      (Squeue.length q))
+           | Squeue.Priority -> ());
         start_exec t w v
       end
       else if t.ex_stopping then Sched.flat_exit k w.w_fl
-      else Sched.flat_sem_wait k w.w_fl t.ex_doorbells.(w.w_id)
+      else next_item t w
     end
   end
   else if w.w_state = st_unhang then begin
     w.w_hung <- false;
     w.w_state <- st_pop;
     w_activation t w
-  end
-  else if w.w_state = st_staged then begin
-    Squeue.settle t.ex_queues.(w.w_id);
-    let v = w.w_scratch.(w.w_sc_i) in
-    w.w_sc_i <- w.w_sc_i + 1;
-    start_exec t w v
   end
   else if w.w_state = st_vwork then begin
     w.w_state <- st_done;
@@ -224,7 +196,7 @@ and start_exec t w v =
   let start = Sched.now k in
   w.w_req <- v;
   w.w_start <- start;
-  Hist.record t.ex_h_queue.(w.w_id) (start - Request_arena.arrival t.ex_arena v);
+  Hist.record t.ex_h_queue (start - Request_arena.arrival t.ex_arena v);
   match t.ex_backend with
   | Fiber_exec ->
       w.w_state <- st_done;
@@ -242,8 +214,8 @@ and finish_exec t w =
   let k = t.ex_k in
   let fin = Sched.now k in
   t.ex_busy <- t.ex_busy + (fin - w.w_start);
-  Hist.record t.ex_h_service.(w.w_id) (fin - w.w_start);
-  Hist.record t.ex_h_total.(w.w_id) (fin - Request_arena.arrival t.ex_arena w.w_req);
+  Hist.record t.ex_h_service (fin - w.w_start);
+  Hist.record t.ex_h_total (fin - Request_arena.arrival t.ex_arena w.w_req);
   Iw_obs.Counter.incr t.ex_ctr Iw_obs.Counter.Service_completions;
   let tr = (Sched.obs k).Iw_obs.Obs.trace in
   if Iw_obs.Trace.enabled tr then
@@ -281,19 +253,8 @@ and after_reply t w =
   else next_item t w
 
 and next_item t w =
-  if w.w_sc_i < w.w_sc_n then begin
-    (* A staged request: its doorbell count is still outstanding, so
-       consume it now at the uncontended cost — when the coroutine
-       worker looped back to sem_wait here, the count was >= 1. *)
-    w.w_state <- st_staged;
-    Sched.flat_sem_take t.ex_k w.w_fl t.ex_doorbells.(w.w_id)
-  end
-  else begin
-    w.w_sc_n <- 0;
-    w.w_sc_i <- 0;
-    w.w_state <- st_pop;
-    Sched.flat_sem_wait t.ex_k w.w_fl t.ex_doorbells.(w.w_id)
-  end
+  w.w_state <- st_pop;
+  Sched.flat_sem_wait t.ex_k w.w_fl t.ex_doorbells.(w.w_id)
 
 (* Recovery one layer up from a hung worker: the watchdog scans from
    sim-timer context, and every queued request it finds behind a hung
@@ -355,9 +316,6 @@ let create ~k ?(prefix = "serve") ?(watchdog = true)
   in
   let doorbells = Array.init workers (fun _ -> Sched.semaphore ~init:0) in
   let disp = Dispatch.create policy ~rng:dispatch_rng in
-  let h_queue = Array.init workers (fun _ -> Hist.create ()) in
-  let h_service = Array.init workers (fun _ -> Hist.create ()) in
-  let h_total = Array.init workers (fun _ -> Hist.create ()) in
   (* In-flight bound: every queue full plus one executing per worker,
      plus one being submitted; closed loops are additionally bounded
      by the client count.  The arena doubles if this guess is low. *)
@@ -394,9 +352,9 @@ let create ~k ?(prefix = "serve") ?(watchdog = true)
       ex_queues = queues;
       ex_doorbells = doorbells;
       ex_disp = disp;
-      ex_h_queue = h_queue;
-      ex_h_service = h_service;
-      ex_h_total = h_total;
+      ex_h_queue = Hist.create ();
+      ex_h_service = Hist.create ();
+      ex_h_total = Hist.create ();
       ex_arena = arena;
       ex_wasp = wasp;
       ex_ctr = Sched.counters k;
@@ -431,9 +389,7 @@ let create ~k ?(prefix = "serve") ?(watchdog = true)
               w_req = -1;
               w_start = 0;
               w_resp = -1;
-              w_scratch = Array.make (batch_k - 1) (-1);
-              w_sc_n = 0;
-              w_sc_i = 0;
+              w_run = 0;
               w_bc = 0;
               w_hung = false;
             });
@@ -489,7 +445,6 @@ let try_enqueue t ~intended ~hi ~arrival ~reply =
     -1
   end
 
-let doorbell t i = t.ex_doorbells.(i)
 let doorbells t = t.ex_doorbells
 
 let depth t =

@@ -68,7 +68,10 @@ val create :
     default), a periodic sim timer scans for hung workers and steals
     their queued requests onto the shortest live peer (counted as
     [peer_steal], detection as [watchdog_fire]).  Unfaulted runs
-    never arm the timer.
+    never arm the timer.  Under [Priority] order every pop draws;
+    under [Fifo] a pop that draws covers the requests its doorbell
+    already counts, at most seven beyond itself ([hang_run] = 8 in
+    exec.ml), and the pops it covers draw nothing.
 
     [demand] (default [Dfixed]) draws a per-request service cost from
     a stateless hash of [(demand_seed, request id)], scaled by
@@ -85,11 +88,12 @@ val try_enqueue : t -> intended:int -> hi:bool -> arrival:int -> reply:int -> in
     -1 = none) is the open-loop intended send cycle, recorded for
     coordinated-omission-corrected latency ({!h_corrected}). *)
 
-val doorbell : t -> int -> Sched.semaphore
 val doorbells : t -> Sched.semaphore array
+(** One per worker, indexed like the queues {!try_enqueue} picks. *)
+
 val depth : t -> int
-(** Sum of current queue lengths (leases included) — the signal a
-    machine gossips to the fleet balancer. *)
+(** Requests queued across the workers — the signal a machine gossips
+    to the fleet balancer. *)
 
 val busy_cycles : t -> int
 
@@ -110,9 +114,14 @@ val set_on_stop : t -> (unit -> unit) -> unit
     disarm its telemetry sampler timer, which would otherwise keep
     the drained simulator alive past the run's natural end. *)
 
-val h_queue : t -> Hist.t array
-val h_service : t -> Hist.t array
-val h_total : t -> Hist.t array
+val h_queue : t -> Hist.t
+(** Queue wait, arrival to execution start, of every request run. *)
+
+val h_service : t -> Hist.t
+(** Execution start to completion. *)
+
+val h_total : t -> Hist.t
+(** Arrival to completion. *)
 
 val h_corrected : t -> Hist.t
 (** Sojourn time measured from the *intended* send cycle for requests

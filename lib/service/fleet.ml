@@ -442,7 +442,7 @@ let make_node cfg ~ghz ~cyc ~tr m =
     let qi =
       Exec.try_enqueue ex ~intended:(-1) ~hi:(b land 1 = 1) ~arrival:now ~reply:id
     in
-    if qi >= 0 then Sched.sem_signal k (Exec.doorbell ex qi)
+    if qi >= 0 then Sched.sem_signal k (Exec.doorbells ex).(qi)
     else begin
       Counter.incr (Sched.counters k) Counter.Service_shed;
       Net.mb_push outbox ~kind:Net.k_nack ~dst:(-1) ~a:id ~b:(b asr 1) ~t:now
@@ -1127,6 +1127,8 @@ let validate cfg =
     if not (v >= 0.0 && v <= 1.0) then reject (name ^ " must be in [0,1]")
   in
   if cfg.fc_queue_cap < 1 then reject "fc_queue_cap must be >= 1";
+  if cfg.fc_queue_cap > Squeue.max_cap then
+    reject (Printf.sprintf "fc_queue_cap must be <= %d" Squeue.max_cap);
   non_negative "fc_work_us" cfg.fc_work_us;
   fraction "fc_hi_frac" cfg.fc_hi_frac;
   non_negative "fc_gossip_us" cfg.fc_gossip_us;
@@ -1143,10 +1145,7 @@ let read_out cfg f nodes w ~ghz =
   List.iter (fun (nic, drv) -> Nic_driver.stop drv; Iw_hw.Nic.stop nic) nics;
   let sum g = Array.fold_left (fun acc nd -> acc + g nd) 0 nodes in
   let msum id = sum (fun nd -> ncount nd id) in
-  let merged shards =
-    Hist.merge_all
-      (Array.concat (Array.to_list (Array.map (fun nd -> shards nd.n_ex) nodes)))
-  in
+  let merged h = Hist.merge_all (Array.map (fun nd -> h nd.n_ex) nodes) in
   let elapsed_s = Units.us_of_cycles ~ghz w.w_elapsed /. 1e6 in
   let worker_cycles =
     w.w_elapsed * Array.fold_left (fun acc s -> acc + s.ms_workers) 0 cfg.fc_machines

@@ -128,8 +128,8 @@ type report = {
   fr_throughput_rps : float;
   fr_utilization : float;  (** busy cycles over fleet worker-cycles *)
   fr_total : Hist.t;  (** end-to-end: arrival to front-side response *)
-  fr_queue : Hist.t;  (** machine-local queue wait, merged *)
-  fr_service : Hist.t;  (** machine-local service time, merged *)
+  fr_queue : Hist.t;  (** machine-local queue wait, merged over machines *)
+  fr_service : Hist.t;  (** machine-local service time, merged over machines *)
   fr_m_names : string array;
   fr_m_completed : int array;
   fr_m_busy : int array;

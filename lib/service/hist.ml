@@ -13,9 +13,9 @@
    nearest-rank definition against a sorted reference.  Because a
    histogram is just a bucket-count vector plus (count, sum, min,
    max), merging is element-wise integer addition: associative and
-   commutative by construction, which is what lets a parallel driver
-   merge per-shard histograms in any grouping and stay byte-identical
-   to a serial run. *)
+   commutative by construction, which is what lets a fleet merge its
+   machines' histograms in any grouping and stay byte-identical
+   whether they ran on one domain or several. *)
 
 let sub_bits = 6
 let sub = 1 lsl sub_bits
@@ -73,13 +73,14 @@ let max_value t = if t.count = 0 then 0 else t.max_v
 let min_value t = if t.count = 0 then 0 else t.min_v
 let mean t = if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
 
+let rank_of p count =
+  min count (max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int count))))
+
 let percentile t p =
   if p <= 0.0 || p > 100.0 then invalid_arg "Hist.percentile: p outside (0,100]";
   if t.count = 0 then 0
   else begin
-    let rank =
-      min t.count (max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int t.count))))
-    in
+    let rank = rank_of p t.count in
     let i = ref 0 and cum = ref 0 in
     while !cum < rank do
       cum := !cum + t.buckets.(!i);
@@ -128,9 +129,6 @@ let win_advance w =
 
 let win_count w = w.w_src.count - w.w_count
 
-let rank_of p count =
-  min count (max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int count))))
-
 let win_percentile w p =
   if p <= 0.0 || p > 100.0 then
     invalid_arg "Hist.win_percentile: p outside (0,100]";
@@ -141,32 +139,6 @@ let win_percentile w p =
     let i = ref 0 and cum = ref 0 in
     while !cum < rank do
       cum := !cum + w.w_src.buckets.(!i) - w.w_buckets.(!i);
-      incr i
-    done;
-    value_at (!i - 1)
-  end
-
-(* Union of several windows (e.g. one per worker shard): equivalent to
-   [win_percentile] on their merged deltas, without materializing the
-   merge — bucket-delta addition is the same element-wise sum that
-   makes {!merge_all} associative. *)
-let win_percentile_many ws p =
-  if p <= 0.0 || p > 100.0 then
-    invalid_arg "Hist.win_percentile_many: p outside (0,100]";
-  let n = Array.length ws in
-  let c = ref 0 in
-  for j = 0 to n - 1 do
-    c := !c + win_count ws.(j)
-  done;
-  if !c = 0 then 0
-  else begin
-    let rank = rank_of p !c in
-    let i = ref 0 and cum = ref 0 in
-    while !cum < rank do
-      for j = 0 to n - 1 do
-        let w = ws.(j) in
-        cum := !cum + w.w_src.buckets.(!i) - w.w_buckets.(!i)
-      done;
       incr i
     done;
     value_at (!i - 1)

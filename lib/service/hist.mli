@@ -7,8 +7,8 @@
     {!percentile} returns [quantize v_r] for the nearest-rank sample
     [v_r] (rank = ceil(p/100 * count)) — identical to quantizing the
     sorted reference.  Merge is element-wise addition, so it is
-    associative and commutative; parallel shards merged in any
-    grouping give byte-identical results to a serial run. *)
+    associative and commutative: a fleet's machines merged in any
+    grouping give the same histogram, however many domains ran them. *)
 
 type t
 
@@ -32,8 +32,8 @@ val percentile : t -> float -> int
     empty. *)
 
 val merge_all : t array -> t
-(** A fresh histogram holding every sample of the given ones (e.g. the
-    per-worker shards of a run). *)
+(** A fresh histogram holding every sample of the given ones (e.g. one
+    per machine of a fleet). *)
 
 val equal : t -> t -> bool
 (** Structural equality on the full state (buckets + moments). *)
@@ -61,7 +61,3 @@ val win_count : window -> int
 val win_percentile : window -> float -> int
 (** Nearest-rank percentile over the window's samples, quantized like
     {!percentile}; [0] on an empty window. *)
-
-val win_percentile_many : window array -> float -> int
-(** Percentile over the union of several windows (e.g. per-worker
-    shards) — identical to merging their deltas first. *)

@@ -101,6 +101,9 @@ type loadgen = {
 let run cfg =
   if cfg.workers < 1 then invalid_arg "Plane.run: workers must be >= 1";
   if cfg.queue_cap < 1 then invalid_arg "Plane.run: queue_cap must be >= 1";
+  if cfg.queue_cap > Squeue.max_cap then
+    invalid_arg
+      (Printf.sprintf "Plane.run: queue_cap must be <= %d" Squeue.max_cap);
   if not (cfg.work_us >= 0.0) then invalid_arg "Plane.run: work_us must be >= 0";
   if not (cfg.hi_frac >= 0.0 && cfg.hi_frac <= 1.0) then
     invalid_arg "Plane.run: hi_frac must be in [0,1]";
@@ -163,7 +166,7 @@ let run cfg =
   let series =
     if sample_c = 0 then None
     else begin
-      let wins = Array.map Hist.window (Exec.h_total ex) in
+      let win = Hist.window (Exec.h_total ex) in
       let count name id =
         Iw_obs.Series.dcol ~name (fun () -> Counter.get ctr id)
       in
@@ -177,11 +180,11 @@ let run cfg =
               count "shed" Counter.Service_shed;
               Iw_obs.Series.col ~name:"depth" (fun () -> Exec.depth ex);
               Iw_obs.Series.col ~name:"p50_cyc" (fun () ->
-                  Hist.win_percentile_many wins 50.0);
+                  Hist.win_percentile win 50.0);
               Iw_obs.Series.col ~name:"p99_cyc" (fun () ->
-                  Hist.win_percentile_many wins 99.0);
+                  Hist.win_percentile win 99.0);
             ]
-          ~post:[ (fun () -> Array.iter Hist.win_advance wins) ]
+          ~post:[ (fun () -> Hist.win_advance win) ]
           ()
       in
       let tm = Iw_engine.Sim.timer sim in
@@ -380,9 +383,9 @@ let run cfg =
     rep_run_major_words = run_major;
     rep_arena_capacity = Exec.arena_capacity ex;
     rep_arena_grows = Exec.arena_grows ex;
-    rep_queue = Hist.merge_all (Exec.h_queue ex);
-    rep_service = Hist.merge_all (Exec.h_service ex);
-    rep_total = Hist.merge_all (Exec.h_total ex);
+    rep_queue = Exec.h_queue ex;
+    rep_service = Exec.h_service ex;
+    rep_total = Exec.h_total ex;
     rep_total_corrected = Exec.h_corrected ex;
     rep_steals = Counter.get ctr Counter.Peer_steal;
     rep_series =

@@ -10,9 +10,8 @@
     costs and noise land where they do on real systems: in the tail.
 
     Latency decomposes per request into queue wait, service time, and
-    total (arrival to completion), each recorded in a per-worker
-    {!Hist} and merged after the run; merge associativity keeps
-    parallel drivers byte-identical to serial ones.
+    total (arrival to completion), each recorded in one {!Hist} for
+    the machine, which the report holds as it is.
 
     Determinism: arrivals, dispatch, priority draws, and think times
     each use a dedicated stream split from [seed lxor 0x5E21CE], so
@@ -115,9 +114,9 @@ type report = {
 val run : config -> report
 (** Run to completion (the generator finishes and every admitted
     request completes).  @raise Invalid_argument, naming the field, on
-    a config without workers or clients, or with a queue bound, body
-    cost or high-priority fraction outside the range of [serve]'s
-    matching flag. *)
+    a config without workers or clients, or with a queue bound
+    (at most {!Squeue.max_cap}), body cost or high-priority fraction
+    outside the range of [serve]'s matching flag. *)
 
 val percentile_us : report -> Hist.t -> float -> float
 val mean_us : report -> Hist.t -> float

@@ -46,16 +46,20 @@ type demand =
   | Dpareto of { alpha : float; xmin_us : float; xmax_us : float }
   | Dlognorm of { median_us : float; sigma : float }
 
+(* Each test is negated ([not (v > 0.0)]), so a NaN fails it too. *)
 let validate_demand = function
   | Dfixed -> ()
   | Dpareto { alpha; xmin_us; xmax_us } ->
-      if alpha <= 0.0 then invalid_arg "Workload: Pareto alpha must be positive";
-      if xmin_us <= 0.0 || xmax_us <= xmin_us then
-        invalid_arg "Workload: Pareto needs 0 < xmin < xmax"
+      if not (alpha > 0.0) then invalid_arg "Workload: Pareto alpha must be > 0";
+      if not (xmin_us > 0.0) then
+        invalid_arg "Workload: Pareto xmin_us must be > 0";
+      if not (xmax_us > xmin_us) then
+        invalid_arg "Workload: Pareto xmax_us must be > xmin_us"
   | Dlognorm { median_us; sigma } ->
-      if median_us <= 0.0 then
-        invalid_arg "Workload: lognormal median must be positive";
-      if sigma < 0.0 then invalid_arg "Workload: lognormal sigma must be >= 0"
+      if not (median_us > 0.0) then
+        invalid_arg "Workload: lognormal median_us must be > 0";
+      if not (sigma >= 0.0) then
+        invalid_arg "Workload: lognormal sigma must be >= 0"
 
 (* Two rounds of a 63-bit splitmix-style finalizer; native-int
    multiplies wrap mod 2^63, deterministically, with no boxing.  The
@@ -136,16 +140,17 @@ let rec exp_into rng (f : float array) ~mean ~dst =
   else f.(dst) <- -.f.(mean) *. log u
 
 let gen spec ~rng ~ghz =
-  if not (ghz > 0.0) then invalid_arg "Workload.gen: ghz must be positive";
+  let reject what = invalid_arg ("Workload.gen: " ^ what) in
+  if not (ghz > 0.0) then reject "ghz must be positive";
   (match spec with
-  | Poisson { rps; _ } when rps <= 0.0 ->
-      invalid_arg "Workload.gen: Poisson rate must be positive"
+  | Poisson { rps; _ } -> if not (rps > 0.0) then reject "Poisson rps must be > 0"
   | Bursty { rps_on; rps_off; mean_on_us; mean_off_us; _ } ->
-      if rps_on < 0.0 || rps_off < 0.0 then
-        invalid_arg "Workload.gen: bursty rates must be non-negative";
-      if mean_on_us <= 0.0 || mean_off_us <= 0.0 then
-        invalid_arg "Workload.gen: bursty phase means must be positive"
-  | _ -> ());
+      if not (rps_on >= 0.0) then reject "bursty rps_on must be >= 0";
+      if not (rps_off >= 0.0) then reject "bursty rps_off must be >= 0";
+      if not (mean_on_us > 0.0) then reject "bursty mean_on_us must be > 0";
+      if not (mean_off_us > 0.0) then reject "bursty mean_off_us must be > 0"
+  | Closed _ -> ());
+  if not (duration_us spec >= 0.0) then reject "duration_us must be >= 0";
   let f = Array.make slots 0.0 in
   f.(s_dur) <- duration_us spec;
   f.(s_ghz) <- ghz;

@@ -40,7 +40,9 @@ type demand =
       (** Lognormal per-request cost. *)
 
 val validate_demand : demand -> unit
-(** @raise Invalid_argument on non-sensical parameters. *)
+(** @raise Invalid_argument, naming the field, on a parameter outside
+    its range or NaN: Pareto needs [0 < xmin_us < xmax_us] and
+    [alpha > 0], lognormal [median_us > 0] and [sigma >= 0]. *)
 
 val demand_us : demand -> seed:int -> id:int -> float
 (** Per-request service demand in microseconds, or [-1.0] under
@@ -59,11 +61,13 @@ type gen
 
 val gen : spec -> rng:Iw_engine.Rng.t -> ghz:float -> gen
 (** Arrivals of [spec] drawn from [rng], on a [ghz] clock.
-    @raise Invalid_argument on a non-positive [ghz], rate or phase
-    mean, or when pulled on a [Closed] spec. *)
+    @raise Invalid_argument, naming the field, on a [ghz], Poisson
+    rate or phase mean that is not positive, a negative bursty rate
+    or duration, or NaN in any of them. *)
 
 val next_cycles : gen -> int
 (** The next arrival time, drawn in microseconds (strictly
     increasing) and returned as an absolute cycle count at the {!gen}
     clock ([Units.cycles_of_us] semantics), or [-1] once past the
-    spec's duration.  Allocation-free. *)
+    spec's duration.  Allocation-free.  @raise Invalid_argument on a
+    [Closed] spec. *)

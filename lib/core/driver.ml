@@ -1,14 +1,13 @@
 (* Parallel experiment driver.
 
    Every experiment in the registry owns its own [Sim.t] and seeded
-   [Rng.t]; the engine's only module-level values ([Sim.null_event],
-   the timer-wheel [nop]) are never mutated after initialization, so
-   experiments are share-nothing and can run on separate OCaml 5
-   domains.  [parallel_map] farms the list out to domains through a
-   shared [Atomic.t] work index and writes results into a
-   pre-allocated slot array, so the caller always sees results in
-   input order — parallel output merges back byte-identical to the
-   serial run. *)
+   [Rng.t]; the engine's shared values ([Sim.null_event] and its
+   [nop]) are never mutated after initialization, so experiments are
+   share-nothing and can run on separate OCaml 5 domains.
+   [parallel_map] farms the list out to domains through a shared
+   [Atomic.t] work index and writes results into a pre-allocated slot
+   array, so the caller always sees results in input order — parallel
+   output merges back byte-identical to the serial run. *)
 
 let worker ~f ~items ~results ~next ~failure () =
   let n = Array.length items in

@@ -1,11 +1,12 @@
 (* Open-addressing hash table with int keys.
 
    Stdlib [Hashtbl] allocates a bucket cell per binding and chases
-   bucket lists on every probe; on the simulator's hottest tables
-   (directory state keyed by cache line, per-time sequence counters)
-   that shows up directly in experiment wall time.  This table keeps
-   keys in a flat int array with linear probing, so a lookup is a
-   multiply, a mask and (usually) one array read. *)
+   bucket lists on every probe; on the simulator's hottest tables (the
+   coherence directory keyed by cache line, the buddy allocator's
+   cells, the IR interpreter's memory) that shows up directly in
+   experiment wall time.  This table keeps keys in a flat int array
+   with linear probing, so a lookup is a multiply, a mask and
+   (usually) one array read. *)
 
 type 'v t = {
   dummy : 'v;
@@ -53,7 +54,7 @@ let create ?(capacity = 16) ~dummy () =
    on an empty slot ([k] absent).  The probe loop is a top-level
    function on purpose: without flambda, an inner [let rec] that
    captures [keys]/[mask] is a heap-allocated closure on every call,
-   and this is the hottest function in the engine. *)
+   and every coherence access probes. *)
 let rec probe_slot keys mask k i =
   let kk = Array.unsafe_get keys i in
   if kk = k then i
@@ -79,15 +80,16 @@ let iter f t =
 (* Triggered when live + tombstones pass 2/3 of capacity.
 
    The capacity is sized for the LIVE population, never blindly
-   doubled: on churn-heavy tables (the simulator's per-time sequence
-   counters see one insert and one remove per distinct event time,
-   forever) the slots are almost all tombstones, and doubling every
-   2/3·cap removals would grow capacity — and heap traffic — without
-   bound.  Such tables instead rehash at their current capacity,
-   ping-ponging between two buffers kept on the table (the retired
-   buffer is wiped and becomes the next spare), so steady-state
-   tombstone collection allocates nothing at all.  A genuinely growing
-   table (live ≈ used) still doubles; capacity never shrinks. *)
+   doubled: on churn-heavy tables (the coherence directory drops a
+   line's entry when its last copy goes, the buddy allocator's cells
+   come and go with every split and merge) the slots fill with
+   tombstones, and doubling every 2/3·cap removals would grow
+   capacity — and heap traffic — without bound.  Such tables instead
+   rehash at their current capacity, ping-ponging between two buffers
+   kept on the table (the retired buffer is wiped and becomes the next
+   spare), so steady-state tombstone collection allocates nothing at
+   all.  A genuinely growing table (live ≈ used) still doubles;
+   capacity never shrinks. *)
 let rec rehash_ins keys vals mask k v j =
   if Array.unsafe_get keys j = empty_key then begin
     Array.unsafe_set keys j k;

@@ -3,8 +3,8 @@
     A low-overhead replacement for [Hashtbl] on hot paths: keys live
     in a flat int array probed linearly, so lookups do no allocation
     and touch one cache line in the common case.  Not resistant to
-    adversarial keys; intended for engine-internal tables (directory
-    state, sequence counters).
+    adversarial keys; intended for the simulator's internal tables
+    (the coherence directory, buddy cells, interpreter memory).
 
     Keys [min_int] and [min_int + 1] are reserved as slot markers;
     passing either raises [Invalid_argument]. *)

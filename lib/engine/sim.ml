@@ -1,32 +1,37 @@
 (* Deterministic discrete-event core — fast path.
 
-   Events are ordered by a packed {!Ekey} int key: time in the high
-   bits, a per-time sequence number in the low bits, allocated from a
-   shared counter table so heap events and wheel timers interleave in
-   exact schedule order.  The queue is a monomorphic {!Int_heap}
-   (plain [<] on keys, no tuples, no polymorphic compare); periodic
-   and cancellable timers live in a {!Timer_wheel} so per-tick cost is
-   O(1) instead of O(log n); no handle to a heap event escapes, so
-   every event record is recycled through a free list and steady-state
-   firing allocates nothing. *)
+   Every pending occurrence, one-shot event and armed timer alike,
+   sits in one indexed 4-ary min-heap keyed by (time, schedule
+   counter).  The keys live in two parallel int arrays beside the
+   record array, so a sift compares plain ints and touches no record;
+   the counter grows in schedule order, which makes same-time
+   occurrences fire in the order they were scheduled.  Each record
+   keeps its heap index, so [disarm] removes a timer in O(log n), and
+   no handle to a one-shot event escapes, so its record is recycled
+   through a free list once it fires and steady-state firing allocates
+   nothing. *)
 
 type event = {
-  mutable cancelled : bool;
   mutable action : unit -> unit;
+  mutable pos : int; (* heap index; -1 when not pending *)
   mutable fnext : event; (* free-list link *)
+  oneshot : bool; (* recycled after it fires; a timer's record is not *)
 }
 
 let nop () = ()
 
-(* Shared inert record: free-list nil and Int_heap dummy. *)
-let rec null_event = { cancelled = false; action = nop; fnext = null_event }
+(* Shared inert record: free-list nil and vacated heap slots.  Fleet
+   machines run their simulators on parallel domains, so nothing ever
+   writes it. *)
+let rec null_event = { action = nop; pos = -1; fnext = null_event; oneshot = true }
 
 type t = {
   mutable now : int;
-  queue : event Int_heap.t;
-  seqs : int Itbl.t; (* time -> next sequence number at that time *)
-  mutable live : int; (* pending (uncancelled) heap events *)
-  wheel : Timer_wheel.t;
+  mutable times : int array; (* heap keys, first component *)
+  mutable seqs : int array; (* heap keys, second component *)
+  mutable evs : event array;
+  mutable size : int;
+  mutable next_seq : int;
   mutable free : event;
   root_rng : Rng.t;
   mutable heap_pushes : int;
@@ -35,28 +40,25 @@ type t = {
   mutable timer_fires : int;
 }
 
-type timer = {
-  wtm : Timer_wheel.timer;
-  mutable fallback : event option;
-      (* set when the deadline predates the wheel clock and the timer
-         had to ride the heap instead *)
-}
+type timer = event
 
 type stats = {
   heap_pushes : int;
   heap_pops : int;
   timer_arms : int;
   timer_fires : int;
-  timer_cascades : int;
 }
+
+let capacity = 256
 
 let create ?(seed = 42) () =
   {
     now = 0;
-    queue = Int_heap.create ~capacity:256 ~dummy:null_event ();
-    seqs = Itbl.create ~capacity:64 ~dummy:0 ();
-    live = 0;
-    wheel = Timer_wheel.create ();
+    times = Array.make capacity 0;
+    seqs = Array.make capacity 0;
+    evs = Array.make capacity null_event;
+    size = 0;
+    next_seq = 0;
     free = null_event;
     root_rng = Rng.create ~seed;
     heap_pushes = 0;
@@ -75,172 +77,162 @@ let stats (t : t) =
     heap_pops = t.heap_pops;
     timer_arms = t.timer_arms;
     timer_fires = t.timer_fires;
-    timer_cascades = Timer_wheel.cascades t.wheel;
   }
 
-(* One packed key per scheduled occurrence, heap and wheel alike; the
-   shared per-time counters are what make their merge a plain int
-   comparison that reproduces global schedule order. *)
-(* Top-level so the call passes a static closure (no flambda: a
-   literal [fun] argument would allocate on every scheduled event). *)
-let succ1 s = s + 1
+let pending t = t.size
 
-let alloc_key t ~caller at =
+let exhausted t = t.size = 0
+
+(* The heap.  Children of slot [i] are [4i+1 .. 4i+4].  Sift loops are
+   top-level tail recursions: a [ref]-based while loop would
+   heap-allocate the ref cells on every push/pop (no flambda). *)
+
+let[@inline] before t i time seq =
+  let ti = Array.unsafe_get t.times i in
+  ti < time || (ti = time && Array.unsafe_get t.seqs i < seq)
+
+let[@inline] place t i time seq ev =
+  Array.unsafe_set t.times i time;
+  Array.unsafe_set t.seqs i seq;
+  Array.unsafe_set t.evs i ev;
+  ev.pos <- i
+
+let[@inline] move t ~src ~dst =
+  Array.unsafe_set t.times dst (Array.unsafe_get t.times src);
+  Array.unsafe_set t.seqs dst (Array.unsafe_get t.seqs src);
+  let ev = Array.unsafe_get t.evs src in
+  Array.unsafe_set t.evs dst ev;
+  ev.pos <- dst
+
+let rec sift_up t i time seq ev =
+  if i = 0 then place t 0 time seq ev
+  else begin
+    let p = (i - 1) lsr 2 in
+    if before t p time seq then place t i time seq ev
+    else begin
+      move t ~src:p ~dst:i;
+      sift_up t p time seq ev
+    end
+  end
+
+(* The least of slot [best] and the slots [c .. last]. *)
+let rec least_child t c last best =
+  if c > last then best
+  else
+    least_child t (c + 1) last
+      (if
+         before t c
+           (Array.unsafe_get t.times best)
+           (Array.unsafe_get t.seqs best)
+       then c
+       else best)
+
+let rec sift_down t i time seq ev =
+  let c = (4 * i) + 1 in
+  if c >= t.size then place t i time seq ev
+  else begin
+    let last = if c + 3 < t.size then c + 3 else t.size - 1 in
+    let m = least_child t (c + 1) last c in
+    if before t m time seq then begin
+      move t ~src:m ~dst:i;
+      sift_down t m time seq ev
+    end
+    else place t i time seq ev
+  end
+
+let grow t =
+  let cap = 2 * Array.length t.times in
+  let times = Array.make cap 0
+  and seqs = Array.make cap 0
+  and evs = Array.make cap null_event in
+  Array.blit t.times 0 times 0 t.size;
+  Array.blit t.seqs 0 seqs 0 t.size;
+  Array.blit t.evs 0 evs 0 t.size;
+  t.times <- times;
+  t.seqs <- seqs;
+  t.evs <- evs
+
+let push t ~caller at ev =
   if at < t.now then
     invalid_arg
       (Printf.sprintf "%s: time %d is in the past (now=%d)" caller at t.now);
-  let seq = Itbl.mutate t.seqs at succ1 in
-  Ekey.pack ~time:at ~seq
+  if t.size = Array.length t.times then grow t;
+  let i = t.size in
+  t.size <- i + 1;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  sift_up t i at seq ev
 
-let push t key action =
+(* Take the record at slot [i] off the heap: the last entry fills the
+   hole and moves up or down from there. *)
+let remove t i =
+  let ev = t.evs.(i) in
+  ev.pos <- -1;
+  let last = t.size - 1 in
+  t.size <- last;
+  let time = t.times.(last) and seq = t.seqs.(last) and lev = t.evs.(last) in
+  t.evs.(last) <- null_event;
+  if i < last then begin
+    if i > 0 && not (before t ((i - 1) lsr 2) time seq) then
+      sift_up t i time seq lev
+    else sift_down t i time seq lev
+  end
+
+(* One-shot events. *)
+
+let schedule_unit t ~at action =
   let ev =
     if t.free != null_event then begin
       let ev = t.free in
       t.free <- ev.fnext;
       ev.fnext <- null_event;
-      ev.cancelled <- false;
       ev.action <- action;
       ev
     end
-    else { cancelled = false; action; fnext = null_event }
+    else { action; pos = -1; fnext = null_event; oneshot = true }
   in
-  t.live <- t.live + 1;
-  t.heap_pushes <- t.heap_pushes + 1;
-  Int_heap.push t.queue key ev;
-  ev
-
-let schedule_unit t ~at action =
-  ignore (push t (alloc_key t ~caller:"Sim.schedule_unit" at) action)
+  push t ~caller:"Sim.schedule_unit" at ev;
+  t.heap_pushes <- t.heap_pushes + 1
 
 let schedule_after_unit t dt action =
   if dt < 0 then invalid_arg "Sim.schedule_after_unit: negative delay";
   schedule_unit t ~at:(t.now + dt) action
 
-(* Only [disarm] cancels, and only the still-pending heap event of a
-   timer that had to ride the heap: the entry stays there, skipped,
-   until [purge] pops it. *)
-let cancel t ev =
-  ev.cancelled <- true;
-  t.live <- t.live - 1
-
-let pending t = t.live + Timer_wheel.live t.wheel
-
-let exhausted t = t.live = 0 && Timer_wheel.live t.wheel = 0
-
 (* Timers. *)
 
-let timer _t = { wtm = Timer_wheel.make_timer (); fallback = None }
+let timer _t = { action = nop; pos = -1; fnext = null_event; oneshot = false }
 
-let timer_armed tt = Timer_wheel.armed tt.wtm || tt.fallback <> None
+let arm t tm ~at cb =
+  if tm.pos >= 0 then invalid_arg "Sim.arm: timer already armed";
+  tm.action <- cb;
+  push t ~caller:"Sim.arm" at tm;
+  t.timer_arms <- t.timer_arms + 1
 
-let arm t tt ~at cb =
-  if timer_armed tt then invalid_arg "Sim.arm: timer already armed";
-  let key = alloc_key t ~caller:"Sim.arm" at in
-  t.timer_arms <- t.timer_arms + 1;
-  if at < Timer_wheel.clock t.wheel then begin
-    (* The wheel clock may sit ahead of [now] when a bounded [run]
-       stopped just after cascading toward a then-due timer.  Ride the
-       heap for this (rare) arm; the wheel never runs backwards. *)
-    let ev =
-      push t key (fun () ->
-          tt.fallback <- None;
-          t.timer_fires <- t.timer_fires + 1;
-          cb ())
-    in
-    tt.fallback <- Some ev
-  end
-  else Timer_wheel.arm t.wheel tt.wtm ~key cb
-
-let arm_after t tt dt cb =
+let arm_after t tm dt cb =
   if dt < 0 then invalid_arg "Sim.arm_after: negative delay";
-  arm t tt ~at:(t.now + dt) cb
+  arm t tm ~at:(t.now + dt) cb
 
-let disarm t tt =
-  if Timer_wheel.armed tt.wtm then Timer_wheel.cancel t.wheel tt.wtm
-  else
-    match tt.fallback with
-    | Some ev ->
-        cancel t ev;
-        tt.fallback <- None
-    | None -> ()
+let disarm t tm = if tm.pos >= 0 then remove t tm.pos
 
 (* Firing. *)
 
-let release t ev =
-  ev.action <- nop;
-  ev.fnext <- t.free;
-  t.free <- ev
-
-(* Drop cancelled events off the heap top so horizon checks see the
-   next event that will actually fire. *)
-let rec purge t =
-  if not (Int_heap.is_empty t.queue) then begin
-    let ev = Int_heap.top t.queue in
-    if ev.cancelled then begin
-      ignore (Int_heap.pop t.queue);
-      t.heap_pops <- t.heap_pops + 1;
-      release t ev;
-      purge t
-    end
-  end
-
-let advance_now t time =
-  if time > t.now then begin
-    (* The counter entry for the departed time can never be consulted
-       again (scheduling in the past is rejected). *)
-    Itbl.remove t.seqs t.now;
-    t.now <- time
-  end
-
-(* Fire the single next due thing — heap event or wheel timer — at or
-   before [horizon], advancing the wheel clock through cascade
-   boundaries on the way.  Returns [false], leaving pending state
-   untouched, when nothing is due within the horizon. *)
-let rec fire_one t ~horizon =
-  purge t;
-  let hkey =
-    if Int_heap.is_empty t.queue then max_int else Int_heap.min_key t.queue
-  in
-  let code = Timer_wheel.peek t.wheel in
-  if code = Timer_wheel.nothing then hkey <> max_int && fire_heap t ~horizon
-  else if code = Timer_wheel.fire then begin
-    let wtm = Timer_wheel.due t.wheel in
-    if Timer_wheel.key wtm < hkey then fire_wheel t wtm ~horizon
-    else fire_heap t ~horizon
-  end
-  else begin
-    let b = Timer_wheel.boundary t.wheel in
-    let htime = if hkey = max_int then max_int else Ekey.time hkey in
-    if b <= htime && b <= horizon then begin
-      Timer_wheel.advance t.wheel b;
-      fire_one t ~horizon
-    end
-    else hkey <> max_int && fire_heap t ~horizon
-  end
-
-and fire_heap t ~horizon =
-  let time = Ekey.time (Int_heap.min_key t.queue) in
-  time <= horizon
+(* Fire the next occurrence if it is due at or before [horizon]. *)
+let fire_one t ~horizon =
+  t.size > 0
+  && t.times.(0) <= horizon
   && begin
-       let ev = Int_heap.pop t.queue in
-       t.heap_pops <- t.heap_pops + 1;
-       t.live <- t.live - 1;
-       advance_now t time;
+       let ev = t.evs.(0) in
+       t.now <- t.times.(0);
+       remove t 0;
        let action = ev.action in
-       release t ev;
+       if ev.oneshot then begin
+         t.heap_pops <- t.heap_pops + 1;
+         ev.action <- nop;
+         ev.fnext <- t.free;
+         t.free <- ev
+       end
+       else t.timer_fires <- t.timer_fires + 1;
        action ();
-       true
-     end
-
-and fire_wheel t wtm ~horizon =
-  let time = Ekey.time (Timer_wheel.key wtm) in
-  time <= horizon
-  && begin
-       let cb = Timer_wheel.callback wtm in
-       Timer_wheel.take t.wheel wtm;
-       t.timer_fires <- t.timer_fires + 1;
-       advance_now t time;
-       cb ();
        true
      end
 

@@ -1,16 +1,17 @@
 (** Deterministic discrete-event simulation core.
 
-    Virtual time is an integer count of cycles.  Events are totally
-    ordered by [(time, sequence-number)] — packed into one int key
-    ({!Ekey}) — so two runs of the same program with the same seed
-    produce identical schedules.
+    Virtual time is an integer count of cycles.  Every pending
+    occurrence is totally ordered by [(time, schedule counter)]: at
+    one time, occurrences fire in the order they were scheduled, so
+    two runs of the same program with the same seed produce identical
+    schedules.
 
-    There are two ways to put work on the clock.  {!schedule_unit}
-    queues a one-shot event on a binary heap: O(log n), no handle, and
-    its record is recycled once it fires.  A {!timer}, backed by a
-    hierarchical {!Timer_wheel}, is armed, fired and disarmed in O(1)
-    on one reusable record.  Work that may be called off is a timer:
-    a heap event cannot be cancelled. *)
+    There are two ways to put work on the clock, and both go on one
+    indexed 4-ary heap in O(log n).  {!schedule_unit} queues a
+    one-shot event: no handle, and its record is recycled once it
+    fires.  A {!timer} is armed, fired and disarmed on one reusable
+    record.  Work that may be called off is a timer: a one-shot event
+    cannot be cancelled. *)
 
 type t
 
@@ -18,11 +19,10 @@ type timer
 (** Reusable timer: repeatedly armed/disarmed without allocation. *)
 
 type stats = {
-  heap_pushes : int;  (** events pushed on the binary heap *)
-  heap_pops : int;  (** events popped (fired or purged) off the heap *)
-  timer_arms : int;  (** timer arms (wheel or fallback) *)
+  heap_pushes : int;  (** one-shot events scheduled *)
+  heap_pops : int;  (** one-shot events fired *)
+  timer_arms : int;  (** timers armed *)
   timer_fires : int;  (** timer callbacks fired *)
-  timer_cascades : int;  (** wheel timers re-homed to a lower level *)
 }
 
 val create : ?seed:int -> unit -> t
@@ -60,10 +60,7 @@ val arm_after : t -> timer -> int -> (unit -> unit) -> unit
 (** [arm_after t tm dt f] = [arm t tm ~at:(now t + dt) f]. *)
 
 val disarm : t -> timer -> unit
-(** O(1) cancel; no-op on an idle timer.  A timer armed behind the
-    wheel's clock (a bounded run can leave it cascaded ahead of
-    {!now}) rides the heap instead; disarming it leaves a skipped
-    entry there. *)
+(** O(log n) cancel; no-op on an idle timer. *)
 
 val pending : t -> int
 (** Number of not-yet-fired events plus armed timers.  O(1). *)

@@ -1,8 +1,8 @@
 open Iw_engine
 
 (* Each [periodic] call allocates one reusable Sim.timer for its
-   stream, then re-arms that same record every tick through the O(1)
-   timer wheel, instead of pushing a fresh heap event per tick.
+   stream, then re-arms that same record every tick, instead of
+   scheduling a fresh one-shot event per tick.
    Several streams may coexist on one LAPIC (e.g. a heartbeat driver
    installed on top of scheduler ticks); [armed] tracks the most
    recently re-armed one, and the generation counter quiesces the

@@ -310,6 +310,23 @@ let create ~k ?(prefix = "serve") ?(watchdog = true)
     ~wasp_seed ~mode () =
   Workload.validate_demand demand;
   let plat = Sched.platform k in
+  (* [Workload.demand_cycles] must not wrap a draw past an int. *)
+  let fits what =
+    if
+      Workload.demand_bound_us demand *. demand_scale *. 1e3
+      *. plat.Iw_hw.Platform.ghz
+      >= Float.of_int max_int
+    then
+      invalid_arg
+        (Printf.sprintf "Exec.create: %s draws more cycles than an int holds"
+           what)
+  in
+  (match demand with
+  | Workload.Dfixed -> ()
+  | Dpareto { xmax_us; _ } -> fits (Printf.sprintf "Pareto xmax_us %g" xmax_us)
+  | Dlognorm { median_us; sigma } ->
+      fits
+        (Printf.sprintf "lognormal median_us %g with sigma %g" median_us sigma));
   let work_c = Iw_hw.Platform.cycles_of_us plat work_us in
   let queues =
     Array.init workers (fun _ -> Squeue.create ~order ~cap:queue_cap)

@@ -46,20 +46,24 @@ type demand =
   | Dpareto of { alpha : float; xmin_us : float; xmax_us : float }
   | Dlognorm of { median_us : float; sigma : float }
 
-(* Each test is negated ([not (v > 0.0)]), so a NaN fails it too. *)
-let validate_demand = function
+(* Each range test is negated ([not (v > 0.0)]), so a NaN fails it
+   too; an infinite field passes its range test and fails the next. *)
+let validate_demand d =
+  let field what v in_range range =
+    if not in_range then
+      invalid_arg (Printf.sprintf "Workload: %s must be %s" what range);
+    if not (Float.is_finite v) then
+      invalid_arg (Printf.sprintf "Workload: %s must be finite" what)
+  in
+  match d with
   | Dfixed -> ()
   | Dpareto { alpha; xmin_us; xmax_us } ->
-      if not (alpha > 0.0) then invalid_arg "Workload: Pareto alpha must be > 0";
-      if not (xmin_us > 0.0) then
-        invalid_arg "Workload: Pareto xmin_us must be > 0";
-      if not (xmax_us > xmin_us) then
-        invalid_arg "Workload: Pareto xmax_us must be > xmin_us"
+      field "Pareto alpha" alpha (alpha > 0.0) "> 0";
+      field "Pareto xmin_us" xmin_us (xmin_us > 0.0) "> 0";
+      field "Pareto xmax_us" xmax_us (xmax_us > xmin_us) "> xmin_us"
   | Dlognorm { median_us; sigma } ->
-      if not (median_us > 0.0) then
-        invalid_arg "Workload: lognormal median_us must be > 0";
-      if not (sigma >= 0.0) then
-        invalid_arg "Workload: lognormal sigma must be >= 0"
+      field "lognormal median_us" median_us (median_us > 0.0) "> 0";
+      field "lognormal sigma" sigma (sigma >= 0.0) ">= 0"
 
 (* Two rounds of a 63-bit splitmix-style finalizer; native-int
    multiplies wrap mod 2^63, deterministically, with no boxing.  The
@@ -92,6 +96,13 @@ let[@inline] demand_us dspec ~seed ~id =
       (* Box-Muller. *)
       let z = sqrt (-2.0 *. log u1) *. cos (6.283185307179586 *. u2) in
       median_us *. exp (sigma *. z)
+
+(* [u01 >= 2^-54], so Box-Muller's [|z|] is at most
+   [sqrt (108 ln 2)] < 8.66. *)
+let demand_bound_us = function
+  | Dfixed -> -1.0
+  | Dpareto { xmax_us; _ } -> xmax_us
+  | Dlognorm { median_us; sigma } -> median_us *. exp (8.66 *. sigma)
 
 (* [Units.cycles_of_us ~ghz (demand_us dspec ~seed ~id *. scale)],
    floored at one cycle, in one function body so no float is boxed on

@@ -41,8 +41,13 @@ type demand =
 
 val validate_demand : demand -> unit
 (** @raise Invalid_argument, naming the field, on a parameter outside
-    its range or NaN: Pareto needs [0 < xmin_us < xmax_us] and
-    [alpha > 0], lognormal [median_us > 0] and [sigma >= 0]. *)
+    its range, NaN or infinite: Pareto needs [0 < xmin_us < xmax_us]
+    and [alpha > 0], lognormal [median_us > 0] and [sigma >= 0]. *)
+
+val demand_bound_us : demand -> float
+(** No draw of {!demand_us} exceeds this: [xmax_us] for Pareto,
+    [median_us * e^(8.66 sigma)] for lognormal; [-1.0] under
+    [Dfixed]. *)
 
 val demand_us : demand -> seed:int -> id:int -> float
 (** Per-request service demand in microseconds, or [-1.0] under

@@ -187,131 +187,79 @@ let prop_sim_monotonic_clock =
       Sim.run s;
       !ok)
 
+(* 300,000 events at one time: more than any per-time sequence field
+   of fixed width holds, and they still fire in schedule order. *)
+let test_sim_many_ties () =
+  let s = Sim.create () in
+  let n = 300_000 and next = ref 0 and ok = ref true in
+  for i = 0 to n - 1 do
+    Sim.schedule_unit s ~at:5 (fun () ->
+        if i <> !next then ok := false;
+        incr next)
+  done;
+  Sim.run s;
+  check_int "all fired" n !next;
+  check_bool "in schedule order" true !ok
+
 (* ------------------------------------------------------------------ *)
-(* Fast path: Ekey, Int_heap, Timer_wheel, Sim counters *)
+(* Fast path: the indexed heap, timers and Sim counters.  The [wheel]
+   tests are named for the 63-slot timer wheel the heap replaced; its
+   page edges (63, 63^2 = 3969, 63^3 = 250047) are where an engine
+   that buckets time fails first. *)
 
-let test_ekey_roundtrip () =
-  List.iter
-    (fun (time, seq) ->
-      let k = Ekey.pack ~time ~seq in
-      check_int "time" time (Ekey.time k);
-      check_int "seq" seq (Ekey.seq k))
-    [ (0, 0); (1, Ekey.seq_limit - 1); (Ekey.max_time, 0); (123_456_789, 42) ];
-  (match Ekey.pack ~time:(-1) ~seq:0 with
-  | _ -> Alcotest.fail "negative time accepted"
-  | exception Invalid_argument _ -> ());
-  match Ekey.pack ~time:0 ~seq:Ekey.seq_limit with
-  | _ -> Alcotest.fail "overflowing seq accepted"
-  | exception Invalid_argument _ -> ()
-
-let prop_int_heap_sorts =
-  QCheck.Test.make ~name:"int heap drains in sorted order" ~count:200
-    QCheck.(list small_signed_int)
-    (fun keys ->
-      (* Tiny initial capacity so growth is exercised too. *)
-      let h = Int_heap.create ~capacity:2 ~dummy:min_int () in
-      List.iter (fun k -> Int_heap.push h k k) keys;
-      let rec drain acc =
-        if Int_heap.is_empty h then List.rev acc
-        else begin
-          let k = Int_heap.min_key h in
-          let v = Int_heap.pop h in
-          if v <> k then List.rev (max_int :: acc) else drain (k :: acc)
-        end
-      in
-      drain [] = List.sort compare keys)
+let edges = [| 62; 63; 64; 3_968; 3_969; 250_047 |]
 
 let test_wheel_order () =
-  let w = Timer_wheel.create () in
+  let s = Sim.create () in
   let fired = ref [] in
-  (* Deadlines straddling slot and level boundaries (63^1, 63^2, 63^3). *)
-  let times = [ 1; 5; 62; 63; 64; 100; 3968; 3969; 250_047; 1_000_000 ] in
-  List.iteri
-    (fun i at ->
-      let tm = Timer_wheel.make_timer () in
-      Timer_wheel.arm w tm
-        ~key:(Ekey.pack ~time:at ~seq:i)
-        (fun () -> fired := at :: !fired))
-    times;
-  let rec drain () =
-    let code = Timer_wheel.peek w in
-    if code = Timer_wheel.advance_over then begin
-      Timer_wheel.advance w (Timer_wheel.boundary w);
-      drain ()
-    end
-    else if code = Timer_wheel.fire then begin
-      let tm = Timer_wheel.due w in
-      Timer_wheel.advance w (Ekey.time (Timer_wheel.key tm));
-      let cb = Timer_wheel.callback tm in
-      Timer_wheel.take w tm;
-      cb ();
-      drain ()
-    end
+  let times =
+    List.sort compare ([ 1; 5; 100; 1_000_000 ] @ Array.to_list edges)
   in
-  drain ();
-  Alcotest.(check (list int)) "fires in deadline order"
-    (List.sort compare times) (List.rev !fired);
-  check_int "wheel drained" 0 (Timer_wheel.live w)
-
-let drain_wheel w =
-  let rec go () =
-    let code = Timer_wheel.peek w in
-    if code = Timer_wheel.advance_over then begin
-      Timer_wheel.advance w (Timer_wheel.boundary w);
-      go ()
-    end
-    else if code = Timer_wheel.fire then begin
-      let tm = Timer_wheel.due w in
-      Timer_wheel.advance w (Ekey.time (Timer_wheel.key tm));
-      let cb = Timer_wheel.callback tm in
-      Timer_wheel.take w tm;
-      cb ();
-      go ()
-    end
-  in
-  go ()
+  (* Armed latest first, so arm order is not deadline order. *)
+  List.iter
+    (fun at ->
+      Sim.arm s (Sim.timer s) ~at (fun () -> fired := Sim.now s :: !fired))
+    (List.rev times);
+  Sim.run s;
+  Alcotest.(check (list int)) "fires in deadline order" times
+    (List.rev !fired);
+  check_bool "drained" true (Sim.exhausted s)
 
 let test_wheel_cancel_after_fire () =
-  let w = Timer_wheel.create () in
-  let tm = Timer_wheel.make_timer () in
+  let s = Sim.create () in
+  let tm = Sim.timer s in
   let count = ref 0 in
-  Timer_wheel.arm w tm ~key:(Ekey.pack ~time:10 ~seq:0) (fun () -> incr count);
-  drain_wheel w;
+  Sim.arm s tm ~at:10 (fun () -> incr count);
+  Sim.schedule_unit s ~at:20 ignore;
+  Sim.run_until s 10;
   check_int "fired once" 1 !count;
-  check_bool "idle after fire" false (Timer_wheel.armed tm);
-  (* Cancelling a timer whose callback already ran must be a no-op —
-     twice over. *)
-  Timer_wheel.cancel w tm;
-  Timer_wheel.cancel w tm;
-  check_int "live unaffected" 0 (Timer_wheel.live w);
-  (* The record stays reusable after the late cancels. *)
-  Timer_wheel.arm w tm ~key:(Ekey.pack ~time:20 ~seq:1) (fun () -> incr count);
-  drain_wheel w;
+  (* Disarming a timer whose callback already ran must be a no-op —
+     twice over — and must not take the heap entry that moved into
+     the fired timer's old slot. *)
+  Sim.disarm s tm;
+  Sim.disarm s tm;
+  check_int "pending unaffected" 1 (Sim.pending s);
+  (* The record stays reusable after the late disarms. *)
+  Sim.arm s tm ~at:30 (fun () -> incr count);
+  Sim.run s;
   check_int "re-armed record fires" 2 !count
 
 let test_wheel_rearm_from_callback () =
-  let w = Timer_wheel.create () in
-  let tm = Timer_wheel.make_timer () in
+  let s = Sim.create () in
+  let tm = Sim.timer s in
   let fires = ref [] in
-  (* The watchdog pattern: the callback re-arms its own (just-taken)
-     record.  Period 70 straddles the level-0 boundary, so cascading
-     is exercised too. *)
+  (* The watchdog pattern: the callback re-arms its own (just-popped)
+     record. *)
   let rec cb () =
-    fires := Timer_wheel.clock w :: !fires;
-    if List.length !fires < 4 then
-      Timer_wheel.arm w tm
-        ~key:
-          (Ekey.pack
-             ~time:(Timer_wheel.clock w + 70)
-             ~seq:(List.length !fires))
-        cb
+    fires := Sim.now s :: !fires;
+    if List.length !fires < 4 then Sim.arm_after s tm 70 cb
   in
-  Timer_wheel.arm w tm ~key:(Ekey.pack ~time:70 ~seq:0) cb;
-  drain_wheel w;
+  Sim.arm s tm ~at:70 cb;
+  Sim.run s;
   Alcotest.(check (list int))
     "periodic re-arm from inside callback" [ 70; 140; 210; 280 ]
     (List.rev !fires);
-  check_int "drained" 0 (Timer_wheel.live w)
+  check_bool "drained" true (Sim.exhausted s)
 
 let test_sim_pending_o1 () =
   let s = Sim.create () in
@@ -343,37 +291,10 @@ let test_sim_timer_stats () =
   check_int "all ticks fired" 1000 !count;
   let st = Sim.stats s in
   check_int "timer fires counted" 1000 st.Sim.timer_fires;
-  check_bool "arms counted" true (st.Sim.timer_arms >= 1000);
-  (* The whole periodic stream lives on the wheel: the binary heap
-     sees (almost) none of it. *)
-  check_bool "heap traffic dropped" true (st.Sim.heap_pushes < 10)
-
-(* A bounded run stops with the wheel clock cascaded ahead of [now]; a
-   timer armed behind that clock rides the heap instead.  Disarming it
-   there is the one way a heap event is cancelled. *)
-let test_sim_timer_heap_fallback () =
-  let setup () =
-    let s = Sim.create () in
-    let log = ref [] in
-    let a = Sim.timer s and b = Sim.timer s in
-    Sim.arm s a ~at:100_000 (fun () -> log := "a" :: !log);
-    Sim.run_until s 99_500;
-    check_int "clock stays put" 0 (Sim.now s);
-    let pushes = (Sim.stats s).Sim.heap_pushes in
-    Sim.arm s b ~at:(Sim.now s + 100) (fun () -> log := "b" :: !log);
-    check_int "b rides the heap" (pushes + 1) (Sim.stats s).Sim.heap_pushes;
-    (s, b, log)
-  in
-  let s, b, log = setup () in
-  let before = Sim.pending s in
-  Sim.disarm s b;
-  check_int "disarm drops pending" (before - 1) (Sim.pending s);
-  Sim.run s;
-  Alcotest.(check (list string)) "disarmed b never fires" [ "a" ] (List.rev !log);
-  check_bool "exhausted" true (Sim.exhausted s);
-  let s, _, log = setup () in
-  Sim.run s;
-  Alcotest.(check (list string)) "armed b fires first" [ "b"; "a" ] (List.rev !log)
+  check_int "arms counted" 1000 st.Sim.timer_arms;
+  (* Timers are counted apart from one-shot events, and the periodic
+     stream schedules none. *)
+  check_int "no one-shot events" 0 st.Sim.heap_pushes
 
 let prop_sim_pending_exact =
   QCheck.Test.make ~name:"pending stays exact under cancel/fire interleavings"
@@ -384,9 +305,8 @@ let prop_sim_pending_exact =
       if n = 0 then true
       else begin
         let s = Sim.create () in
-        (* [behind]: a bounded run first cascades the wheel's clock ahead
-           of [now], so the timers due before that clock ride the heap and
-           disarming one cancels a heap event. *)
+        (* [behind]: a bounded run first leaves one timer pending at
+           100, so the timers below join a heap that is not empty. *)
         let extra =
           if behind then begin
             Sim.arm s (Sim.timer s) ~at:100 ignore;
@@ -420,6 +340,156 @@ let prop_sim_pending_exact =
         (Sim.run s;
          !ok && !fired + !called_off = n && Sim.pending s = 0 && Sim.exhausted s)
       end)
+
+(* Sim against the reference model (test/sim_ref.ml) on one random
+   sequence of operations: one-shot events, timers armed, disarmed
+   (pending, fired, idle, twice) and re-armed, bounded runs to a
+   horizon and to an event count.  An occurrence, when it fires, may
+   itself schedule, arm (its own timer included) or disarm (itself
+   included).  Both logs record every firing with its time, every
+   refused arm, and [now] and [pending] after each operation; they
+   must be equal. *)
+type deadline = Delay of int | Edge of int
+
+type sim_op =
+  | Sched of deadline * sim_op (* the event's callback runs the op *)
+  | Arm of int * deadline * sim_op
+  | Disarm of int
+  | Until of deadline
+  | Run of int
+  | Nop
+
+let n_timers = 4
+
+type engine = {
+  e_now : unit -> int;
+  e_pending : unit -> int;
+  e_schedule : int -> (unit -> unit) -> unit;
+  e_arm : int -> int -> (unit -> unit) -> unit;
+  e_disarm : int -> unit;
+  e_until : int -> unit;
+  e_run : int -> unit;
+}
+
+let sim_engine () =
+  let s = Sim.create () in
+  let tms = Array.init n_timers (fun _ -> Sim.timer s) in
+  {
+    e_now = (fun () -> Sim.now s);
+    e_pending = (fun () -> Sim.pending s);
+    e_schedule = (fun at f -> Sim.schedule_unit s ~at f);
+    e_arm = (fun i at f -> Sim.arm s tms.(i) ~at f);
+    e_disarm = (fun i -> Sim.disarm s tms.(i));
+    e_until = Sim.run_until s;
+    e_run = (fun m -> Sim.run ~max_events:m s);
+  }
+
+let ref_engine () =
+  let r = Sim_ref.create () in
+  {
+    e_now = (fun () -> Sim_ref.now r);
+    e_pending = (fun () -> Sim_ref.pending r);
+    e_schedule = (fun at f -> Sim_ref.schedule r ~at f);
+    e_arm = (fun i at f -> Sim_ref.arm r i ~at f);
+    e_disarm = Sim_ref.disarm r;
+    e_until = Sim_ref.run_until r;
+    e_run = (fun m -> Sim_ref.run ~max_events:m r);
+  }
+
+(* An edge deadline is absolute while it lies ahead, else that far
+   past [now]. *)
+let deadline_at now = function
+  | Delay d -> now + d
+  | Edge k -> if edges.(k) >= now then edges.(k) else now + edges.(k)
+
+let drive e ops =
+  let log = ref [] and next_id = ref 0 in
+  let note fmt = Printf.ksprintf (fun l -> log := l :: !log) fmt in
+  let rec exec = function
+    | Sched (d, k) ->
+        let id = !next_id in
+        incr next_id;
+        e.e_schedule (deadline_at (e.e_now ()) d) (fun () ->
+            note "event %d at %d" id (e.e_now ());
+            exec k)
+    | Arm (i, d, k) -> (
+        let id = !next_id in
+        incr next_id;
+        match
+          e.e_arm i (deadline_at (e.e_now ()) d) (fun () ->
+              note "timer %d (arm %d) at %d" i id (e.e_now ());
+              exec k)
+        with
+        | () -> ()
+        | exception Invalid_argument _ -> note "timer %d busy" i)
+    | Disarm i -> e.e_disarm i
+    | Until d -> e.e_until (deadline_at (e.e_now ()) d)
+    | Run m -> e.e_run m
+    | Nop -> ()
+  in
+  List.iter
+    (fun op ->
+      exec op;
+      note "now %d, %d pending" (e.e_now ()) (e.e_pending ()))
+    (ops @ [ Run max_int ]);
+  List.rev !log
+
+let rec show_op = function
+  | Sched (d, k) -> Printf.sprintf "sched %s {%s}" (show_deadline d) (show_op k)
+  | Arm (i, d, k) ->
+      Printf.sprintf "arm %d %s {%s}" i (show_deadline d) (show_op k)
+  | Disarm i -> Printf.sprintf "disarm %d" i
+  | Until d -> Printf.sprintf "until %s" (show_deadline d)
+  | Run m -> Printf.sprintf "run %d" m
+  | Nop -> "nop"
+
+and show_deadline = function
+  | Delay d -> Printf.sprintf "+%d" d
+  | Edge k -> Printf.sprintf "edge %d" edges.(k)
+
+let sim_ops =
+  let open QCheck in
+  let deadline =
+    Gen.frequency
+      [
+        (3, Gen.map (fun d -> Delay d) (Gen.int_bound 3));
+        (4, Gen.map (fun d -> Delay d) (Gen.int_bound 200));
+        (2, Gen.map (fun k -> Edge k) (Gen.int_bound (Array.length edges - 1)));
+        (1, Gen.map (fun d -> Delay d) (Gen.int_bound 300_000));
+      ]
+  in
+  let timer = Gen.int_bound (n_timers - 1) in
+  (* What a firing does: no bounded run, since runs do not nest. *)
+  let rec reaction depth =
+    if depth = 0 then Gen.return Nop
+    else
+      Gen.frequency
+        [
+          (2, Gen.return Nop);
+          (2, Gen.map2 (fun d k -> Sched (d, k)) deadline (reaction (depth - 1)));
+          ( 3,
+            Gen.map3
+              (fun i d k -> Arm (i, d, k))
+              timer deadline
+              (reaction (depth - 1)) );
+          (2, Gen.map (fun i -> Disarm i) timer);
+        ]
+  in
+  let op =
+    Gen.frequency
+      [
+        (3, Gen.map2 (fun d k -> Sched (d, k)) deadline (reaction 3));
+        (4, Gen.map3 (fun i d k -> Arm (i, d, k)) timer deadline (reaction 3));
+        (3, Gen.map (fun i -> Disarm i) timer);
+        (2, Gen.map (fun d -> Until d) deadline);
+        (1, Gen.map (fun m -> Run m) (Gen.int_bound 5));
+      ]
+  in
+  make ~print:(Print.list show_op) Gen.(list_size (1 -- 80) op)
+
+let prop_sim_matches_reference =
+  QCheck.Test.make ~name:"sim agrees with the reference model" ~count:500
+    sim_ops (fun ops -> drive (sim_engine ()) ops = drive (ref_engine ()) ops)
 
 (* ------------------------------------------------------------------ *)
 (* Coro *)
@@ -606,12 +676,12 @@ let () =
             test_sim_schedule_from_event;
           Alcotest.test_case "past rejected" `Quick test_sim_past_rejected;
           Alcotest.test_case "run until" `Quick test_sim_until;
+          Alcotest.test_case "300,000 events at one time" `Quick
+            test_sim_many_ties;
           q prop_sim_monotonic_clock;
         ] );
       ( "fastpath",
         [
-          Alcotest.test_case "ekey roundtrip" `Quick test_ekey_roundtrip;
-          q prop_int_heap_sorts;
           Alcotest.test_case "timer wheel order" `Quick test_wheel_order;
           Alcotest.test_case "wheel cancel after fire" `Quick
             test_wheel_cancel_after_fire;
@@ -619,9 +689,8 @@ let () =
             test_wheel_rearm_from_callback;
           Alcotest.test_case "pending is exact" `Quick test_sim_pending_o1;
           Alcotest.test_case "timer stats" `Quick test_sim_timer_stats;
-          Alcotest.test_case "timer heap fallback" `Quick
-            test_sim_timer_heap_fallback;
           q prop_sim_pending_exact;
+          q prop_sim_matches_reference;
         ] );
       ( "coro",
         [

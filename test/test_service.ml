@@ -418,6 +418,16 @@ let test_workload_nan_refused () =
     (Workload.Dlognorm { median_us = nan; sigma = 0.5 });
   demand "lognormal sigma must be >= 0"
     (Workload.Dlognorm { median_us = 20.0; sigma = nan });
+  demand "Pareto alpha must be finite"
+    (Workload.Dpareto { alpha = infinity; xmin_us = 10.0; xmax_us = 100.0 });
+  demand "Pareto xmin_us must be finite"
+    (Workload.Dpareto { alpha = 1.5; xmin_us = infinity; xmax_us = 100.0 });
+  demand "Pareto xmax_us must be finite"
+    (Workload.Dpareto { alpha = 1.5; xmin_us = 10.0; xmax_us = infinity });
+  demand "lognormal median_us must be finite"
+    (Workload.Dlognorm { median_us = infinity; sigma = 0.5 });
+  demand "lognormal sigma must be finite"
+    (Workload.Dlognorm { median_us = 20.0; sigma = infinity });
   let gen msg spec =
     raises ("Workload.gen: " ^ msg) (fun () ->
         ignore (Workload.gen spec ~rng:(Rng.create ~seed:1) ~ghz:1.0))
